@@ -2,8 +2,8 @@
 
 Not in the paper — quantifies what the exact ILP buys over a greedy
 conflict-aware heuristic, and times the allocator itself (the paper
-notes "less than a second" for CPLEX on up to 19.5 kB programs; the
-pure-Python branch & bound should stay in the same ballpark).
+notes "less than a second" for CPLEX on up to 19.5 kB programs; HiGHS
+should stay in the same ballpark).
 """
 
 import pytest

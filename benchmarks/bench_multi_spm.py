@@ -19,17 +19,15 @@ from conftest import write_report
 def results(mpeg_bench):
     # The multi-SPM ILP doubles the binary count per object; restrict
     # it to the hottest objects (the cold tail is never allocated
-    # anyway) so the pure-Python branch & bound stays fast.
+    # anyway) so the solve stays fast.
     graph = mpeg_bench.conflict_graph.hottest(40)
     model = mpeg_bench.spm_energy_model(512)
 
     single = CasaAllocator().allocate(graph, 512, model)
-    # equal capacities make this a hard partitioning instance; accept
-    # a proven 1% gap so the benchmark stays fast
     split = MultiScratchpadAllocator([
         ScratchpadSpec("spm0", 256),
         ScratchpadSpec("spm1", 256),
-    ], relative_gap=0.01).allocate(graph, energy=model)
+    ]).allocate(graph, energy=model)
     return single, split
 
 
@@ -42,7 +40,7 @@ def test_multi_spm_report(benchmark, mpeg_bench, results):
         return MultiScratchpadAllocator([
             ScratchpadSpec("spm0", 256),
             ScratchpadSpec("spm1", 256),
-        ], relative_gap=0.01).allocate(graph, energy=model)
+        ]).allocate(graph, energy=model)
 
     benchmark.pedantic(solve_split, rounds=1, iterations=1)
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, SolverError
 from repro.ilp import LinExpr, Model, Sense, SolveStatus
-from repro.ilp.scipy_backend import LpRelaxationSolver
 from repro.program.basicblock import BasicBlock
 from repro.program.behavior import FixedTrip
 from repro.program.cfg import ControlFlowGraph
@@ -187,7 +186,7 @@ def _function_wcet(
         )
 
     model.set_objective(objective)
-    solution = LpRelaxationSolver(model).solve()
+    solution = model.solve()
     if solution.status is not SolveStatus.OPTIMAL:
         raise SolverError(
             f"WCET LP for {function.name!r} is "

@@ -234,10 +234,9 @@ class Session:
 
         Routes through the grid pipeline
         (:meth:`~repro.core.pipeline.Workbench.run_grid`): the
-        workbench profiles once, capacities solve in ascending order —
-        CASA warm-starting each branch & bound from its neighbour's
-        incumbent — and every step's result is bit-identical to the
-        corresponding :meth:`evaluate` call.
+        workbench profiles once, capacities solve in ascending order,
+        and every step's result is bit-identical to the corresponding
+        :meth:`evaluate` call.
 
         Args:
             method: ``casa`` | ``steinke`` | ``greedy`` | ``ross`` |

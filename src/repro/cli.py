@@ -14,9 +14,8 @@ Commands:
   kernel against the reference simulator (non-zero exit on any
   difference);
 * ``verify-grid`` — differentially verify the grid pipeline
-  (single-pass multi-configuration replay, warm-started solves)
-  against the per-point path: bit-identical reports and allocations
-  or non-zero exit;
+  (single-pass multi-configuration replay) against the per-point
+  path: bit-identical reports and allocations or non-zero exit;
 * ``bench`` — benchmark regression tracking (``record`` a metric
   snapshot / ``compare`` against a committed baseline, non-zero exit
   on regression);
@@ -40,7 +39,7 @@ or ``$CASA_CACHE_DIR``); ``--no-cache`` disables the disk tier and
 sweep-shaped commands (``sweep``, ``fig4``, ``fig5``, ``table1``,
 ``dse``) run the grid pipeline by default (one work unit per
 allocator covering its whole capacity axis, with single-pass cache
-replay and warm-started solves; ``--per-point`` restores one unit per
+replay; ``--per-point`` restores one unit per
 (size, allocator) pair, with identical results) and additionally
 accept ``--trace FILE`` (record a Chrome-trace
 run file, viewable in ``chrome://tracing`` / Perfetto and readable by
@@ -96,8 +95,8 @@ def _add_per_point(parser: argparse.ArgumentParser) -> None:
         "--per-point", action="store_true",
         help="schedule one design point per (size, allocator) pair "
              "instead of the default grid path (one chunk per "
-             "allocator with single-pass cache replay and "
-             "warm-started solves); results are identical",
+             "allocator with single-pass cache replay); results "
+             "are identical",
     )
 
 

@@ -31,13 +31,7 @@ from repro.energy.model import EnergyModel
 from repro.core.greedy_allocator import GreedyCasaAllocator
 from repro.errors import DegradedResultError, SolverError
 from repro.obs import metrics
-from repro.ilp import (
-    BranchAndBoundSolver,
-    LinExpr,
-    Model,
-    Sense,
-    SolveStatus,
-)
+from repro.ilp import LinExpr, Model, Sense, SolveStatus
 from repro.traces.layout import Placement
 
 
@@ -49,9 +43,8 @@ class CasaConfig:
         include_compulsory: charge first-touch misses of cached objects.
         conflict_term: include the conflict-edge terms (the paper's
             contribution); disable only for ablation studies.
-        max_nodes: branch & bound node limit.
-        max_seconds: branch & bound wall-clock budget (``None`` =
-            unlimited).
+        max_nodes: HiGHS branch & bound node limit.
+        max_seconds: HiGHS wall-clock budget (``None`` = unlimited).
         fallback: what to do when the solve budget is exhausted
             (``NODE_LIMIT`` / ``TIME_LIMIT``): ``"greedy"`` degrades
             to :class:`~repro.core.greedy_allocator.GreedyCasaAllocator`
@@ -170,29 +163,6 @@ class CasaAllocator:
             or graph.victims_of(node.name)
         )
 
-    def warm_start_values(
-        self,
-        graph: ConflictGraph,
-        spm_resident: frozenset[str],
-    ) -> dict[str, float]:
-        """Variable values (by name) encoding a known resident set.
-
-        Used to seed the branch & bound of a neighbouring sweep step:
-        ``l[name] = 0`` for resident objects, 1 otherwise, with every
-        linearisation product ``L[i,j]`` set consistently so the point
-        evaluates exactly.
-        """
-        values = {
-            f"l[{name}]": 0.0 if name in spm_resident else 1.0
-            for name in graph.node_names
-        }
-        if self._config.conflict_term:
-            for victim, evictor, _ in graph.edges():
-                values[f"L[{victim},{evictor}]"] = (
-                    values[f"l[{victim}]"] * values[f"l[{evictor}]"]
-                )
-        return values
-
     def allocate(
         self,
         graph: ConflictGraph,
@@ -200,17 +170,12 @@ class CasaAllocator:
         energy: EnergyModel,
         *,
         context: AllocationContext | None = None,
-        warm_start: frozenset[str] | None = None,
     ) -> Allocation:
         """Pick the optimal scratchpad-resident set.
 
         *context* is accepted for :class:`repro.core.Allocator`
         protocol conformance and ignored — the ILP decides from the
         graph and the energy model alone.
-
-        *warm_start* names a resident set known to be good (usually
-        the previous capacity step's allocation); it seeds the branch
-        & bound incumbent and cannot change the returned optimum.
 
         When the solve budget (``max_nodes`` / ``max_seconds``) runs
         out, the configured degradation ladder applies: with
@@ -236,15 +201,8 @@ class CasaAllocator:
                 capacity=spm_size,
                 used_bytes=0,
             )
-        solver = BranchAndBoundSolver(
-            max_nodes=self._config.max_nodes,
-            max_seconds=self._config.max_seconds,
-            warm_start=(
-                self.warm_start_values(graph, warm_start)
-                if warm_start is not None else None
-            ),
-        )
-        result = model.solve(solver)
+        result = model.solve(max_nodes=self._config.max_nodes,
+                             max_seconds=self._config.max_seconds)
         if result.status in (SolveStatus.NODE_LIMIT,
                              SolveStatus.TIME_LIMIT):
             return self._degrade(graph, spm_size, energy, result)

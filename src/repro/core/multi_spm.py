@@ -20,13 +20,7 @@ from repro.core.conflict_graph import ConflictGraph
 from repro.energy.banakar import scratchpad_access_energy
 from repro.energy.model import EnergyModel
 from repro.errors import SolverError
-from repro.ilp import (
-    BranchAndBoundSolver,
-    LinExpr,
-    Model,
-    Sense,
-    SolveStatus,
-)
+from repro.ilp import LinExpr, Model, Sense, SolveStatus
 
 
 @dataclass(frozen=True)
@@ -87,8 +81,7 @@ class MultiScratchpadAllocator:
 
     def __init__(self, scratchpads: list[ScratchpadSpec],
                  include_compulsory: bool = True,
-                 max_nodes: int = 200_000,
-                 relative_gap: float = 0.0) -> None:
+                 max_nodes: int = 200_000) -> None:
         if not scratchpads:
             raise SolverError("need at least one scratchpad")
         names = [spec.name for spec in scratchpads]
@@ -97,9 +90,6 @@ class MultiScratchpadAllocator:
         self._scratchpads = list(scratchpads)
         self._include_compulsory = include_compulsory
         self._max_nodes = max_nodes
-        #: accept solutions proven within this relative gap (the
-        #: equal-capacity case is a hard partitioning instance).
-        self._relative_gap = relative_gap
 
     def allocate(self, graph: ConflictGraph,
                  capacity: int | None = None,
@@ -206,10 +196,7 @@ class MultiScratchpadAllocator:
                 )
 
         model.set_objective(objective)
-        result = model.solve(BranchAndBoundSolver(
-            max_nodes=self._max_nodes,
-            relative_gap=self._relative_gap,
-        ))
+        result = model.solve(max_nodes=self._max_nodes)
         if result.status is not SolveStatus.OPTIMAL:
             raise SolverError(
                 f"multi-SPM ILP not optimal: {result.status.value}"

@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError, SolverError
-from repro.ilp import (
-    BranchAndBoundSolver,
-    LinExpr,
-    Model,
-    Sense,
-    SolveStatus,
-)
+from repro.ilp import LinExpr, Model, Sense, SolveStatus
 from repro.memory.stats import SimulationReport
 from repro.traces.memory_object import MemoryObject
 
@@ -325,8 +319,7 @@ class OverlayAllocator:
             objective = objective + (weight * miss_premium) * product
 
         model.set_objective(objective)
-        result = model.solve(BranchAndBoundSolver(
-            max_nodes=config.max_nodes))
+        result = model.solve(max_nodes=config.max_nodes)
         if result.status is not SolveStatus.OPTIMAL:
             raise SolverError(
                 f"overlay ILP not optimal: {result.status.value}"

@@ -426,23 +426,15 @@ class Workbench:
 
     # -- allocator front doors -----------------------------------------------
 
-    def _allocate_and_evaluate(
-        self, allocator, spm_size: int,
-        warm_start: frozenset[str] | None = None,
-    ) -> ExperimentResult:
-        """Run one scratchpad allocator and simulate its decision.
-
-        *warm_start* (a resident set from a neighbouring capacity
-        step) is forwarded to allocators that accept it — currently
-        CASA's branch & bound — and left out otherwise.
-        """
-        kwargs = {} if warm_start is None else {"warm_start": warm_start}
+    def _allocate_and_evaluate(self, allocator,
+                               spm_size: int) -> ExperimentResult:
+        """Run one scratchpad allocator and simulate its decision."""
         with span("alloc.allocate",
                   allocator=type(allocator).__name__,
                   spm_size=spm_size) as alloc_span:
             allocation = allocator.allocate(
                 self._graph, spm_size, self.spm_energy_model(spm_size),
-                context=self.allocation_context(), **kwargs,
+                context=self.allocation_context(),
             )
             alloc_span.add(objects=len(allocation.spm_resident),
                            solver_nodes=allocation.solver_nodes)
@@ -495,17 +487,14 @@ class Workbench:
                  max_regions: int = 4) -> list[ExperimentResult]:
         """Evaluate one allocator across a whole capacity axis.
 
-        Capacities are solved in ascending order so each CASA step can
-        warm-start its branch & bound from the previous step's
-        resident set (``ilp.warm_start.*`` telemetry counts the
-        adoptions); the conflict graph is profiled once and shared by
-        every step.  Results come back in the order of *spm_sizes*.
+        The conflict graph is profiled once and shared by every
+        capacity step, solved in ascending order.  Results come back
+        in the order of *spm_sizes*.
 
         Each step resolves through the artifact store under a digest
         chained off the whole axis (:func:`grid_result_digest`), so
         grid runs never serve — or are served by — the per-point
-        ``result`` entries: warm-started solver telemetry stays
-        attributable to its axis.
+        ``result`` entries.
 
         Args:
             algorithm: ``casa`` | ``steinke`` | ``greedy`` | ``ross``
@@ -518,16 +507,16 @@ class Workbench:
         if algorithm == "baseline":
             return [self.baseline_result() for _ in sizes]
         steppers = {
-            "casa": lambda size, warm: self._allocate_and_evaluate(
-                CasaAllocator(), size, warm_start=warm
+            "casa": lambda size: self._allocate_and_evaluate(
+                CasaAllocator(), size
             ),
-            "steinke": lambda size, warm: self._allocate_and_evaluate(
+            "steinke": lambda size: self._allocate_and_evaluate(
                 SteinkeAllocator(), size
             ),
-            "greedy": lambda size, warm: self._allocate_and_evaluate(
+            "greedy": lambda size: self._allocate_and_evaluate(
                 GreedyCasaAllocator(), size
             ),
-            "ross": lambda size, warm: self._run_ross_direct(
+            "ross": lambda size: self._run_ross_direct(
                 size, max_regions
             ),
         }
@@ -544,12 +533,11 @@ class Workbench:
             self._graph_digest, algorithm, ordered, options
         )
         by_size: dict[int, ExperimentResult] = {}
-        warm: frozenset[str] | None = None
         for size in ordered:
             key = grid_result_digest(grid_key, size)
 
-            def compute(size=size, warm=warm, key=key):
-                return AllocationArtifact(key, step(size, warm))
+            def compute(size=size, key=key):
+                return AllocationArtifact(key, step(size))
 
             # Each capacity step is one logical design point: its wall
             # time feeds the live point.evaluate percentile sketch.
@@ -558,9 +546,6 @@ class Workbench:
             metrics.observe("point.evaluate.seconds",
                             time.perf_counter() - started)
             by_size[size] = result
-            # Thread the chain even through store hits so every step
-            # sees the same predecessor regardless of cache warmth.
-            warm = result.allocation.spm_resident
         return [by_size[size] for size in sizes]
 
     def run_overlay(self, spm_size: int,

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from repro.core.conflict_graph import ConflictGraph
 from repro.energy.model import EnergyModel
 from repro.errors import SolverError
-from repro.ilp import (
-    BranchAndBoundSolver,
-    LinExpr,
-    Model,
-    Sense,
-    SolveStatus,
-)
+from repro.ilp import LinExpr, Model, Sense, SolveStatus
 from repro.ilp.knapsack import KnapsackItem, knapsack_01
 
 
@@ -139,9 +133,7 @@ class UnifiedCasaAllocator:
                 solver_nodes=0,
                 used_bytes=0,
             )
-        result = model.solve(
-            BranchAndBoundSolver(max_nodes=self._max_nodes)
-        )
+        result = model.solve(max_nodes=self._max_nodes)
         if result.status is not SolveStatus.OPTIMAL:
             raise SolverError(
                 f"unified ILP not optimal: {result.status.value}"

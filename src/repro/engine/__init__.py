@@ -15,8 +15,7 @@ producing a typed artifact with a content-addressed digest:
 * :mod:`repro.engine.parallel` — :func:`map_points` fans design points
   across a process pool with deterministic result ordering;
 * :mod:`repro.engine.grid` — :class:`GridChunk` schedules a whole
-  capacity axis as one work unit (single-pass cache replay,
-  warm-started solves).
+  capacity axis as one work unit (single-pass cache replay).
 
 Every consumer — ``Workbench``, the sweep/figure/table harnesses, the
 CLI and the benchmarks — routes through this package, so a warm cache

@@ -232,10 +232,8 @@ def grid_digest(graph: str, algorithm: str,
         options: extra allocator parameters (e.g. Ross's
             ``max_regions``).
 
-    The grid digest embeds the *whole* capacity axis: warm-started
-    solves make each step's solver telemetry a function of its
-    neighbours, so grid results are keyed separately from the
-    per-point ``result`` digests (whose artifacts stay cold-solve).
+    The grid digest embeds the *whole* capacity axis, so grid results
+    are keyed separately from the per-point ``result`` digests.
     """
     return digest_inputs(
         "grid",

@@ -5,9 +5,9 @@ A :class:`GridChunk` is the grid-native sibling of
 capacity, allocator) triple it names a workload, an allocator and the
 *whole* scratchpad-size axis.  Evaluating a chunk profiles the
 workbench once, replays the cache work through the shared grid
-artifacts and solves the capacity steps in ascending order with
-warm-started branch & bound — so a sweep schedules one chunk per
-allocator rather than ``len(sizes)`` independent points, while
+artifacts and solves the capacity steps in ascending order — so a
+sweep schedules one chunk per allocator rather than ``len(sizes)``
+independent points, while
 :func:`~repro.engine.parallel.map_points` and the self-healing
 :func:`~repro.resilience.healing.map_points_healed` treat chunks
 exactly like points (retry ladder included).

@@ -90,7 +90,7 @@ def explore(
     On the default grid path each cache configuration contributes one
     :class:`~repro.engine.grid.GridChunk` per allocator covering its
     whole feasible scratchpad axis (the capacity steps share the
-    conflict graph and warm-start each other's solves); ``grid=False``
+    conflict graph); ``grid=False``
     schedules one :class:`~repro.engine.parallel.PointSpec` per
     (cache, scratchpad) pair instead, with identical results.  Either
     unit shape fans through

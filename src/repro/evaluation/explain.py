@@ -99,10 +99,10 @@ def explain_allocation(
 def solver_summary(allocation: Allocation) -> str:
     """One-line solver provenance for explanation headers.
 
-    Surfaces the telemetry the branch & bound records into the
-    allocation: outcome status, nodes explored and the proven
-    optimality gap.  Non-ILP allocators (no status) get a placeholder
-    so the header stays well-formed.
+    Surfaces the telemetry the ILP solve records into the allocation:
+    outcome status, nodes explored and the proven optimality gap.
+    Non-ILP allocators (no status) get a placeholder so the header
+    stays well-formed.
     """
     if not allocation.solver_status:
         return f"solver: n/a ({allocation.algorithm} is not ILP-based)"

@@ -9,9 +9,8 @@ allocators; the figure/table modules post-process its output.
 Sweeps run through the staged experiment engine.  On the default grid
 path each requested allocator becomes one
 :class:`~repro.engine.grid.GridChunk` covering the whole capacity
-axis — the workbench profiles once, the kernel replays the cache work
-in shared passes, and CASA warm-starts each capacity step's branch &
-bound from its neighbour.  ``grid=False`` falls back to one
+axis — the workbench profiles once and the kernel replays the cache
+work in shared passes.  ``grid=False`` falls back to one
 :class:`~repro.engine.parallel.PointSpec` per (size, allocator) pair —
 bit-identical results (the ``repro verify-grid`` gate enforces it),
 finer-grained parallelism.  Either unit shape fans through
@@ -105,7 +104,7 @@ def run_sweep(
             (``reference`` | ``vector`` | ``auto``; ``None`` defers to
             ``CASA_BACKEND``, then ``auto``).
         grid: schedule one grid chunk per allocator (single-pass cache
-            replay, warm-started solves) instead of one design point
+            replay) instead of one design point
             per (size, allocator) pair.  Results are bit-identical
             either way.
 

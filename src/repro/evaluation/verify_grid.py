@@ -5,7 +5,7 @@ wall-clock time: one :func:`~repro.memory.kernel.grid.simulate_grid`
 pass over a fetch stream must produce byte-identical
 :class:`~repro.memory.stats.SimulationReport`\\ s to per-configuration
 simulation, and a sweep scheduled as grid chunks (shared conflict
-graph, warm-started branch & bound) must produce byte-identical
+graph) must produce byte-identical
 reports *and* :class:`~repro.core.allocation.Allocation`\\ s to one
 scheduled as independent design points.  This module checks that
 contract from three directions:
@@ -23,9 +23,8 @@ contract from three directions:
 3. **Sweep** — a full allocator sweep runs twice on fresh artifact
    stores, once as grid chunks and once per-point, and every
    (size, allocator) cell is compared: full report, energy total, and
-   every :class:`Allocation` field except ``solver_nodes`` (warm and
-   cold branch & bound may prove the same optimum exploring different
-   node counts).
+   every :class:`Allocation` field except ``solver_nodes`` (solver
+   effort, not part of the decision).
 
 ``repro verify-grid`` runs all three and exits non-zero on any
 difference; ``make test`` gates on it next to ``verify-kernel`` and
@@ -59,9 +58,8 @@ DEFAULT_WORKLOADS = ("tiny", "adpcm")
 DEFAULT_ALGORITHMS = ("casa", "steinke", "ross")
 
 #: Allocation fields that must match bit-for-bit between the grid and
-#: per-point paths.  ``solver_nodes`` is deliberately absent: a
-#: warm-started branch & bound may reach the identical optimum through
-#: a different number of nodes.
+#: per-point paths.  ``solver_nodes`` is deliberately absent: solver
+#: effort is not part of the grid contract, only the decision is.
 ALLOCATION_FIELDS = (
     "algorithm",
     "spm_resident",

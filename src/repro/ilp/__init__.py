@@ -1,14 +1,13 @@
 """A small integer-linear-programming toolkit.
 
 The paper solves its allocation problem with a commercial ILP solver
-(CPLEX [5]).  This package provides the reproduction's equivalent,
-built on :func:`scipy.optimize.linprog` (HiGHS) for LP relaxations:
+(CPLEX [5]).  The reproduction models the same ILPs here and solves
+them exactly with HiGHS's MIP solver (:func:`scipy.optimize.milp`):
 
 * :mod:`repro.ilp.expr` / :mod:`repro.ilp.model` — a PuLP-like modelling
-  layer (variables, linear expressions, constraints, a model);
-* :mod:`repro.ilp.scipy_backend` — LP relaxation solving;
-* :mod:`repro.ilp.branch_and_bound` — exact 0/1 / integer solving by
-  best-bound branch & bound with an LP-rounding warm start;
+  layer (variables, linear expressions, constraints, a model) whose
+  :meth:`~repro.ilp.model.Model.solve` hands the model to HiGHS as one
+  sparse constraint matrix;
 * :mod:`repro.ilp.knapsack` — an exact dynamic-programming 0/1 knapsack
   used by the Steinke baseline.
 """
@@ -21,13 +20,9 @@ from repro.ilp.model import (
     SolveResult,
     SolveStatus,
 )
-from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.knapsack import knapsack_01
-from repro.ilp.scipy_backend import LpRelaxationSolver
-from repro.ilp.simplex import SimplexLpSolver
 
 __all__ = [
-    "SimplexLpSolver",
     "LinExpr",
     "Variable",
     "Constraint",
@@ -35,7 +30,5 @@ __all__ = [
     "Sense",
     "SolveResult",
     "SolveStatus",
-    "BranchAndBoundSolver",
     "knapsack_01",
-    "LpRelaxationSolver",
 ]

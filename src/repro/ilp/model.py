@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import ctypes
 import enum
-from dataclasses import dataclass, field
+import os
+import sys
+import threading
+import time
+from dataclasses import dataclass
 from typing import Mapping, Union
+
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
 
 from repro.errors import SolverError
 from repro.ilp.expr import LinExpr, Variable
+from repro.obs import metrics
+from repro.obs.live import note_phase
+from repro.obs.trace import span
+from repro.resilience.faults import maybe_inject
 
 Number = Union[int, float]
 
@@ -28,6 +41,54 @@ class SolveStatus(enum.Enum):
     NODE_LIMIT = "node_limit"
     TIME_LIMIT = "time_limit"
     ERROR = "error"
+
+
+#: scipy ``milp`` status codes with a direct :class:`SolveStatus`;
+#: code 4 ("other") covers HiGHS's node limit and genuine failures.
+_STATUS_BY_CODE = {
+    0: SolveStatus.OPTIMAL,
+    1: SolveStatus.TIME_LIMIT,
+    2: SolveStatus.INFEASIBLE,
+    3: SolveStatus.UNBOUNDED,
+}
+
+# HiGHS (scipy 1.17) printf()s a debug line from its MIP solver straight
+# to C stdout on some models, which ``disp=False`` does not suppress.
+# Solves therefore run with fd 1 pointed at /dev/null; the lock keeps
+# concurrent solves from restoring each other's descriptors.
+_STDOUT_LOCK = threading.Lock()
+
+try:
+    _LIBC = ctypes.CDLL(None)
+    _LIBC.fflush.argtypes = [ctypes.c_void_p]
+    _LIBC.fflush.restype = ctypes.c_int
+except (OSError, TypeError, AttributeError):  # no C runtime to flush
+    _LIBC = None
+
+
+def _milp_quietly(cost: np.ndarray, **kwargs):
+    """Run :func:`scipy.optimize.milp` with C-level stdout discarded."""
+    with _STDOUT_LOCK:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        try:
+            saved = os.dup(1)
+        except OSError:  # no fd 1 to protect
+            return milp(cost, **kwargs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, 1)
+            try:
+                return milp(cost, **kwargs)
+            finally:
+                # Drain C stdio's buffer while it still reaches
+                # /dev/null, then put the real stdout back.
+                if _LIBC is not None:
+                    _LIBC.fflush(None)
+                os.dup2(saved, 1)
+        finally:
+            os.close(devnull)
+            os.close(saved)
 
 
 class Constraint:
@@ -68,72 +129,20 @@ class Constraint:
 
 
 @dataclass
-class SolveTelemetry:
-    """Convergence telemetry of one branch & bound solve.
-
-    Attributes:
-        nodes: explored branch & bound nodes.
-        max_depth: deepest explored node (0 = root only).
-        incumbent_updates: how often a better integral point was found
-            (rounding warm start, integral LP nodes and dives).
-        dives_attempted: periodic diving-heuristic attempts.
-        dives_succeeded: dives that produced a feasible integral point.
-        lp_iterations: simplex iterations (HiGHS) / pivots (built-in
-            backend) summed over every LP relaxation solved.
-        best_bound: the proven dual bound in the model's sense.
-        trajectory: downsampled ``(node, incumbent, bound)`` points —
-            the gap-over-nodes curve ``repro report`` renders.
-    """
-
-    nodes: int = 0
-    max_depth: int = 0
-    incumbent_updates: int = 0
-    dives_attempted: int = 0
-    dives_succeeded: int = 0
-    lp_iterations: int = 0
-    best_bound: float | None = None
-    trajectory: list[tuple[int, float | None, float | None]] = field(
-        default_factory=list
-    )
-
-    def as_json(self) -> dict:
-        """Plain-dict form for span attributes and run files."""
-        return {
-            "nodes": self.nodes,
-            "max_depth": self.max_depth,
-            "incumbent_updates": self.incumbent_updates,
-            "dives_attempted": self.dives_attempted,
-            "dives_succeeded": self.dives_succeeded,
-            "lp_iterations": self.lp_iterations,
-            "best_bound": self.best_bound,
-            "trajectory": [list(point) for point in self.trajectory],
-        }
-
-
-def relative_gap(objective: float | None,
-                 best_bound: float | None) -> float | None:
-    """Relative optimality gap ``|obj - bound| / max(1, |obj|)``.
-
-    ``None`` when either side is unknown (no incumbent / no bound).
-    """
-    if objective is None or best_bound is None:
-        return None
-    return abs(objective - best_bound) / max(1.0, abs(objective))
-
-
-@dataclass
 class SolveResult:
     """Solution of a model.
 
     Attributes:
         status: solver outcome.
-        objective: objective value (``None`` unless a solution exists).
-        values: assignment of every model variable.
-        nodes_explored: branch & bound nodes processed (0 for pure LPs).
+        objective: objective value at :attr:`values` (``None`` unless a
+            solution exists).
+        values: assignment of every model variable (integer variables
+            rounded to exact ints).
+        nodes_explored: branch & bound nodes HiGHS processed (0 for
+            pure LPs and for solves stopped before the root).
         best_bound: proven dual bound in the model's sense (equals the
             objective for proven-optimal solves).
-        telemetry: convergence telemetry, when the branch & bound
-            solver produced it.
+        gap: HiGHS's relative optimality gap (``None`` when unknown).
     """
 
     status: SolveStatus
@@ -141,17 +150,12 @@ class SolveResult:
     values: dict[Variable, float]
     nodes_explored: int = 0
     best_bound: float | None = None
-    telemetry: SolveTelemetry | None = None
+    gap: float | None = None
 
     @property
     def is_optimal(self) -> bool:
         """Whether a proven-optimal solution was found."""
         return self.status is SolveStatus.OPTIMAL
-
-    @property
-    def gap(self) -> float | None:
-        """Relative optimality gap (``None`` when unknown)."""
-        return relative_gap(self.objective, self.best_bound)
 
     def value(self, variable: Variable) -> float:
         """Value of one variable in the solution."""
@@ -266,16 +270,115 @@ class Model:
 
     # -- solving ------------------------------------------------------------
 
-    def solve(self, solver=None) -> SolveResult:
-        """Solve the model.
+    def solve(self, max_nodes: int | None = None,
+              max_seconds: float | None = None) -> SolveResult:
+        """Solve the model exactly with HiGHS (:func:`scipy.optimize.milp`).
 
-        Uses the branch & bound solver by default; a pure-LP model (no
-        integer variables) is solved by a single LP call either way.
+        A model without integer variables is solved as a pure LP.  The
+        relative MIP gap is 0, so an ``OPTIMAL`` result is proven
+        optimal, not merely within HiGHS's default 1e-4.
+
+        Args:
+            max_nodes: branch & bound node budget (``None`` =
+                unlimited).  ``<= 0`` returns ``NODE_LIMIT`` without
+                solving: HiGHS itself would still solve the root.
+            max_seconds: wall-clock budget (``None`` = unlimited;
+                negative values count as 0).
+
+        Emits an ``ilp.solve`` span (status, nodes, objective, bound,
+        gap) plus the ``ilp.solves`` / ``ilp.nodes`` counters and the
+        ``ilp.solve.seconds`` histogram when observability is enabled.
         """
-        if solver is None:
-            from repro.ilp.branch_and_bound import BranchAndBoundSolver
-            solver = BranchAndBoundSolver()
-        return solver.solve(self)
+        with span("ilp.solve", variables=len(self.variables),
+                  constraints=len(self.constraints)) as solve_span:
+            maybe_inject("ilp.solve", variables=len(self.variables))
+            note_phase("ilp.solve")
+            started = time.perf_counter()
+            if max_nodes is not None and max_nodes <= 0:
+                result = SolveResult(SolveStatus.NODE_LIMIT, None, {})
+            else:
+                result = self._solve_highs(max_nodes, max_seconds)
+            metrics.observe("ilp.solve.seconds",
+                            time.perf_counter() - started)
+            solve_span.add(status=result.status.name,
+                           nodes=result.nodes_explored,
+                           objective=result.objective,
+                           best_bound=result.best_bound,
+                           gap=result.gap)
+            metrics.inc("ilp.solves")
+            metrics.inc("ilp.nodes", result.nodes_explored)
+            return result
+
+    def _solve_highs(self, max_nodes: int | None,
+                     max_seconds: float | None) -> SolveResult:
+        index = {var: i for i, var in enumerate(self.variables)}
+        sign = 1.0 if self.sense is Sense.MINIMIZE else -1.0
+        cost = np.zeros(len(self.variables))
+        for var, coef in self.objective.terms.items():
+            cost[index[var]] += sign * coef
+
+        rows, cols, data = [], [], []
+        lower = np.full(len(self.constraints), -np.inf)
+        upper = np.full(len(self.constraints), np.inf)
+        for row, constraint in enumerate(self.constraints):
+            for var, coef in constraint.expr.terms.items():
+                rows.append(row)
+                cols.append(index[var])
+                data.append(coef)
+            rhs = -constraint.expr.constant
+            if constraint.sense in ("<=", "=="):
+                upper[row] = rhs
+            if constraint.sense in (">=", "=="):
+                lower[row] = rhs
+        constraints = None
+        if self.constraints:
+            matrix = csr_matrix(
+                (data, (rows, cols)),
+                shape=(len(self.constraints), len(self.variables)),
+            )
+            constraints = LinearConstraint(matrix, lower, upper)
+
+        options: dict = {"disp": False, "mip_rel_gap": 0.0}
+        if max_nodes is not None:
+            options["node_limit"] = max_nodes
+        if max_seconds is not None:
+            options["time_limit"] = max(0.0, max_seconds)
+        kwargs = dict(
+            integrality=[int(var.is_integer) for var in self.variables],
+            bounds=Bounds([var.lower for var in self.variables],
+                          [var.upper for var in self.variables]),
+            constraints=constraints,
+        )
+        outcome = _milp_quietly(cost, options=options, **kwargs)
+        if outcome.status == 4 and "infeasible or unbounded" in \
+                outcome.message:
+            # Presolve could not tell which; the full solve can.
+            options["presolve"] = False
+            outcome = _milp_quietly(cost, options=options, **kwargs)
+
+        status = _STATUS_BY_CODE.get(outcome.status)
+        if status is None:
+            if "Solution limit" not in outcome.message:
+                raise SolverError(f"HiGHS failed: {outcome.message}")
+            status = SolveStatus.NODE_LIMIT
+        nodes = int(outcome.mip_node_count or 0)
+        if outcome.x is None or status is SolveStatus.UNBOUNDED:
+            return SolveResult(status, None, {}, nodes_explored=nodes)
+        values = {
+            var: (round(value) if var.is_integer else float(value))
+            for var, value in zip(self.variables, outcome.x)
+        }
+        objective = self.objective.evaluate(values)
+        if outcome.mip_dual_bound is None:
+            # Pure LP: the optimum is its own bound.
+            best_bound, gap = objective, 0.0
+        else:
+            best_bound = (sign * outcome.mip_dual_bound
+                          + self.objective.constant)
+            gap = outcome.mip_gap
+        return SolveResult(status, objective, values,
+                           nodes_explored=nodes, best_bound=best_bound,
+                           gap=gap)
 
     def __repr__(self) -> str:
         return (

@@ -5,8 +5,7 @@ results are the hand-off points of the pipeline; persisting them lets
 users profile once and experiment with allocators offline, diff
 decisions across runs, and ship results over the ``repro serve`` wire
 (:mod:`repro.serve.schema` embeds these payloads).  The JSON helpers
-live in :mod:`repro.io.serde`; ``repro.io.json_io`` is a deprecated
-alias of it.
+live in :mod:`repro.io.serde`.
 """
 
 from repro.io.serde import (

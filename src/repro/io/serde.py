@@ -8,9 +8,6 @@ makes these dicts the canonical public representation of the
 pipeline's outputs.  Every payload carries a ``format`` version tag
 and a ``kind`` discriminator; ``*_from_dict`` validates the kind and
 tolerates missing optional fields from older payloads.
-
-Historically these helpers were scattered per class in
-``repro.io.json_io``; that module remains as a deprecation shim.
 """
 
 from __future__ import annotations

@@ -7,14 +7,14 @@ design-space-exploration tool you can see inside:
   attributes, collected thread-safely and exported as Chrome-trace
   JSON (``chrome://tracing`` / Perfetto) or JSONL event logs;
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
-  histograms (simulated cache hits, simplex pivots, branch-and-bound
+  histograms (simulated cache hits, ILP solves, branch-and-bound
   nodes...) with mergeable log-bucket percentile sketches and
   snapshot/merge for worker processes;
 * :mod:`repro.obs.events` — structured cache eviction/miss event
   streams (bounded ring + reservoir sample) and the replay oracle that
   cross-checks the conflict graph's ``m_ij`` (``repro audit``);
 * :mod:`repro.obs.report` — per-run reports (stage timings, cache hit
-  rates, solver convergence, percentile tables, slowest design points)
+  rates, ILP solves, percentile tables, slowest design points)
   rendered from a ``--trace`` run file;
 * :mod:`repro.obs.history` — JSONL benchmark snapshots and baseline
   comparison (``repro bench record`` / ``repro bench compare``);

@@ -351,8 +351,8 @@ def collect_suite_metrics(
                     float(allocation.solver_nodes)
     finally:
         set_registry(previous)
-    for counter in ("ilp.bb.nodes", "ilp.lp_solves",
-                    "ilp.lp_iterations", "sim.runs", "sim.fetches"):
+    for counter in ("ilp.nodes", "ilp.solves", "sim.runs",
+                    "sim.fetches"):
         metrics[f"suite.{counter}"] = registry.value(counter)
     # Resilience counters: all must stay exactly zero on the clean
     # path — any non-zero value means faults, retries or fallbacks

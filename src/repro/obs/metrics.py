@@ -1,7 +1,7 @@
 """Metrics registry: named counters, gauges and histograms.
 
 Instrumented code reports *what happened* — cache hits simulated,
-simplex pivots performed, branch-and-bound nodes explored — through
+ILP solves run, branch-and-bound nodes explored — through
 three primitive types:
 
 * :class:`Counter` — monotonically increasing total (``inc``);
@@ -183,7 +183,7 @@ class Histogram:
 class MetricsRegistry:
     """Thread-safe create-on-first-use registry of named metrics.
 
-    Metric names are dotted, lower-case paths (``ilp.bb.nodes``,
+    Metric names are dotted, lower-case paths (``ilp.nodes``,
     ``sim.cache_misses``); ``docs/OBSERVABILITY.md`` lists the
     conventions and the names the built-in instrumentation emits.
     """

@@ -60,14 +60,17 @@ class SamplingProfiler:
         self._started_at = 0.0
         self.duration_s = 0.0
 
+    def _sample(self) -> None:
+        frame = sys._current_frames().get(self._target_ident)
+        if frame is None:
+            return
+        stack = _collapse(frame)
+        self.samples[stack] = self.samples.get(stack, 0) + 1
+        self.sample_count += 1
+
     def _loop(self) -> None:
         while not self._stop.wait(self.interval):
-            frame = sys._current_frames().get(self._target_ident)
-            if frame is None:
-                continue
-            stack = _collapse(frame)
-            self.samples[stack] = self.samples.get(stack, 0) + 1
-            self.sample_count += 1
+            self._sample()
 
     def start(self) -> None:
         """Begin sampling the calling thread."""
@@ -80,11 +83,16 @@ class SamplingProfiler:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop sampling (idempotent)."""
+        """Stop sampling (idempotent).
+
+        Takes one final sample of the profiled thread, so a run shorter
+        than one interval still yields a non-empty profile.
+        """
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+            self._sample()
             self.duration_s = time.monotonic() - self._started_at
 
     def collapsed(self) -> str:

@@ -34,7 +34,7 @@ POINT_SPAN = "point.evaluate"
 #: Span name identifying one grid-chunk evaluation (a capacity axis).
 CHUNK_SPAN = "chunk.evaluate"
 
-#: Span name identifying one branch & bound solve.
+#: Span name identifying one ILP solve.
 SOLVE_SPAN = "ilp.solve"
 
 
@@ -120,7 +120,7 @@ class RunData:
                 if s["name"] in (POINT_SPAN, CHUNK_SPAN)]
 
     def solver_spans(self) -> list[dict[str, Any]]:
-        """The branch & bound (:data:`SOLVE_SPAN`) spans of the run."""
+        """The ILP solve (:data:`SOLVE_SPAN`) spans of the run."""
         return [s for s in self.spans if s["name"] == SOLVE_SPAN]
 
     def metric_value(self, name: str, default: float = 0.0) -> float:
@@ -226,83 +226,34 @@ def _solve_summaries(run: RunData) -> list[dict[str, Any]]:
     solves = []
     for solve_span in run.solver_spans():
         args = solve_span.get("args", {})
-        telemetry = args.get("telemetry") or {}
         solves.append({
             "variables": int(args.get("variables", 0)),
             "constraints": int(args.get("constraints", 0)),
             "status": str(args.get("status", "?")),
             "nodes": int(args.get("nodes", 0)),
+            "best_bound": args.get("best_bound"),
             "gap": args.get("gap"),
-            "max_depth": int(telemetry.get("max_depth", 0)),
-            "incumbent_updates": int(
-                telemetry.get("incumbent_updates", 0)
-            ),
-            "dives_attempted": int(telemetry.get("dives_attempted", 0)),
-            "dives_succeeded": int(telemetry.get("dives_succeeded", 0)),
-            "lp_iterations": int(telemetry.get("lp_iterations", 0)),
-            "best_bound": telemetry.get("best_bound"),
-            "trajectory": telemetry.get("trajectory") or [],
         })
     return solves
 
 
-def _trajectory_rows(trajectory: list, limit: int = 12) -> list[list]:
-    """Downsample a ``(node, incumbent, bound)`` trajectory for display."""
-    if len(trajectory) > limit:
-        # Keep the first and last point, evenly sample the middle.
-        step = (len(trajectory) - 1) / (limit - 1)
-        indices = sorted({round(i * step) for i in range(limit)})
-        trajectory = [trajectory[i] for i in indices]
-    rows = []
-    for node, incumbent, bound in trajectory:
-        if incumbent is not None and bound is not None:
-            gap = abs(incumbent - bound) / max(1.0, abs(incumbent))
-            gap_text = f"{100.0 * gap:.2f}%"
-        else:
-            gap_text = "-"
-        rows.append([
-            int(node),
-            f"{incumbent:.6g}" if incumbent is not None else "-",
-            f"{bound:.6g}" if bound is not None else "-",
-            gap_text,
-        ])
-    return rows
-
-
-def _convergence_lines(run: RunData) -> list[str]:
-    """The gap-over-nodes convergence section (empty without solves)."""
+def _solver_lines(run: RunData) -> list[str]:
+    """One row per ILP solve (empty without solves)."""
     solves = _solve_summaries(run)
     if not solves:
         return []
-    lines = ["", "## Solver convergence", ""]
     rows = []
     for entry in solves:
-        gap = entry["gap"]
+        bound, gap = entry["best_bound"], entry["gap"]
         rows.append([
             entry["variables"], entry["constraints"], entry["status"],
-            entry["nodes"], entry["max_depth"],
-            entry["incumbent_updates"],
-            f"{entry['dives_succeeded']}/{entry['dives_attempted']}",
-            entry["lp_iterations"],
+            entry["nodes"],
+            f"{bound:.6g}" if bound is not None else "-",
             f"{100.0 * gap:.2f}%" if gap is not None else "-",
         ])
-    lines.append(format_table(
-        ["vars", "cons", "status", "nodes", "depth", "incumbents",
-         "dives", "lp iters", "gap"],
-        rows,
-    ))
-    largest = max(solves, key=lambda entry: entry["nodes"])
-    if largest["nodes"] and len(largest["trajectory"]) > 1:
-        lines += [
-            "",
-            f"Gap over nodes (largest solve, {largest['nodes']} nodes):",
-            "",
-            format_table(
-                ["node", "incumbent", "best bound", "gap"],
-                _trajectory_rows(largest["trajectory"]),
-            ),
-        ]
-    return lines
+    return ["", "## Solver", "", format_table(
+        ["vars", "cons", "status", "nodes", "best bound", "gap"], rows,
+    )]
 
 
 #: Resilience counters surfaced in the report, with display labels.
@@ -545,7 +496,7 @@ def render_run_report(run: RunData, top: int = 10) -> str:
     else:
         lines.append("(no spans recorded)")
     lines += _histogram_lines(run)
-    lines += _convergence_lines(run)
+    lines += _solver_lines(run)
     lines += _resilience_lines(run)
     lines += _profile_lines(run, summary["wall_ms"])
     interesting = [

@@ -1,9 +1,8 @@
-"""Grid pipeline: single-pass replay, warm starts, grid chunks.
+"""Grid pipeline: single-pass replay and grid chunks.
 
 The grid pipeline's contract is that batching is purely a wall-clock
 optimisation: :func:`~repro.memory.kernel.grid.simulate_grid` must
-match per-configuration simulation bit for bit, a warm-started branch
-& bound must return the cold solve's exact optimum, and a sweep
+match per-configuration simulation bit for bit, and a sweep
 scheduled as :class:`~repro.engine.grid.GridChunk` work units must
 reproduce the per-point path's reports and allocations byte for byte.
 """
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.casa import CasaAllocator
 from repro.core.pipeline import Workbench, WorkbenchConfig
 from repro.engine.grid import CHUNK_ALGORITHMS, GridChunk, \
     evaluate_chunk
@@ -27,7 +25,6 @@ from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig, simulate
 from repro.memory.kernel import SweepGrid, compile_stream, \
     report_differences, simulate_grid
-from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.traces.layout import LinkedImage
 from repro.traces.tracegen import TraceGenConfig
 from repro.workloads.synthetic import random_program
@@ -84,41 +81,6 @@ class TestGridOnRandomPrograms:
             )
             assert not report_differences(reference, grid_report)
             assert not report_differences(reference, vector)
-
-
-class TestWarmStartEquivalence:
-    """A warm-started solve returns the cold solve's exact optimum."""
-
-    def test_warm_equals_cold_across_the_axis(self, adpcm_workbench):
-        bench = adpcm_workbench
-        graph = bench.conflict_graph
-        allocator = CasaAllocator()
-        previous = frozenset()
-        for size in (64, 128, 256):
-            energy = bench.spm_energy_model(size)
-            cold = allocator.allocate(graph, size, energy)
-            warm = allocator.allocate(graph, size, energy,
-                                      warm_start=previous)
-            assert warm.spm_resident == cold.spm_resident
-            assert warm.predicted_energy == cold.predicted_energy
-            assert warm.solver_status == cold.solver_status
-            previous = cold.spm_resident
-
-    def test_run_grid_records_warm_start_telemetry(self):
-        registry = MetricsRegistry()
-        previous_registry = set_registry(registry)
-        try:
-            runner = StageRunner(store=ArtifactStore())
-            workload, bench = make_workbench("adpcm", 0.5, 0,
-                                             runner=runner)
-            bench.run_grid("casa", tuple(sorted(workload.spm_sizes)))
-        finally:
-            set_registry(previous_registry)
-        # The first capacity step is necessarily cold; every later
-        # step seeds from its neighbour and (on adpcm) the incumbent
-        # beats the rounding heuristic at least once.
-        assert registry.value("ilp.warm_start.hits") >= 1
-        assert registry.value("ilp.warm_start.bound_improvement") > 0
 
 
 class TestRunGrid:

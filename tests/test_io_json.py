@@ -1,4 +1,4 @@
-"""Tests for repro.io.json_io (serialisation roundtrips)."""
+"""Tests for the repro.io JSON helpers (serialisation roundtrips)."""
 
 import json
 

@@ -1,8 +1,6 @@
-"""Round-trips of the consolidated serde module and its legacy shim."""
+"""Round-trips of the consolidated serde module."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -91,21 +89,3 @@ def test_kind_mismatch_is_rejected(tiny_result):
     data["kind"] = "allocation"
     with pytest.raises(ConfigurationError):
         report_from_dict(data)
-
-
-def test_json_io_shim_warns_and_forwards():
-    import repro.io.json_io as json_io
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        forwarded = json_io.report_to_dict
-    assert any(issubclass(w.category, DeprecationWarning)
-               for w in caught)
-    assert forwarded is report_to_dict
-
-
-def test_json_io_shim_rejects_unknown_names():
-    import repro.io.json_io as json_io
-
-    with pytest.raises(AttributeError):
-        json_io.no_such_helper

@@ -107,7 +107,7 @@ def test_metrics_flag_prints_registry(tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "metrics:" in out
-    assert "ilp.lp_solves" in out
+    assert "ilp.solves" in out
     assert "sim.cache_accesses" in out
     assert "engine.stage.result.computed" in out
 

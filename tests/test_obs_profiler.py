@@ -62,6 +62,14 @@ class TestSamplingProfiler:
             assert ";" in stack or ":" in stack
             assert int(count) > 0
 
+    def test_stop_takes_a_final_sample(self):
+        # A run shorter than one interval still records where it was.
+        profiler = SamplingProfiler(interval=60)
+        profiler.start()
+        profiler.stop()
+        assert profiler.sample_count >= 1
+        assert "test_stop_takes_a_final_sample" in profiler.collapsed()
+
     def test_empty_profiler_writes_empty_file(self, tmp_path):
         profiler = SamplingProfiler()
         path = tmp_path / "empty.txt"

@@ -9,7 +9,6 @@ from repro.core.conflict_graph import ConflictGraph, ConflictNode
 from repro.core.greedy_allocator import GreedyCasaAllocator
 from repro.energy.model import EnergyModel
 from repro.errors import DegradedResultError
-from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.model import Model, Sense, SolveStatus
 from repro.obs.metrics import MetricsRegistry, set_registry
 
@@ -50,7 +49,7 @@ def test_solver_reports_time_limit_status():
     y = model.add_binary("y")
     model.add_constraint(2 * x + 2 * y <= 3)
     model.set_objective(x + y)
-    result = BranchAndBoundSolver(max_seconds=-1.0).solve(model)
+    result = model.solve(max_seconds=-1.0)
     assert result.status is SolveStatus.TIME_LIMIT
 
 
