@@ -21,11 +21,12 @@ test-output:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Cold/warm engine smoke: one tiny design point per exhibit, asserting
-# that a warm artifact cache does zero profiling or simulation work,
-# that the vector kernel is >=5x the reference (and the grid pipeline
-# >=3x the per-point path) on a fig4-shaped sweep, and that the kernel
-# and grid differential verifications pass.
+# Cold/warm engine smoke: one tiny design point (a one-size grid
+# chunk) per exhibit, asserting that a warm artifact cache does zero
+# profiling or simulation work, that the vector kernel is >=5x the
+# reference (and single-pass grid replay >=3x per-configuration
+# replay) on a fig4-shaped sweep, and that the kernel and grid
+# differential verifications pass.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_smoke.py
 	$(PYTHON) -m repro verify-kernel --workloads tiny adpcm \
@@ -62,7 +63,7 @@ serve-smoke:
 # serve.shed.total, accepted-request p99 stays bounded, and the drain
 # exits 0 with zero client-visible connection resets.
 serve-chaos-smoke:
-	$(PYTHON) -m repro serve-chaos --requests 24 \
+	$(PYTHON) -m repro serve-chaos --requests 48 \
 		--adversarial-count 2
 
 bench-output:

@@ -27,7 +27,7 @@ import pytest
 
 from repro.engine import (
     ArtifactStore,
-    PointSpec,
+    GridChunk,
     RunRecord,
     map_points,
     set_default_store,
@@ -43,15 +43,16 @@ BASELINE_HISTORY = Path(__file__).resolve().parent / "baselines" \
 
 SMOKE_SCALE = 0.2
 
-#: One minimal design-point set per exhibit family.
+#: One minimal design-point set per exhibit family, each point a
+#: one-size grid chunk.
 EXHIBIT_POINTS = {
-    "fig4": [PointSpec("tiny", 128, algorithm, scale=SMOKE_SCALE)
+    "fig4": [GridChunk("tiny", (128,), algorithm, scale=SMOKE_SCALE)
              for algorithm in ("casa", "steinke")],
-    "fig5": [PointSpec("tiny", 128, algorithm, scale=SMOKE_SCALE)
+    "fig5": [GridChunk("tiny", (128,), algorithm, scale=SMOKE_SCALE)
              for algorithm in ("casa", "ross")],
-    "table1": [PointSpec("tiny", 64, algorithm, scale=SMOKE_SCALE)
+    "table1": [GridChunk("tiny", (64,), algorithm, scale=SMOKE_SCALE)
                for algorithm in ("casa", "steinke", "ross")],
-    "dse": [PointSpec("tiny", 0, "baseline", scale=SMOKE_SCALE)],
+    "dse": [GridChunk("tiny", (0,), "baseline", scale=SMOKE_SCALE)],
 }
 
 
@@ -81,8 +82,8 @@ def test_exhibit_cold_then_warm(exhibit, tmp_path):
         assert warm.computed("result") == 0
         assert warm.hits("result") == cached_allocations
 
-        assert [r.energy.total for r in warm_results] \
-            == [r.energy.total for r in cold_results]
+        assert [[r.energy.total for r in unit] for unit in warm_results] \
+            == [[r.energy.total for r in unit] for unit in cold_results]
     finally:
         set_default_store(previous)
 

@@ -232,10 +232,10 @@ class Session:
               **options: Any):
         """Evaluate *method* across a whole capacity axis.
 
-        Routes through the grid pipeline
-        (:meth:`~repro.core.pipeline.Workbench.run_grid`): the
-        workbench profiles once, capacities solve in ascending order,
-        and every step's result is bit-identical to the corresponding
+        Routes through
+        :meth:`~repro.core.pipeline.Workbench.run_grid`: the workbench
+        profiles once, capacities solve in ascending order, and every
+        step shares its ``result`` artifact with the corresponding
         :meth:`evaluate` call.
 
         Args:

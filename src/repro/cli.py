@@ -13,9 +13,10 @@ Commands:
 * ``verify-kernel`` — differentially verify the vectorized simulation
   kernel against the reference simulator (non-zero exit on any
   difference);
-* ``verify-grid`` — differentially verify the grid pipeline
-  (single-pass multi-configuration replay) against the per-point
-  path: bit-identical reports and allocations or non-zero exit;
+* ``verify-grid`` — differentially verify the single-pass grid replay
+  against per-configuration simulation, and a vector-backend sweep
+  against a reference-backend sweep: bit-identical reports and
+  allocations or non-zero exit;
 * ``bench`` — benchmark regression tracking (``record`` a metric
   snapshot / ``compare`` against a committed baseline, non-zero exit
   on regression);
@@ -33,14 +34,12 @@ Commands:
 Every experiment command consults the engine's content-addressed
 artifact cache (on disk under ``--cache-dir``, default ``.casa_cache``
 or ``$CASA_CACHE_DIR``); ``--no-cache`` disables the disk tier and
-``--jobs N`` fans sweep design points across worker processes, and
+``--jobs N`` fans sweep work units across worker processes, and
 ``--backend`` selects the simulation backend (``reference`` |
 ``vector`` | ``auto``).  The
 sweep-shaped commands (``sweep``, ``fig4``, ``fig5``, ``table1``,
-``dse``) run the grid pipeline by default (one work unit per
-allocator covering its whole capacity axis, with single-pass cache
-replay; ``--per-point`` restores one unit per
-(size, allocator) pair, with identical results) and additionally
+``dse``) schedule one work unit per allocator covering its whole
+capacity axis and additionally
 accept ``--trace FILE`` (record a Chrome-trace
 run file, viewable in ``chrome://tracing`` / Perfetto and readable by
 ``report``), ``--metrics`` (print the run's metric counters),
@@ -90,16 +89,6 @@ def _session(args: argparse.Namespace) -> Session:
                    backend=args.backend)
 
 
-def _add_per_point(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--per-point", action="store_true",
-        help="schedule one design point per (size, allocator) pair "
-             "instead of the default grid path (one chunk per "
-             "allocator with single-pass cache replay); results "
-             "are identical",
-    )
-
-
 def _add_scale(parser: argparse.ArgumentParser,
                jobs: bool = False) -> None:
     parser.add_argument(
@@ -129,8 +118,9 @@ def _add_scale(parser: argparse.ArgumentParser,
     if jobs:
         parser.add_argument(
             "--jobs", type=int, default=1,
-            help="worker processes for the sweep's design points "
-                 "(default 1 = serial; results are identical)",
+            help="worker processes for the sweep's work units, one "
+                 "per allocator (default 1 = serial; results are "
+                 "identical)",
         )
         parser.add_argument(
             "--trace", metavar="FILE", default=None,
@@ -205,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=available_workloads())
     fig4.add_argument("--chart", action="store_true",
                       help="render as grouped bars")
-    _add_per_point(fig4)
     _add_scale(fig4, jobs=True)
 
     fig5 = sub.add_parser("fig5",
@@ -214,11 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=available_workloads())
     fig5.add_argument("--chart", action="store_true",
                       help="render as grouped bars")
-    _add_per_point(fig5)
     _add_scale(fig5, jobs=True)
 
     table1 = sub.add_parser("table1", help="overall savings (table 1)")
-    _add_per_point(table1)
     _add_scale(table1, jobs=True)
 
     sweep = sub.add_parser("sweep", help="free-form size sweep")
@@ -236,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="after the table, justify the CASA allocation at the "
              "largest swept size object by object",
     )
-    _add_per_point(sweep)
     _add_scale(sweep, jobs=True)
 
     graph = sub.add_parser("graph", help="dump the conflict graph (DOT)")
@@ -292,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "direct mapped, where all policies collapse; raise it "
              "to make --policies meaningful)",
     )
-    _add_per_point(dse)
     _add_scale(dse, jobs=True)
 
     explain = sub.add_parser(
@@ -367,9 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_grid = sub.add_parser(
         "verify-grid",
-        help="differentially verify the grid pipeline against the "
-             "per-point path (bit-identical reports and allocations); "
-             "non-zero exit on any divergence or zero-coverage grid",
+        help="differentially verify single-pass grid replay against "
+             "per-configuration simulation, and a vector-backend "
+             "sweep against a reference-backend sweep (bit-identical "
+             "reports and allocations); non-zero exit on any "
+             "divergence or zero-coverage grid",
     )
     verify_grid.add_argument(
         "--workloads", nargs="+", default=None,
@@ -440,11 +427,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--max-attempts", type=int, default=3,
-        help="retry budget per design point (default 3)",
+        help="retry budget per work unit, i.e. per allocator's "
+             "whole capacity axis (default 3)",
     )
     chaos.add_argument(
         "--timeout", type=float, default=None,
-        help="per-point evaluation timeout in seconds (default none)",
+        help="evaluation timeout per work unit, i.e. per "
+             "allocator's whole capacity axis, in seconds "
+             "(default none)",
     )
     chaos.add_argument(
         "--min-retries", type=int, default=0,
@@ -924,8 +914,7 @@ def main(argv: list[str] | None = None) -> int:
         def run_fig4_command(record: RunRecord) -> int:
             result = run_fig4(args.workload, scale=args.scale,
                               seed=args.seed, jobs=args.jobs,
-                              record=record, backend=args.backend,
-                              grid=not args.per_point)
+                              record=record, backend=args.backend)
             print(result.render_chart() if args.chart
                   else result.render())
             print(f"average energy improvement: "
@@ -937,8 +926,7 @@ def main(argv: list[str] | None = None) -> int:
         def run_fig5_command(record: RunRecord) -> int:
             result = run_fig5(args.workload, scale=args.scale,
                               seed=args.seed, jobs=args.jobs,
-                              record=record, backend=args.backend,
-                              grid=not args.per_point)
+                              record=record, backend=args.backend)
             print(result.render_chart() if args.chart
                   else result.render())
             print(f"average energy improvement: "
@@ -950,8 +938,7 @@ def main(argv: list[str] | None = None) -> int:
         def run_table1_command(record: RunRecord) -> int:
             result = run_table1(scale=args.scale, seed=args.seed,
                                 jobs=args.jobs, record=record,
-                                backend=args.backend,
-                                grid=not args.per_point)
+                                backend=args.backend)
             print(result.render())
             print(f"overall: {percent(result.overall_vs_steinke)}% "
                   f"vs. Steinke, "
@@ -971,7 +958,6 @@ def main(argv: list[str] | None = None) -> int:
                 jobs=args.jobs,
                 record=record,
                 backend=args.backend,
-                grid=not args.per_point,
             )
             headers = ["size (B)"] + [f"{a} (uJ)"
                                       for a in args.algorithms]
@@ -1051,7 +1037,6 @@ def main(argv: list[str] | None = None) -> int:
                              scale=args.scale, seed=args.seed,
                              jobs=args.jobs, record=record,
                              backend=args.backend,
-                             grid=not args.per_point,
                              policies=args.policies,
                              associativity=args.assoc)
             print(render_design_points(points, top=args.top))

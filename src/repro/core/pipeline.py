@@ -25,15 +25,11 @@ from repro.engine.artifacts import (
     BaselineSimArtifact,
     ConflictGraphArtifact,
     ExecutionArtifact,
-    GridSimArtifact,
     StreamArtifact,
     TraceArtifact,
     baseline_digest,
     execution_digest,
     graph_digest,
-    grid_digest,
-    grid_result_digest,
-    grid_sim_digest,
     result_digest,
     stream_digest,
     trace_digest,
@@ -303,61 +299,6 @@ class Workbench:
             stream=stream,
         )
 
-    def simulate_image_grid(self, image: LinkedImage,
-                            configs) -> list[SimulationReport]:
-        """Replay *image* under a whole cache axis, as one artifact.
-
-        The axis (a :class:`~repro.memory.kernel.grid.SweepGrid` or any
-        iterable of hierarchy configs) resolves to a single ``grid_sim``
-        artifact: the kernel replays every geometry it supports in one
-        stack-distance pass per scan group, while configurations the
-        kernel cannot replay — and every configuration of a
-        reference-backend session — go through the reference
-        interpreter per config (counted in ``sim.kernel.fallbacks``
-        when a kernel session had to divert).  Reports are
-        bit-identical to :meth:`_simulate_image` per config, which the
-        ``repro verify-grid`` gate enforces.
-        """
-        from repro.memory.kernel import SweepGrid, simulate_grid, \
-            unsupported_reason
-
-        grid = configs if isinstance(configs, SweepGrid) \
-            else SweepGrid.of(configs)
-        key = grid_sim_digest(self._stream_key(image), grid.describe())
-
-        def compute() -> GridSimArtifact:
-            reports: list[SimulationReport | None] = [None] * len(grid)
-            use_kernel = \
-                resolve_backend(self._config.backend) != "reference"
-            covered = [
-                index for index, cfg in enumerate(grid.configs)
-                if use_kernel and unsupported_reason(cfg) is None
-            ]
-            if covered:
-                stream = self._resolve_stream(image)
-                subgrid = SweepGrid.of(
-                    grid.configs[index] for index in covered
-                )
-                replayed = simulate_grid(
-                    stream, subgrid, spm_base=self._config.spm_base
-                )
-                for index, report in zip(covered, replayed):
-                    reports[index] = report
-            for index, cfg in enumerate(grid.configs):
-                if reports[index] is not None:
-                    continue
-                if use_kernel:
-                    metrics.inc("sim.kernel.fallbacks")
-                reports[index] = simulate(
-                    image, cfg, self._block_sequence,
-                    spm_base=self._config.spm_base,
-                    backend="reference",
-                )
-            return GridSimArtifact(key, reports)
-
-        artifact = self._runner.resolve("grid_sim", key, compute)
-        return list(artifact.reports)
-
     def spm_energy_model(self, spm_size: int) -> EnergyModel:
         """Per-event energies of the cache + scratchpad hierarchy."""
         return build_energy_model(
@@ -488,13 +429,12 @@ class Workbench:
         """Evaluate one allocator across a whole capacity axis.
 
         The conflict graph is profiled once and shared by every
-        capacity step, solved in ascending order.  Results come back
-        in the order of *spm_sizes*.
-
-        Each step resolves through the artifact store under a digest
-        chained off the whole axis (:func:`grid_result_digest`), so
-        grid runs never serve — or are served by — the per-point
-        ``result`` entries.
+        capacity step, solved in ascending order.  Each step goes
+        through the allocator's own entry point (:meth:`run_casa`,
+        :meth:`run_steinke`, :meth:`run_greedy`, :meth:`run_ross`), so
+        it shares its ``result`` artifact with every other evaluation
+        of the same (allocator, size) pair.  Results come back in the
+        order of *spm_sizes*.
 
         Args:
             algorithm: ``casa`` | ``steinke`` | ``greedy`` | ``ross``
@@ -503,49 +443,31 @@ class Workbench:
                 capacities in bytes.
             max_regions: Ross's region budget (ignored otherwise).
         """
-        sizes = tuple(spm_sizes)
-        if algorithm == "baseline":
-            return [self.baseline_result() for _ in sizes]
-        steppers = {
-            "casa": lambda size: self._allocate_and_evaluate(
-                CasaAllocator(), size
-            ),
-            "steinke": lambda size: self._allocate_and_evaluate(
-                SteinkeAllocator(), size
-            ),
-            "greedy": lambda size: self._allocate_and_evaluate(
-                GreedyCasaAllocator(), size
-            ),
-            "ross": lambda size: self._run_ross_direct(
-                size, max_regions
-            ),
+        entry_points = {
+            "baseline": lambda size: self.baseline_result(),
+            "casa": self.run_casa,
+            "steinke": self.run_steinke,
+            "greedy": self.run_greedy,
+            "ross": lambda size: self.run_ross(size, max_regions),
         }
-        if algorithm not in steppers:
+        if algorithm not in entry_points:
             raise ConfigurationError(
                 f"unknown grid algorithm {algorithm!r} "
-                f"(expected one of {sorted(steppers)} or 'baseline')"
+                f"(expected one of {sorted(entry_points)})"
             )
-        step = steppers[algorithm]
-        ordered = tuple(sorted(set(sizes)))
-        options = {"max_regions": max_regions} \
-            if algorithm == "ross" else None
-        grid_key = grid_digest(
-            self._graph_digest, algorithm, ordered, options
-        )
+        run = entry_points[algorithm]
+        sizes = tuple(spm_sizes)
         by_size: dict[int, ExperimentResult] = {}
-        for size in ordered:
-            key = grid_result_digest(grid_key, size)
-
-            def compute(size=size, key=key):
-                return AllocationArtifact(key, step(size))
-
-            # Each capacity step is one logical design point: its wall
-            # time feeds the live point.evaluate percentile sketch.
+        for size in sorted(set(sizes)):
+            # Each capacity step is one logical design point: its own
+            # span, and its wall time feeds the live point.evaluate
+            # percentile sketch.
             started = time.perf_counter()
-            result = self._runner.resolve("result", key, compute).result
+            with span("point.evaluate", workload=self._program.name,
+                      algorithm=algorithm, spm_size=size):
+                by_size[size] = run(size)
             metrics.observe("point.evaluate.seconds",
                             time.perf_counter() - started)
-            by_size[size] = result
         return [by_size[size] for size in sizes]
 
     def run_overlay(self, spm_size: int,

@@ -12,10 +12,10 @@ producing a typed artifact with a content-addressed digest:
 * :mod:`repro.engine.runner` — stage resolution with hit/compute
   accounting (:class:`RunRecord`) and the engine-backed
   :func:`make_workbench`;
-* :mod:`repro.engine.parallel` — :func:`map_points` fans design points
-  across a process pool with deterministic result ordering;
-* :mod:`repro.engine.grid` — :class:`GridChunk` schedules a whole
-  capacity axis as one work unit (single-pass cache replay).
+* :mod:`repro.engine.grid` — :class:`GridChunk`, the one work unit:
+  an allocator over a capacity axis;
+* :mod:`repro.engine.parallel` — :func:`map_points` fans chunks across
+  a process pool with deterministic result ordering.
 
 Every consumer — ``Workbench``, the sweep/figure/table harnesses, the
 CLI and the benchmarks — routes through this package, so a warm cache
@@ -29,7 +29,6 @@ from repro.engine.artifacts import (
     BaselineSimArtifact,
     ConflictGraphArtifact,
     ExecutionArtifact,
-    GridSimArtifact,
     StreamArtifact,
     TraceArtifact,
     baseline_digest,
@@ -38,9 +37,6 @@ from repro.engine.artifacts import (
     execution_digest,
     fingerprint_program,
     graph_digest,
-    grid_digest,
-    grid_result_digest,
-    grid_sim_digest,
     result_digest,
     stream_digest,
     trace_digest,
@@ -51,12 +47,7 @@ from repro.engine.grid import (
     GridChunk,
     evaluate_chunk,
 )
-from repro.engine.parallel import (
-    POINT_ALGORITHMS,
-    PointSpec,
-    evaluate_point,
-    map_points,
-)
+from repro.engine.parallel import map_points
 from repro.engine.runner import (
     STAGES,
     RunRecord,
@@ -86,7 +77,6 @@ __all__ = [
     "BaselineSimArtifact",
     "ConflictGraphArtifact",
     "ExecutionArtifact",
-    "GridSimArtifact",
     "StreamArtifact",
     "TraceArtifact",
     "baseline_digest",
@@ -95,9 +85,6 @@ __all__ = [
     "execution_digest",
     "fingerprint_program",
     "graph_digest",
-    "grid_digest",
-    "grid_result_digest",
-    "grid_sim_digest",
     "result_digest",
     "stream_digest",
     "trace_digest",
@@ -105,9 +92,6 @@ __all__ = [
     "CHUNK_ALGORITHMS",
     "GridChunk",
     "evaluate_chunk",
-    "POINT_ALGORITHMS",
-    "PointSpec",
-    "evaluate_point",
     "map_points",
     "STAGES",
     "RunRecord",

@@ -203,62 +203,6 @@ def result_digest(graph: str, algorithm: str, spm_size: int,
     )
 
 
-def grid_sim_digest(stream: str, axis: list[Any]) -> str:
-    """Digest of one grid simulation: a stream under a whole cache axis.
-
-    Args:
-        stream: the compiled fetch stream's digest (which chains the
-            trace and layout inputs).
-        axis: the JSON-friendly description of the cache axis — a
-            :meth:`repro.memory.kernel.grid.SweepGrid.describe` value.
-
-    One ``grid_sim`` artifact covers the *entire* axis, so a sweep
-    stores one stack-distance profile's worth of reports instead of N
-    independent baseline simulations.
-    """
-    return digest_inputs("grid_sim", stream=stream, axis=axis)
-
-
-def grid_digest(graph: str, algorithm: str,
-                spm_sizes: tuple[int, ...],
-                options: dict[str, Any] | None = None) -> str:
-    """Digest identifying one allocation grid (a whole capacity axis).
-
-    Args:
-        graph: the conflict-graph digest (chains every upstream input).
-        algorithm: allocator identifier (``casa``, ``steinke``, ...).
-        spm_sizes: every scratchpad / loop-cache capacity of the axis,
-            ascending.
-        options: extra allocator parameters (e.g. Ross's
-            ``max_regions``).
-
-    The grid digest embeds the *whole* capacity axis, so grid results
-    are keyed separately from the per-point ``result`` digests.
-    """
-    return digest_inputs(
-        "grid",
-        graph=graph,
-        algorithm=algorithm,
-        spm_sizes=list(spm_sizes),
-        options=options or {},
-    )
-
-
-def grid_result_digest(grid: str, spm_size: int) -> str:
-    """Digest of one capacity step's result within an allocation grid.
-
-    Args:
-        grid: the :func:`grid_digest` of the surrounding capacity axis.
-        spm_size: this step's capacity in bytes.
-
-    The artifact lands in the ``result`` stage like per-point results,
-    but its digest chains the grid identity, so the grid path and the
-    per-point path never serve each other's entries — which keeps the
-    ``repro verify-grid`` differential honest even on a shared store.
-    """
-    return digest_inputs("result", grid=grid, spm_size=spm_size)
-
-
 def workbench_digest(workload: str, scale: float, seed: int,
                      cache: CacheConfig, tracegen: TraceGenConfig,
                      backend: str | None = None) -> str:
@@ -323,22 +267,6 @@ class BaselineSimArtifact:
     STAGE: ClassVar[str] = "baseline"
     digest: str
     report: SimulationReport
-
-
-@dataclass(frozen=True)
-class GridSimArtifact:
-    """One stream replayed under a whole cache axis, as one artifact.
-
-    The payload is the grid-ordered report list of
-    :func:`repro.memory.kernel.grid.simulate_grid`: storing the axis as
-    a single entry means a DSE-shaped sweep pays one store round-trip
-    (and one stack-distance profile) for N cache configurations.
-    """
-
-    #: Store stage name.
-    STAGE: ClassVar[str] = "grid_sim"
-    digest: str
-    reports: list[SimulationReport]
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
-"""Grid chunks: whole capacity axes as schedulable work units.
+"""Grid chunks: the engine's one schedulable work unit.
 
-A :class:`GridChunk` is the grid-native sibling of
-:class:`~repro.engine.parallel.PointSpec`: instead of one (workload,
-capacity, allocator) triple it names a workload, an allocator and the
-*whole* scratchpad-size axis.  Evaluating a chunk profiles the
-workbench once, replays the cache work through the shared grid
-artifacts and solves the capacity steps in ascending order — so a
-sweep schedules one chunk per allocator rather than ``len(sizes)``
-independent points, while
-:func:`~repro.engine.parallel.map_points` and the self-healing
-:func:`~repro.resilience.healing.map_points_healed` treat chunks
-exactly like points (retry ladder included).
+A :class:`GridChunk` names a workload, an allocator and a scratchpad
+capacity axis; a single design point is the one-size chunk
+``GridChunk(workload, spm_sizes=(size,), ...)``.  Evaluating a chunk
+profiles the workbench once and solves the capacity steps in
+ascending order, each through the workbench's per-size entry point
+(and so the shared ``result`` artifacts) — so a sweep schedules one
+chunk per allocator.  :func:`~repro.engine.parallel.map_points` and
+the self-healing :func:`~repro.resilience.healing.map_points_healed`
+schedule chunks, and a chunk retries as one unit.
 """
 
 from __future__ import annotations
@@ -64,6 +62,28 @@ class GridChunk:
     max_regions: int = 4
     backend: str | None = None
 
+    @property
+    def label(self) -> str:
+        """Short display label: ``tiny/casa@64`` or ``tiny/casa@[64+128]``."""
+        axis = "+".join(str(size) for size in self.spm_sizes)
+        if len(self.spm_sizes) != 1:
+            axis = f"[{axis}]"
+        return f"{self.workload}/{self.algorithm}@{axis}"
+
+
+def check_algorithms(chunks) -> None:
+    """Reject any chunk naming an unknown allocator.
+
+    Raises:
+        ConfigurationError: for the first unknown algorithm.
+    """
+    for chunk in chunks:
+        if chunk.algorithm not in CHUNK_ALGORITHMS:
+            raise ConfigurationError(
+                f"unknown algorithm {chunk.algorithm!r}; choose from "
+                f"{CHUNK_ALGORITHMS}"
+            )
+
 
 def evaluate_chunk(chunk: GridChunk,
                    runner: StageRunner | None = None
@@ -76,19 +96,12 @@ def evaluate_chunk(chunk: GridChunk,
             runner on the process-wide store).
 
     Returns:
-        One result per entry of ``chunk.spm_sizes``, in input order —
-        bit-identical to evaluating the corresponding
-        :class:`~repro.engine.parallel.PointSpec` list (the
-        ``repro verify-grid`` gate enforces this).
+        One result per entry of ``chunk.spm_sizes``, in input order.
 
     Raises:
         ConfigurationError: for an unknown algorithm.
     """
-    if chunk.algorithm not in CHUNK_ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {chunk.algorithm!r}; choose from "
-            f"{CHUNK_ALGORITHMS}"
-        )
+    check_algorithms([chunk])
     runner = runner if runner is not None else StageRunner()
     with span("chunk.evaluate", workload=chunk.workload,
               algorithm=chunk.algorithm, sizes=len(chunk.spm_sizes),

@@ -1,12 +1,13 @@
-"""Parallel design-point execution over ``concurrent.futures``.
+"""Parallel work-unit execution over ``concurrent.futures``.
 
-A *design point* is one (workload, scratchpad size, allocator) triple —
-optionally with cache / trace-formation overrides, as design-space
-exploration needs.  :func:`map_points` fans a list of points across a
-process pool (sweeps are embarrassingly parallel per point), falls back
-to serial execution when a pool cannot be created, and always returns
-results in the order of the input points, so parallel output is
-indistinguishable from serial output.
+The work unit is a :class:`~repro.engine.grid.GridChunk`: one
+allocator over a capacity axis of one workload — optionally with
+cache / trace-formation overrides, as design-space exploration needs.
+:func:`map_points` fans a list of chunks across a process pool (sweeps
+are embarrassingly parallel per chunk), falls back to serial execution
+when a pool cannot be created, and always returns results in the order
+of the input chunks, so parallel output is indistinguishable from
+serial output.
 
 Workers share the parent's on-disk artifact cache (when one is
 configured), so the expensive allocation-independent stages are
@@ -23,16 +24,16 @@ import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine.runner import RunRecord, StageRunner, make_workbench
+from repro.engine.grid import GridChunk, check_algorithms, \
+    evaluate_chunk
+from repro.engine.runner import RunRecord, StageRunner
 from repro.engine.store import ArtifactStore, default_store, \
     set_default_store
-from repro.errors import ConfigurationError, InjectedFault
+from repro.errors import InjectedFault
 from repro.resilience.faults import FaultPlan, active_fault_plan, \
     maybe_inject, set_fault_attempt, set_fault_plan
-from repro.memory.cache import CacheConfig
 from repro.obs import live
 from repro.obs.events import EventRecorder, active_recorder, \
     set_recorder
@@ -41,135 +42,35 @@ from repro.obs.logging import active_log_spec, install_from_spec, \
 from repro.obs.metrics import MetricsRegistry, active_registry, \
     set_registry
 from repro.obs.trace import TraceCollector, get_collector, \
-    set_collector, span
-from repro.traces.tracegen import TraceGenConfig
+    set_collector
 
 if TYPE_CHECKING:
     from repro.core.pipeline import ExperimentResult
 
-#: Algorithms a design point may name (``baseline`` = cache-only).
-POINT_ALGORITHMS = ("casa", "steinke", "greedy", "ross", "baseline")
 
-
-@dataclass(frozen=True)
-class PointSpec:
-    """One design point of a sweep or exploration.
-
-    Attributes:
-        workload: registered workload name.
-        spm_size: scratchpad / loop-cache capacity in bytes (ignored
-            for ``baseline``).
-        algorithm: one of :data:`POINT_ALGORITHMS`.
-        scale: workload trip-count multiplier.
-        seed: executor seed.
-        cache: I-cache override (``None`` = the workload's default).
-        tracegen: trace-formation override (``None`` = derived from the
-            cache line size and the workload's smallest scratchpad).
-        max_regions: preloadable regions for the ``ross`` allocator.
-        backend: simulation backend (``reference`` | ``vector`` |
-            ``auto``; ``None`` defers to ``CASA_BACKEND``, then
-            ``auto``).
-    """
-
-    workload: str
-    spm_size: int
-    algorithm: str = "casa"
-    scale: float = 1.0
-    seed: int = 0
-    cache: CacheConfig | None = None
-    tracegen: TraceGenConfig | None = None
-    max_regions: int = 4
-    backend: str | None = None
-
-
-def evaluate_point(point: PointSpec,
+def _evaluate_unit(chunk: GridChunk,
                    runner: StageRunner | None = None
-                   ) -> "ExperimentResult":
-    """Evaluate one design point through the staged engine.
+                   ) -> list["ExperimentResult"]:
+    """Evaluate one work unit, with its live instrumentation.
 
-    Args:
-        point: the design point.
-        runner: stage runner to resolve through (defaults to a fresh
-            runner on the process-wide store).
-
-    Raises:
-        ConfigurationError: for an unknown algorithm.
-    """
-    if point.algorithm not in POINT_ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {point.algorithm!r}; choose from "
-            f"{POINT_ALGORITHMS}"
-        )
-    runner = runner if runner is not None else StageRunner()
-    with span("point.evaluate", workload=point.workload,
-              algorithm=point.algorithm, spm_size=point.spm_size,
-              scale=point.scale, seed=point.seed):
-        maybe_inject("worker.exec", workload=point.workload,
-                     algorithm=point.algorithm,
-                     spm_size=point.spm_size)
-        _, bench = make_workbench(
-            point.workload, point.scale, point.seed,
-            cache=point.cache, tracegen=point.tracegen, runner=runner,
-            backend=point.backend,
-        )
-        if point.algorithm == "baseline":
-            return bench.baseline_result()
-        if point.algorithm == "casa":
-            return bench.run_casa(point.spm_size)
-        if point.algorithm == "steinke":
-            return bench.run_steinke(point.spm_size)
-        if point.algorithm == "greedy":
-            return bench.run_greedy(point.spm_size)
-        return bench.run_ross(point.spm_size,
-                              max_regions=point.max_regions)
-
-
-def _describe_spec(spec) -> str:
-    """Short progress label of a work unit (point or grid chunk)."""
-    sizes = getattr(spec, "spm_sizes", None)
-    if sizes is not None:
-        axis = "+".join(str(size) for size in sizes)
-        return f"{spec.workload}/{spec.algorithm}@[{axis}]"
-    return f"{spec.workload}/{spec.algorithm}@{spec.spm_size}"
-
-
-def _evaluate_spec_inner(spec, runner: StageRunner | None = None):
-    if hasattr(spec, "spm_sizes"):
-        from repro.engine.grid import evaluate_chunk
-        return evaluate_chunk(spec, runner=runner)
-    return evaluate_point(spec, runner=runner)
-
-
-def _evaluate_spec(spec, runner: StageRunner | None = None):
-    """Evaluate one work unit — a :class:`PointSpec` or a grid chunk.
-
-    The engine's schedulers (:func:`map_points` and the self-healing
-    ladder on top of it) accept both unit shapes; a
-    :class:`~repro.engine.grid.GridChunk` — recognised by its
-    ``spm_sizes`` axis — evaluates to a result *list*, a point to a
-    single result.
-
-    This is the engine's unit boundary, so it also carries the live
-    instrumentation: unit start/finish notes to the active progress
-    sink (stall detection keys off the start note) and a per-unit
-    wall-time observation into the ``point.evaluate.seconds`` /
-    ``chunk.evaluate.seconds`` percentile histograms.  Both are free
-    when no sink and no registry are installed.
+    This is the engine's unit boundary, so it carries the unit
+    start/finish notes to the active progress sink (stall detection
+    keys off the start note) and a per-unit wall-time observation into
+    the ``chunk.evaluate.seconds`` percentile histogram.  Both are
+    free when no sink and no registry are installed.
     """
     registry = active_registry()
     if live.active_sink() is None and registry is None:
-        return _evaluate_spec_inner(spec, runner=runner)
-    label = _describe_spec(spec)
+        return evaluate_chunk(chunk, runner=runner)
+    label = chunk.label
     live.note_unit_started(label)
     start = time.perf_counter()
     try:
-        result = _evaluate_spec_inner(spec, runner=runner)
+        result = evaluate_chunk(chunk, runner=runner)
     finally:
         seconds = time.perf_counter() - start
         if registry is not None:
-            name = "chunk.evaluate.seconds" \
-                if hasattr(spec, "spm_sizes") else "point.evaluate.seconds"
-            registry.histogram(name).observe(seconds)
+            registry.histogram("chunk.evaluate.seconds").observe(seconds)
         live.note_unit_finished(label, seconds)
     return result
 
@@ -197,10 +98,10 @@ def _init_worker(cache_dir: str | None,
     install_from_spec(log_spec)
 
 
-def _evaluate_in_worker(task: tuple[PointSpec, bool, bool, bool, int]):
-    """Worker-side evaluation of one design point.
+def _evaluate_in_worker(task: tuple[GridChunk, bool, bool, bool, int]):
+    """Worker-side evaluation of one work unit.
 
-    *task* is ``(point, trace, metrics, events, attempt)`` — the flags
+    *task* is ``(chunk, trace, metrics, events, attempt)`` — the flags
     mirror whether the parent had a collector/registry/event recorder
     installed, and *attempt* is the retry attempt the self-healing
     layer is on (0 for plain :func:`map_points`).  Returns ``(result,
@@ -209,7 +110,7 @@ def _evaluate_in_worker(task: tuple[PointSpec, bool, bool, bool, int]):
     set; the parent merges them back in input order, exactly like the
     record counters.
     """
-    point, trace_enabled, metrics_enabled, events_enabled, attempt = task
+    chunk, trace_enabled, metrics_enabled, events_enabled, attempt = task
     set_fault_attempt(attempt)
     collector = TraceCollector() if trace_enabled else None
     registry = MetricsRegistry() if metrics_enabled else None
@@ -223,7 +124,7 @@ def _evaluate_in_worker(task: tuple[PointSpec, bool, bool, bool, int]):
     try:
         record = RunRecord()
         runner = StageRunner(record=record)
-        result = _evaluate_spec(point, runner=runner)
+        result = _evaluate_unit(chunk, runner=runner)
     finally:
         if trace_enabled:
             set_collector(previous_collector)
@@ -280,28 +181,26 @@ def _teardown_worker_live(directory: str | None,
     shutil.rmtree(directory, ignore_errors=True)
 
 
-def _run_serial(points: list[PointSpec],
+def _run_serial(points: list[GridChunk],
                 runner: StageRunner | None,
-                record: RunRecord | None) -> list["ExperimentResult"]:
+                record: RunRecord | None) -> list[list["ExperimentResult"]]:
     if runner is None:
         runner = StageRunner(record=record)
-    return [_evaluate_spec(point, runner=runner) for point in points]
+    return [_evaluate_unit(point, runner=runner) for point in points]
 
 
 def map_points(
-    points: list[PointSpec] | tuple[PointSpec, ...],
+    points: list[GridChunk] | tuple[GridChunk, ...],
     jobs: int = 1,
     runner: StageRunner | None = None,
     record: RunRecord | None = None,
     cache_dir: str | os.PathLike | None = None,
-) -> list["ExperimentResult"]:
+) -> list[list["ExperimentResult"]]:
     """Evaluate *points*, optionally across a process pool.
 
     Args:
-        points: work units — :class:`PointSpec` design points and/or
-            :class:`~repro.engine.grid.GridChunk` capacity axes — in
-            the order results are wanted (a chunk's result is the
-            *list* of its per-capacity results).
+        points: :class:`~repro.engine.grid.GridChunk` work units in
+            the order results are wanted.
         jobs: worker processes; ``<= 1`` runs serially in-process.
         runner: stage runner for the serial path (ignored when a pool
             is used — each worker builds its own).
@@ -311,16 +210,15 @@ def map_points(
             defaults to the process-wide store's directory.
 
     Returns:
-        One :class:`~repro.core.pipeline.ExperimentResult` per point,
-        in input order — byte-for-byte identical to a serial run.
+        One list of :class:`~repro.core.pipeline.ExperimentResult` per
+        chunk (one entry per capacity), in input order — byte-for-byte
+        identical to a serial run.
+
+    Raises:
+        ConfigurationError: for an unknown algorithm.
     """
     points = list(points)
-    for point in points:
-        if point.algorithm not in POINT_ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {point.algorithm!r}; choose from "
-                f"{POINT_ALGORITHMS}"
-            )
+    check_algorithms(points)
     live.note_total(len(points))
     log_event("map.start", units=len(points), jobs=jobs)
     if jobs <= 1 or len(points) <= 1:
@@ -354,7 +252,7 @@ def map_points(
         _teardown_worker_live(heartbeat_dir, bus, absorb=False)
         log_event("map.fallback", mode="serial", units=len(points))
         return _run_serial(points, runner, record)
-    results: list["ExperimentResult"] = []
+    results: list[list["ExperimentResult"]] = []
     # Worker observability folds back in input order, mirroring the
     # record merge: the merged span/metric stream is deterministic no
     # matter which worker finished first.

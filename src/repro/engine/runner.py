@@ -38,8 +38,8 @@ if TYPE_CHECKING:
     from repro.memory.cache import CacheConfig
 
 #: Stage names in dependency order (the runner's resolution chain).
-STAGES = ("execution", "trace", "stream", "baseline", "grid_sim",
-          "graph", "result")
+STAGES = ("execution", "trace", "stream", "baseline", "graph",
+          "result")
 
 
 @dataclass

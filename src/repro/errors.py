@@ -144,7 +144,7 @@ class WorkerCrashError(ReproError):
 
     Attributes:
         site: the fault-injection site or subsystem that crashed.
-        point: short description of the design point being evaluated.
+        point: short label of the work unit being evaluated.
     """
 
     def __init__(self, message: str = "", site: str = "",
@@ -159,10 +159,10 @@ class WorkerCrashError(ReproError):
 
 
 class PointTimeoutError(ReproError):
-    """One design point exceeded its per-point evaluation timeout.
+    """One work unit (a grid chunk) exceeded its evaluation timeout.
 
     Attributes:
-        point: short description of the design point that timed out.
+        point: short label of the work unit that timed out.
         seconds: the timeout that was exceeded.
     """
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from repro.energy.area import hierarchy_area
 from repro.engine.grid import GridChunk
-from repro.engine.parallel import PointSpec, map_points
+from repro.engine.parallel import map_points
 from repro.errors import ConfigurationError, UnknownPolicyError
 from repro.memory.cache import CacheConfig
 from repro.memory.replacement import available_policies
@@ -76,7 +76,6 @@ def explore(
     jobs: int = 1,
     record=None,
     backend: str | None = None,
-    grid: bool = True,
     policies: list[str] | None = None,
     associativity: int = 1,
 ) -> list[DesignPoint]:
@@ -87,13 +86,10 @@ def explore(
     a line size; a pure-SPM machine is a different architecture), as
     are SPM-less points with no cache.
 
-    On the default grid path each cache configuration contributes one
+    Each cache configuration contributes one
     :class:`~repro.engine.grid.GridChunk` per allocator covering its
     whole feasible scratchpad axis (the capacity steps share the
-    conflict graph); ``grid=False``
-    schedules one :class:`~repro.engine.parallel.PointSpec` per
-    (cache, scratchpad) pair instead, with identical results.  Either
-    unit shape fans through
+    conflict graph).  The chunks fan through
     :func:`~repro.engine.parallel.map_points` with *jobs* workers;
     *record* collects per-stage hit/compute counters and *backend*
     picks the simulation backend for every point.
@@ -131,7 +127,7 @@ def explore(
                 raise UnknownPolicyError(name, known)
         policy_axis = list(dict.fromkeys(policies))
 
-    units: list[PointSpec | GridChunk] = []
+    units: list[GridChunk] = []
     metas: list[list[tuple[CacheConfig, TraceGenConfig, int, float]]] = []
     for cache_size in cache_sizes:
         for policy in policy_axis:
@@ -156,33 +152,20 @@ def explore(
                 workload=workload_name, scale=scale, seed=seed,
                 cache=cache, tracegen=tracegen, backend=backend,
             )
-            if grid:
-                for algorithm in ("baseline", "casa"):
-                    axis = tuple(
-                        spm for spm in feasible_spms
-                        if (spm == 0) == (algorithm == "baseline")
-                    )
-                    if not axis:
-                        continue
-                    units.append(GridChunk(
-                        spm_sizes=axis, algorithm=algorithm, **common
-                    ))
-                    metas.append([
-                        (cache, tracegen, spm,
-                         hierarchy_area(cache, spm))
-                        for spm in axis
-                    ])
-            else:
-                for spm in feasible_spms:
-                    units.append(PointSpec(
-                        spm_size=spm,
-                        algorithm="baseline" if spm == 0 else "casa",
-                        **common,
-                    ))
-                    metas.append([
-                        (cache, tracegen, spm,
-                         hierarchy_area(cache, spm))
-                    ])
+            for algorithm in ("baseline", "casa"):
+                axis = tuple(
+                    spm for spm in feasible_spms
+                    if (spm == 0) == (algorithm == "baseline")
+                )
+                if not axis:
+                    continue
+                units.append(GridChunk(
+                    spm_sizes=axis, algorithm=algorithm, **common
+                ))
+                metas.append([
+                    (cache, tracegen, spm, hierarchy_area(cache, spm))
+                    for spm in axis
+                ])
     if not units:
         raise ConfigurationError(
             f"no cache/SPM configuration fits an area budget of "
@@ -193,8 +176,7 @@ def explore(
     opt_bound = _OptBound(workload_name, scale, seed) if with_bound \
         else None
     points = []
-    for meta, outcome in zip(metas, outcomes):
-        results = outcome if isinstance(outcome, list) else [outcome]
+    for meta, results in zip(metas, outcomes):
         for (cache, tracegen, spm, area), result in zip(meta, results):
             opt_misses = None
             if opt_bound is not None:

@@ -114,20 +114,18 @@ def run_fig5(
     jobs: int = 1,
     record=None,
     backend: str | None = None,
-    grid: bool = True,
 ) -> Fig5Result:
     """Reproduce figure 5 (optionally on another workload or scale).
 
     ``jobs`` fans the sweep's work units across worker processes;
     ``record`` (a :class:`~repro.engine.runner.RunRecord`) collects the
     engine's per-stage hit/compute counters; ``backend`` picks the
-    simulation backend; ``grid=False`` trades the grid path for
-    per-point scheduling (identical results).
+    simulation backend.
     """
     points = run_sweep(
         workload, sizes, algorithms=("casa", "ross"),
         scale=scale, seed=seed, jobs=jobs, record=record,
-        backend=backend, grid=grid,
+        backend=backend,
     )
     rows = [
         Fig5Row(

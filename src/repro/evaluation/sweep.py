@@ -6,18 +6,16 @@ invariant, count the accesses to each level, and compute energy from the
 model.  :func:`run_sweep` implements exactly that for any subset of the
 allocators; the figure/table modules post-process its output.
 
-Sweeps run through the staged experiment engine.  On the default grid
-path each requested allocator becomes one
-:class:`~repro.engine.grid.GridChunk` covering the whole capacity
-axis — the workbench profiles once and the kernel replays the cache
-work in shared passes.  ``grid=False`` falls back to one
-:class:`~repro.engine.parallel.PointSpec` per (size, allocator) pair —
-bit-identical results (the ``repro verify-grid`` gate enforces it),
-finer-grained parallelism.  Either unit shape fans through
-:func:`~repro.engine.parallel.map_points`, so a sweep can use worker
-processes (``jobs``), reuses every allocation-independent stage from
-the artifact store, and can report per-stage hit/compute counters
-through a :class:`~repro.engine.runner.RunRecord`.
+Sweeps run through the staged experiment engine.  Each requested
+allocator becomes one :class:`~repro.engine.grid.GridChunk` covering
+the whole capacity axis: the workbench profiles once and every
+capacity step resolves its own ``result`` artifact, shared with any
+other caller that evaluates the same (allocator, size) pair.  The
+chunks fan through :func:`~repro.engine.parallel.map_points`, so a
+sweep can use worker processes (``jobs``), reuses every
+allocation-independent stage from the artifact store, and can report
+per-stage hit/compute counters through a
+:class:`~repro.engine.runner.RunRecord`.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.pipeline import ExperimentResult, Workbench
 from repro.engine.grid import GridChunk
-from repro.engine.parallel import PointSpec, map_points
+from repro.engine.parallel import map_points
 from repro.engine.runner import RunRecord
 from repro.engine.runner import make_workbench as _engine_make_workbench
 from repro.errors import ConfigurationError
@@ -85,7 +83,6 @@ def run_sweep(
     jobs: int = 1,
     record: RunRecord | None = None,
     backend: str | None = None,
-    grid: bool = True,
 ) -> list[SweepPoint]:
     """Evaluate allocators across scratchpad sizes.
 
@@ -96,17 +93,13 @@ def run_sweep(
         algorithms: subset of :data:`ALGORITHMS`.
         scale: workload trip-count multiplier.
         seed: executor seed.
-        jobs: worker processes for the work units (1 = serial; results
-            are identical either way).
+        jobs: worker processes for the work units, one per allocator
+            (1 = serial; results are identical either way).
         record: optional engine run record receiving per-stage
             hit/compute counters.
         backend: simulation backend for every design point
             (``reference`` | ``vector`` | ``auto``; ``None`` defers to
             ``CASA_BACKEND``, then ``auto``).
-        grid: schedule one grid chunk per allocator (single-pass cache
-            replay) instead of one design point
-            per (size, allocator) pair.  Results are bit-identical
-            either way.
 
     Returns:
         One :class:`SweepPoint` per size, in ascending size order.
@@ -120,44 +113,22 @@ def run_sweep(
     if sizes is None:
         sizes = get_workload(workload_name, scale=scale).spm_sizes
     chosen_sizes = tuple(sorted(sizes))
-    if grid:
-        chunks = [
-            GridChunk(
-                workload=workload_name,
-                spm_sizes=chosen_sizes,
-                algorithm=algorithm,
-                scale=scale,
-                seed=seed,
-                backend=backend,
-            )
-            for algorithm in algorithms
-        ]
-        axes = map_points(chunks, jobs=jobs, record=record)
-        return [
-            SweepPoint(workload_name, size, {
-                algorithm: axes[offset][index]
-                for offset, algorithm in enumerate(algorithms)
-            })
-            for index, size in enumerate(chosen_sizes)
-        ]
-    specs = [
-        PointSpec(
+    chunks = [
+        GridChunk(
             workload=workload_name,
-            spm_size=size,
+            spm_sizes=chosen_sizes,
             algorithm=algorithm,
             scale=scale,
             seed=seed,
             backend=backend,
         )
-        for size in chosen_sizes
         for algorithm in algorithms
     ]
-    results = map_points(specs, jobs=jobs, record=record)
-    points: list[SweepPoint] = []
-    for index, size in enumerate(chosen_sizes):
-        per_algorithm = {
-            algorithm: results[index * len(algorithms) + offset]
+    axes = map_points(chunks, jobs=jobs, record=record)
+    return [
+        SweepPoint(workload_name, size, {
+            algorithm: axes[offset][index]
             for offset, algorithm in enumerate(algorithms)
-        }
-        points.append(SweepPoint(workload_name, size, per_algorithm))
-    return points
+        })
+        for index, size in enumerate(chosen_sizes)
+    ]

@@ -131,7 +131,6 @@ def run_table1(
     jobs: int = 1,
     record=None,
     backend: str | None = None,
-    grid: bool = True,
 ) -> Table1Result:
     """Reproduce table 1 over the registered benchmarks.
 
@@ -139,8 +138,7 @@ def run_table1(
     processes; ``record`` (a
     :class:`~repro.engine.runner.RunRecord`) collects the engine's
     per-stage hit/compute counters; ``backend`` picks the simulation
-    backend; ``grid=False`` trades the grid path for per-point
-    scheduling (identical results).
+    backend.
     """
     blocks: list[Table1Benchmark] = []
     for name in benchmarks:
@@ -148,7 +146,7 @@ def run_table1(
         points = run_sweep(
             name, algorithms=("casa", "steinke", "ross"),
             scale=scale, seed=seed, jobs=jobs, record=record,
-            backend=backend, grid=grid,
+            backend=backend,
         )
         rows = [
             Table1Row(

@@ -1,14 +1,14 @@
-"""Grid differential gate: the grid pipeline vs. the per-point path.
+"""Grid differential gate: the kernel paths vs. the reference simulator.
 
-The grid pipeline's contract is that batching changes *nothing* but
-wall-clock time: one :func:`~repro.memory.kernel.grid.simulate_grid`
-pass over a fetch stream must produce byte-identical
+The kernel's contract is that it changes *nothing* but wall-clock
+time: one :func:`~repro.memory.kernel.grid.simulate_grid` pass over a
+fetch stream must produce byte-identical
 :class:`~repro.memory.stats.SimulationReport`\\ s to per-configuration
-simulation, and a sweep scheduled as grid chunks (shared conflict
-graph) must produce byte-identical
-reports *and* :class:`~repro.core.allocation.Allocation`\\ s to one
-scheduled as independent design points.  This module checks that
-contract from three directions:
+simulation, and a full sweep (grid chunks over the vector backend)
+must produce byte-identical reports *and*
+:class:`~repro.core.allocation.Allocation`\\ s to the same sweep over
+the reference backend.  This module checks that contract from three
+directions:
 
 1. **Coverage** — the verification axis itself must partition into at
    least one single-pass scan group; a zero-coverage grid means every
@@ -21,10 +21,11 @@ contract from three directions:
    2Q — exercising the grid's own per-config fallback) and compared
    field by field against the reference simulator.
 3. **Sweep** — a full allocator sweep runs twice on fresh artifact
-   stores, once as grid chunks and once per-point, and every
-   (size, allocator) cell is compared: full report, energy total, and
-   every :class:`Allocation` field except ``solver_nodes`` (solver
-   effort, not part of the decision).
+   stores, once on the ``vector`` backend and once on the
+   ``reference`` backend, and every (size, allocator) cell is
+   compared: full report, energy total, and every :class:`Allocation`
+   field in :data:`ALLOCATION_FIELDS` — solver effort included, since
+   both sides are cold solves of the same model.
 
 ``repro verify-grid`` runs all three and exits non-zero on any
 difference; ``make test`` gates on it next to ``verify-kernel`` and
@@ -57,9 +58,9 @@ DEFAULT_WORKLOADS = ("tiny", "adpcm")
 #: Allocators of the sweep-level check.
 DEFAULT_ALGORITHMS = ("casa", "steinke", "ross")
 
-#: Allocation fields that must match bit-for-bit between the grid and
-#: per-point paths.  ``solver_nodes`` is deliberately absent: solver
-#: effort is not part of the grid contract, only the decision is.
+#: Allocation fields that must match bit-for-bit between the kernel-
+#: and reference-backend sweeps.  Both sides solve the same ILP from
+#: cold, so the solver's effort (``solver_nodes``) must agree too.
 ALLOCATION_FIELDS = (
     "algorithm",
     "spm_resident",
@@ -67,6 +68,7 @@ ALLOCATION_FIELDS = (
     "placement",
     "predicted_energy",
     "solver_status",
+    "solver_nodes",
     "solver_gap",
     "capacity",
     "used_bytes",
@@ -99,7 +101,7 @@ class GridVerifyReport:
                  f"{len(self.cases)} cases ({coverage})"]
         if self.ok:
             lines.append(
-                "  OK — grid pipeline matches the per-point path "
+                "  OK — the kernel paths match the reference simulator "
                 "bit-for-bit"
             )
             return "\n".join(lines)
@@ -205,14 +207,15 @@ def _replay_cases(workload_name: str, scale: float,
     return cases
 
 
-# -- check 3: grid sweep vs. per-point sweep ----------------------------------
+# -- check 3: kernel-backend sweep vs. reference-backend sweep ----------------
 
 
 def allocation_differences(expected, actual) -> list[str]:
     """Every compared Allocation field where two decisions disagree.
 
-    ``expected`` is the per-point decision, ``actual`` the grid one;
-    see :data:`ALLOCATION_FIELDS` for the compared set.
+    ``expected`` is the reference-backend decision, ``actual`` the
+    kernel-backend one; see :data:`ALLOCATION_FIELDS` for the
+    compared set.
     """
     differences = []
     for field_name in ALLOCATION_FIELDS:
@@ -220,34 +223,35 @@ def allocation_differences(expected, actual) -> list[str]:
         actual_value = getattr(actual, field_name)
         if expected_value != actual_value:
             differences.append(
-                f"allocation.{field_name}: per-point "
-                f"{expected_value!r} != grid {actual_value!r}"
+                f"allocation.{field_name}: reference "
+                f"{expected_value!r} != kernel {actual_value!r}"
             )
     return differences
 
 
 def _sweep_cases(workload_name: str, scale: float, seed: int,
                  algorithms: tuple[str, ...]) -> list[VerifyCase]:
-    """Grid-vs-point cases across one workload's full sweep.
+    """Kernel-vs-reference cases across one workload's full sweep.
 
-    Both passes run serially on fresh in-memory artifact stores, so
-    neither can serve the other's results from a cache — every cell
-    is genuinely computed twice, once per scheduling shape.
+    Both passes run serially on fresh in-memory artifact stores —
+    stage digests do not name the backend, so a shared store would
+    serve one pass from the other's results.  Every cell is genuinely
+    computed twice, once per simulation backend.
     """
     from repro.evaluation.sweep import run_sweep
 
-    def sweep_pass(grid: bool):
+    def sweep_pass(backend: str):
         previous = set_default_store(ArtifactStore())
         try:
             return run_sweep(
                 workload_name, algorithms=algorithms, scale=scale,
-                seed=seed, grid=grid,
+                seed=seed, backend=backend,
             )
         finally:
             set_default_store(previous)
 
-    expected_points = sweep_pass(grid=False)
-    actual_points = sweep_pass(grid=True)
+    expected_points = sweep_pass("reference")
+    actual_points = sweep_pass("vector")
     cases: list[VerifyCase] = []
     for expected_point, actual_point in zip(expected_points,
                                             actual_points):
@@ -261,8 +265,8 @@ def _sweep_cases(workload_name: str, scale: float, seed: int,
             )
             if expected.energy.total != actual.energy.total:
                 differences.append(
-                    f"energy.total: per-point "
-                    f"{expected.energy.total!r} != grid "
+                    f"energy.total: reference "
+                    f"{expected.energy.total!r} != kernel "
                     f"{actual.energy.total!r}"
                 )
             description = (

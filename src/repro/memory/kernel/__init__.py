@@ -18,13 +18,10 @@ trades the interpreter for three array passes:
    bit-identical to the reference simulator's (same counters, same
    dict/Counter insertion orders).
 
-:func:`~repro.memory.kernel.vector.simulate_many` batches several cache
-configurations over one stream (the fig4/DSE sweep shape); since the
-grid refactor it delegates to
-:func:`~repro.memory.kernel.grid.simulate_grid`, which replays every
-LRU geometry of a :class:`~repro.memory.kernel.grid.SweepGrid` in one
-stack-distance pass per (line size, set count) group.  The
-differential harnesses in :mod:`repro.memory.kernel.verify` back the
+:func:`~repro.memory.kernel.grid.simulate_grid` replays every LRU
+geometry of a :class:`~repro.memory.kernel.grid.SweepGrid` over one
+stream in one stack-distance pass per (line size, set count) group.
+The differential harnesses in :mod:`repro.memory.kernel.verify` back the
 ``repro verify-kernel`` and ``repro verify-grid`` commands.
 """
 
@@ -36,7 +33,6 @@ from repro.memory.kernel.stream import (
 )
 from repro.memory.kernel.vector import (
     KernelUnsupported,
-    simulate_many,
     simulate_stream,
     unsupported_reason,
 )
@@ -57,7 +53,6 @@ __all__ = [
     "compile_stream",
     "report_differences",
     "simulate_grid",
-    "simulate_many",
     "simulate_stream",
     "unsupported_reason",
     "verify_kernel",

@@ -29,10 +29,8 @@ set-associative non-LRU shapes — and anything
 back to per-configuration replay: FIFO/LFU/2Q land on the vector
 kernel's per-set interpreters (counted in ``sim.grid.per_config`` —
 they never leave the kernel), while ARC/OPT/random configs must be
-pre-routed to the reference simulator by the caller (the engine's
-``simulate_image_grid`` does this, counting ``sim.kernel.fallbacks``),
-since :func:`~repro.memory.kernel.vector.simulate_stream` raises for
-them.
+pre-routed to the reference simulator by the caller, since
+:func:`~repro.memory.kernel.vector.simulate_stream` raises for them.
 Direct-mapped members of kernel-supported policies reuse the
 vectorized direct replay, one per group regardless of policy.
 """
@@ -59,20 +57,12 @@ from repro.obs import metrics
 from repro.obs.trace import span
 
 
-def _describe_cache(cache) -> list | None:
-    if cache is None:
-        return None
-    return [cache.size, cache.line_size, cache.associativity,
-            cache.policy]
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     """The cache axis of a sweep: hierarchy configurations to replay.
 
-    A first-class value so the engine can digest it (one ``grid_sim``
-    artifact covers the whole axis) and the kernel can partition it
-    into single-pass scan groups.
+    A first-class value the kernel can partition into single-pass
+    scan groups.
 
     Attributes:
         configs: hierarchy configurations
@@ -92,19 +82,6 @@ class SweepGrid:
 
     def __iter__(self):
         return iter(self.configs)
-
-    def describe(self) -> list:
-        """JSON-friendly description of the axis (digest input)."""
-        out = []
-        for cfg in self.configs:
-            loop = getattr(cfg, "loop_cache", None)
-            out.append({
-                "cache": _describe_cache(cfg.cache),
-                "l2": _describe_cache(cfg.l2_cache),
-                "spm": cfg.spm_size,
-                "loop": repr(loop) if loop is not None else None,
-            })
-        return out
 
     def partition(self) -> tuple[dict, list[int], list[int]]:
         """Split the axis into scan groups and per-config fallbacks.

@@ -515,37 +515,3 @@ def simulate(
     stream = compile_stream(image, block_sequence, spm_base=spm_base)
     return simulate_stream(stream, config, spm_base=spm_base)
 
-
-def simulate_many(
-    stream: FetchStream,
-    configs,
-    spm_base: int | None = None,
-) -> list[SimulationReport]:
-    """Replay one stream under many hierarchy configurations.
-
-    The expensive parts of a configuration sweep — stream compilation
-    and the per-line-size probe expansion — are shared: the stream is
-    compiled once by the caller and each distinct line size is expanded
-    once (memoised on the stream).  This is the fig4/DSE shape: one
-    fixed trace, thousands of cache configurations.
-
-    Since the grid refactor this is a thin wrapper over
-    :func:`repro.memory.kernel.grid.simulate_grid`: LRU shapes are
-    replayed in a single stack-distance pass per (line size, set
-    count) group and only non-stack (FIFO/LFU/2Q) / unsupported
-    shapes fall back to the per-configuration replay above.
-
-    Args:
-        stream: compiled fetch stream.
-        configs: iterable of hierarchy configurations.
-        spm_base: scratchpad base override applied to every run.
-
-    Returns:
-        One report per configuration, in input order.
-    """
-    from repro.memory.kernel.grid import SweepGrid, simulate_grid
-
-    grid = SweepGrid.of(configs)
-    metrics.inc("sim.kernel.batches")
-    with span("sim.kernel.batch", configs=len(grid)):
-        return simulate_grid(stream, grid, spm_base=spm_base)

@@ -54,7 +54,7 @@ class RunLog:
     Every line is a self-contained JSON object::
 
         {"ts": 1722945600.123, "run_id": "3f2a...", "source": "main",
-         "event": "stage.start", "stage": "grid_sim"}
+         "event": "stage.start", "stage": "graph"}
 
     The file is opened lazily on the first event and flushed after
     every line so an external ``tail -f`` sees events as they happen.

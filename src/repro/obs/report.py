@@ -9,8 +9,8 @@ JSON summary (``repro report FILE --json``):
 
 * per-stage timings and artifact-cache hit rates (from the record);
 * simulated I-cache / scratchpad statistics (from the metrics);
-* the top-N slowest work units (from the ``point.evaluate`` and
-  ``chunk.evaluate`` spans).
+* the top-N slowest design points (from the ``point.evaluate`` spans,
+  one per capacity step).
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from repro.utils.tables import format_table
 #: Schema version of the embedded ``casa`` run payload.
 RUN_SCHEMA = 1
 
-#: Span name identifying one design-point evaluation.
+#: Span name identifying one design-point evaluation (one capacity
+#: step of a grid chunk).
 POINT_SPAN = "point.evaluate"
-
-#: Span name identifying one grid-chunk evaluation (a capacity axis).
-CHUNK_SPAN = "chunk.evaluate"
 
 #: Span name identifying one ILP solve.
 SOLVE_SPAN = "ilp.solve"
@@ -110,14 +108,11 @@ class RunData:
         return [span["name"] for span in self.spans]
 
     def point_spans(self) -> list[dict[str, Any]]:
-        """The work-unit spans of the run.
+        """The design-point (:data:`POINT_SPAN`) spans of the run.
 
-        Design points (:data:`POINT_SPAN`) and grid chunks
-        (:data:`CHUNK_SPAN`) both count — a sweep schedules one or
-        the other depending on its ``grid`` flag.
+        One per capacity step of every evaluated grid chunk.
         """
-        return [s for s in self.spans
-                if s["name"] in (POINT_SPAN, CHUNK_SPAN)]
+        return [s for s in self.spans if s["name"] == POINT_SPAN]
 
     def solver_spans(self) -> list[dict[str, Any]]:
         """The ILP solve (:data:`SOLVE_SPAN`) spans of the run."""

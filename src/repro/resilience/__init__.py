@@ -6,8 +6,8 @@ Three layers, bottom up:
   named sites (:data:`~repro.resilience.faults.SITES`), driven by a
   :class:`~repro.resilience.faults.FaultPlan` (``$CASA_FAULTS``).
 * :mod:`repro.resilience.healing` — a self-healing variant of
-  ``map_points`` with per-point timeout, bounded retry-with-backoff,
-  pool restart on worker crashes and a per-point
+  ``map_points`` with a per-unit timeout, bounded retry-with-backoff,
+  pool restart on worker crashes and a per-unit
   :class:`~repro.resilience.healing.PointOutcome`.
 * :mod:`repro.resilience.chaos` — the differential gate: run a sweep
   with and without an injected plan and assert the deterministic

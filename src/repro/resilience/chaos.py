@@ -9,12 +9,10 @@ divergence means a resilience mechanism leaked state (a retry that
 was not idempotent, a quarantine that changed a result, a fallback
 that was not exact) and fails the gate.
 
-The sweep schedules one self-healed grid chunk per allocator by
-default — proving the retry/restart ladder on the grid pipeline's
-unit shape — with ``grid=False`` falling back to per-point units.
-Either shape adds one policy-varied configuration (the workload's
-cache as 2-way LFU) so a non-default replacement policy rides through
-the same ladder.
+The sweep schedules one self-healed grid chunk per allocator — the
+engine's one unit shape, so the whole chunk retries as one — plus one
+policy-varied configuration (the workload's cache as 2-way LFU) so a
+non-default replacement policy rides through the same ladder.
 The faulty pass runs against a throwaway on-disk cache that is warmed
 first and then stripped of its memory tier, so ``store.read`` faults
 genuinely exercise the quarantine-and-recompute ladder rather than
@@ -25,10 +23,9 @@ as ``make chaos-smoke``.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.engine.grid import GridChunk
-from repro.engine.parallel import PointSpec
 from repro.engine.store import ArtifactStore, set_default_store
 from repro.obs.live import note_phase
 from repro.obs.logging import log_event
@@ -75,23 +72,15 @@ def _signature(result) -> tuple:
     )
 
 
-def _label(point: PointSpec) -> str:
-    """Short display label of a design point."""
-    return f"{point.workload}/{point.algorithm}@{point.spm_size}"
-
-
 def _unit_signatures(result) -> list[tuple] | None:
-    """Per-point signatures of one work unit's result.
+    """Per-point signatures of one grid chunk's result list.
 
-    A grid chunk's result is a list (one entry per capacity step), a
-    design point's a single experiment result; either way the return
-    value is one signature per compared point, or ``None`` when the
-    unit produced nothing.
+    One signature per capacity step, or ``None`` when the unit
+    produced nothing.
     """
     if result is None:
         return None
-    steps = result if isinstance(result, list) else [result]
-    return [_signature(step) for step in steps]
+    return [_signature(step) for step in result]
 
 
 @dataclass
@@ -194,7 +183,6 @@ def run_chaos(
     seed: int = 0,
     jobs: int = 1,
     policy: RetryPolicy | None = None,
-    grid: bool = True,
 ) -> ChaosResult:
     """Run the chaos differential gate on one workload.
 
@@ -210,10 +198,6 @@ def run_chaos(
         jobs: worker processes of the faulty pass (the clean pass is
             always serial — it is the reference).
         policy: retry/timeout policy of the faulty pass.
-        grid: schedule one healed grid chunk per allocator (the grid
-            pipeline's unit shape — the whole chunk retries as one),
-            rather than one design point per (size, allocator) pair.
-            The compared observables are identical either way.
 
     Returns:
         A :class:`ChaosResult`; ``result.ok`` is the gate verdict.
@@ -225,47 +209,29 @@ def run_chaos(
     # sweep: the workload's cache made 2-way LFU, so the healing
     # ladder is proven over a non-default replacement policy (the
     # per-config vector fallback path) too.
-    from dataclasses import replace as _replace
-
     from repro.workloads.registry import get_workload
 
-    varied_cache = _replace(
+    varied_cache = replace(
         get_workload(workload, scale=scale).cache,
         associativity=2, policy="lfu",
     )
     varied_algorithm = algorithms[0]
-    if grid:
-        units: list = [
-            GridChunk(workload=workload, spm_sizes=sizes,
-                      algorithm=algorithm, scale=scale, seed=seed)
-            for algorithm in algorithms
-        ]
-        units.append(GridChunk(
-            workload=workload, spm_sizes=sizes[:1],
-            algorithm=varied_algorithm, scale=scale, seed=seed,
-            cache=varied_cache,
-        ))
-        labels = [
-            [f"{workload}/{algorithm}@{size}" for size in sizes]
-            for algorithm in algorithms
-        ]
-        labels.append([
-            f"{workload}/{varied_algorithm}@{size}[lfu,2way]"
-            for size in sizes[:1]
-        ])
-    else:
-        units = [
-            PointSpec(workload, size, algorithm, scale=scale,
-                      seed=seed)
-            for algorithm in algorithms
-            for size in sizes
-        ]
-        labels = [[_label(point)] for point in units]
-        units.append(PointSpec(
-            workload, sizes[0], varied_algorithm, scale=scale,
-            seed=seed, cache=varied_cache,
-        ))
-        labels.append([_label(units[-1]) + "[lfu,2way]"])
+    units = [
+        GridChunk(workload=workload, spm_sizes=sizes,
+                  algorithm=algorithm, scale=scale, seed=seed)
+        for algorithm in algorithms
+    ]
+    units.append(GridChunk(
+        workload=workload, spm_sizes=sizes[:1],
+        algorithm=varied_algorithm, scale=scale, seed=seed,
+        cache=varied_cache,
+    ))
+    labels = [
+        [replace(unit, spm_sizes=(size,)).label
+         for size in unit.spm_sizes]
+        for unit in units
+    ]
+    labels[-1] = [label + "[lfu,2way]" for label in labels[-1]]
     total_points = sum(len(group) for group in labels)
 
     # Reference pass: serial, memory-only store, injection disabled.

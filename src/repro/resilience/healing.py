@@ -1,18 +1,19 @@
 """Self-healing sweep execution: retries, timeouts, pool restarts.
 
 :func:`map_points_healed` is the resilient sibling of
-:func:`repro.engine.parallel.map_points`: same design points, same
-deterministic input-order results, but each point is evaluated under a
-:class:`RetryPolicy` — bounded retry-with-backoff, an optional
-per-point timeout, and worker-crash detection with process-pool
-restart — and the sweep returns a :class:`HealedRun` of per-point
-:class:`PointOutcome` records instead of raising on the first failure.
+:func:`repro.engine.parallel.map_points`: same work units (grid
+chunks), same deterministic input-order results, but each unit is
+evaluated under a :class:`RetryPolicy` — bounded retry-with-backoff,
+an optional per-unit timeout, and worker-crash detection with
+process-pool restart — and the sweep returns a :class:`HealedRun` of
+per-unit :class:`PointOutcome` records instead of raising on the first
+failure.
 
 The healing loop leans on one invariant of the fault framework:
 injection rules skip retry attempts unless explicitly opted in
 (``retries``), so a bounded number of retries always converges to the
 fault-free result.  Because every stage of the engine is deterministic,
-a retried or recomputed point is bit-identical to a never-faulted one —
+a retried or recomputed unit is bit-identical to a never-faulted one —
 which is exactly what the chaos gate (:mod:`repro.resilience.chaos`)
 asserts.
 
@@ -31,20 +32,18 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.engine.grid import GridChunk, check_algorithms
 from repro.engine.parallel import (
-    POINT_ALGORITHMS,
-    PointSpec,
     _active_fault_spec,
     _evaluate_in_worker,
-    _evaluate_spec,
+    _evaluate_unit,
     _init_worker,
     _setup_worker_live,
     _teardown_worker_live,
 )
 from repro.engine.runner import RunRecord, StageRunner
 from repro.engine.store import default_store
-from repro.errors import ConfigurationError, InjectedFault, \
-    PointTimeoutError
+from repro.errors import InjectedFault, PointTimeoutError
 from repro.obs import metrics
 from repro.obs.events import active_recorder
 from repro.obs.live import note_total
@@ -65,13 +64,15 @@ class RetryPolicy:
     """How hard :func:`map_points_healed` tries before giving up.
 
     Attributes:
-        max_attempts: total tries per point (1 = no retries).
+        max_attempts: total tries per work unit — one grid chunk,
+            i.e. a whole capacity axis (1 = no retries).
         backoff_s: sleep before the first retry, in seconds.
         backoff_factor: multiplier applied to the backoff per retry.
-        timeout_s: per-point evaluation timeout (``None`` = none).
-            On the pool path the bound covers waiting for the worker,
-            so queueing behind other points counts toward it; size it
-            for the whole batch or raise ``jobs``.
+        timeout_s: evaluation timeout per work unit — one grid chunk,
+            i.e. a whole capacity axis (``None`` = none).  On the pool
+            path the bound covers waiting for the worker, so queueing
+            behind other units counts toward it; size it for the
+            whole batch or raise ``jobs``.
     """
 
     max_attempts: int = 3
@@ -86,11 +87,11 @@ class RetryPolicy:
 
 @dataclass
 class PointOutcome:
-    """What happened to one design point of a healed sweep.
+    """What happened to one work unit of a healed sweep.
 
     Attributes:
-        index: position of the point in the input list.
-        point: the design point itself.
+        index: position of the unit in the input list.
+        point: the work unit itself (a grid chunk).
         status: one of :data:`OUTCOME_STATUSES` — ``ok`` (first try),
             ``retried`` (succeeded after >= 1 retry), ``degraded``
             (succeeded but a degradation ladder fired, e.g. the CASA
@@ -98,9 +99,9 @@ class PointOutcome:
         attempts: evaluation attempts consumed (>= 1).
         error: structured record of the last failure —
             ``{"type", "message", "site"}`` — or ``None``.
-        result: the experiment result (a result *list* when the work
-            unit was a grid chunk), or ``None`` when failed.
-        wall_s: total wall time spent on this point across all
+        result: the chunk's per-capacity result list, or ``None`` when
+            failed.
+        wall_s: total wall time spent on this unit across all
             attempts, in seconds.
         attempt_seconds: per-attempt wall times in attempt order, so
             the report can show where retry time went (everything
@@ -110,11 +111,11 @@ class PointOutcome:
     """
 
     index: int
-    point: PointSpec
+    point: GridChunk
     status: str
     attempts: int
     error: dict[str, str] | None = None
-    result: "ExperimentResult | None" = None
+    result: "list[ExperimentResult] | None" = None
     wall_s: float = 0.0
     attempt_seconds: list[float] = field(default_factory=list)
     run_id: str | None = None
@@ -126,8 +127,8 @@ class PointOutcome:
 
     def describe(self) -> str:
         """One-line human-readable summary of this outcome."""
-        label = _describe_point(self.point)
-        text = f"{label}: {self.status} after {self.attempts} attempt(s)"
+        text = (f"{self.point.label}: {self.status} after "
+                f"{self.attempts} attempt(s)")
         if self.error is not None:
             text += f" — {self.error['type']}: {self.error['message']}"
         return text
@@ -135,17 +136,17 @@ class PointOutcome:
 
 @dataclass
 class HealedRun:
-    """The outcome of a self-healing sweep, one record per point.
+    """The outcome of a self-healing sweep, one record per unit.
 
     Attributes:
-        outcomes: per-point outcomes, in input order.
+        outcomes: per-unit outcomes, in input order.
     """
 
     outcomes: list[PointOutcome] = field(default_factory=list)
 
     @property
-    def results(self) -> list["ExperimentResult | None"]:
-        """Per-point results in input order (``None`` where failed)."""
+    def results(self) -> list["list[ExperimentResult] | None"]:
+        """Per-unit result lists in input order (``None`` where failed)."""
         return [outcome.result for outcome in self.outcomes]
 
     @property
@@ -177,15 +178,6 @@ class HealedRun:
         return sum(outcome.retry_s for outcome in self.outcomes)
 
 
-def _describe_point(point) -> str:
-    """Short identifier of a point (or grid chunk) for error records."""
-    sizes = getattr(point, "spm_sizes", None)
-    if sizes is not None:
-        axis = "+".join(str(size) for size in sizes)
-        return f"{point.workload}/{point.algorithm}@[{axis}]"
-    return f"{point.workload}/{point.algorithm}@{point.spm_size}"
-
-
 def _error_record(error: BaseException) -> dict[str, str]:
     """The structured ``PointOutcome.error`` form of an exception."""
     return {
@@ -204,8 +196,8 @@ def _note_attempt_times(attempt_seconds: list[float] | None
     return sum(durations), durations
 
 
-def _finish_outcome(index: int, point: PointSpec, attempts: int,
-                    result: "ExperimentResult",
+def _finish_outcome(index: int, point: GridChunk, attempts: int,
+                    result: "list[ExperimentResult]",
                     error: BaseException | None,
                     attempt_seconds: list[float] | None = None
                     ) -> PointOutcome:
@@ -213,14 +205,13 @@ def _finish_outcome(index: int, point: PointSpec, attempts: int,
 
     Distinguishes ``ok`` / ``retried`` / ``degraded`` and counts
     degraded points; *error* is the last failure before the
-    success, kept for the report.  A grid chunk's result is a list —
-    the outcome is ``degraded`` when *any* capacity step degraded.
+    success, kept for the report.  The outcome is ``degraded`` when
+    *any* capacity step of the chunk degraded.
     """
-    steps = result if isinstance(result, list) else [result]
     degraded = any(
         getattr(getattr(step, "allocation", None),
                 "solver_status", "") == "degraded"
-        for step in steps
+        for step in result
     )
     if degraded:
         metrics.inc("resilience.degraded_points")
@@ -238,13 +229,13 @@ def _finish_outcome(index: int, point: PointSpec, attempts: int,
     )
 
 
-def _failed_outcome(index: int, point: PointSpec, attempts: int,
+def _failed_outcome(index: int, point: GridChunk, attempts: int,
                     error: BaseException,
                     attempt_seconds: list[float] | None = None
                     ) -> PointOutcome:
     """Build (and count) the outcome of an exhausted point."""
     metrics.inc("resilience.failed_points")
-    log_event("point.failed", point=_describe_point(point),
+    log_event("point.failed", point=point.label,
               attempts=attempts, error=type(error).__name__)
     wall, durations = _note_attempt_times(attempt_seconds)
     return PointOutcome(
@@ -254,9 +245,9 @@ def _failed_outcome(index: int, point: PointSpec, attempts: int,
     )
 
 
-def _evaluate_with_timeout(point: PointSpec, runner: StageRunner,
+def _evaluate_with_timeout(point: GridChunk, runner: StageRunner,
                            timeout_s: float | None
-                           ) -> "ExperimentResult":
+                           ) -> "list[ExperimentResult]":
     """Serial-path evaluation with an optional wall-clock bound.
 
     The bounded variant runs the evaluation on a daemon thread and
@@ -265,12 +256,12 @@ def _evaluate_with_timeout(point: PointSpec, runner: StageRunner,
     on).  Raises :class:`~repro.errors.PointTimeoutError` on timeout.
     """
     if timeout_s is None:
-        return _evaluate_spec(point, runner=runner)
+        return _evaluate_unit(point, runner=runner)
     box: dict[str, Any] = {}
 
     def target() -> None:
         try:
-            box["result"] = _evaluate_spec(point, runner=runner)
+            box["result"] = _evaluate_unit(point, runner=runner)
         except BaseException as error:  # noqa: BLE001 — forwarded below
             box["error"] = error
 
@@ -279,15 +270,15 @@ def _evaluate_with_timeout(point: PointSpec, runner: StageRunner,
     thread.join(timeout_s)
     if thread.is_alive():
         raise PointTimeoutError(
-            f"point {_describe_point(point)} exceeded {timeout_s:g}s",
-            point=_describe_point(point), seconds=timeout_s,
+            f"point {point.label} exceeded {timeout_s:g}s",
+            point=point.label, seconds=timeout_s,
         )
     if "error" in box:
         raise box["error"]
     return box["result"]
 
 
-def _heal_serial(points: list[PointSpec], policy: RetryPolicy,
+def _heal_serial(points: list[GridChunk], policy: RetryPolicy,
                  record: RunRecord | None) -> HealedRun:
     """Serial healing loop: retry each point in-process."""
     runner = StageRunner(record=record)
@@ -302,13 +293,13 @@ def _heal_serial(points: list[PointSpec], policy: RetryPolicy,
             try:
                 result = _evaluate_with_timeout(
                     point, runner, policy.timeout_s)
-            except Exception as error:  # contained: reported per point
+            except Exception as error:  # contained: reported per unit
                 durations.append(time.perf_counter() - started)
                 last_error = error
                 if attempt + 1 < policy.max_attempts:
                     metrics.inc("resilience.retries")
                     log_event("point.retry",
-                              point=_describe_point(point),
+                              point=point.label,
                               attempt=attempt + 1,
                               error=type(error).__name__)
                     time.sleep(policy.backoff_for(attempt))
@@ -328,16 +319,16 @@ def _heal_serial(points: list[PointSpec], policy: RetryPolicy,
     return HealedRun(outcomes)
 
 
-def _heal_pooled(points: list[PointSpec], jobs: int,
+def _heal_pooled(points: list[GridChunk], jobs: int,
                  policy: RetryPolicy, record: RunRecord | None,
                  cache_dir: str | os.PathLike | None) -> HealedRun:
-    """Pool healing loop: per-point retries plus pool restarts.
+    """Pool healing loop: per-unit retries plus pool restarts.
 
     Raises whatever pool *creation* raises (including an injected
     ``worker.spawn`` fault) — the caller degrades to the serial
     healing path, mirroring plain ``map_points``.  Once a pool exists,
-    a broken pool (worker crash) or a per-point timeout restarts it
-    and re-runs every unfinished point with its attempt counter
+    a broken pool (worker crash) or a unit timeout restarts it
+    and re-runs every unfinished unit with its attempt counter
     advanced, so injected first-attempt faults cannot recur and the
     loop provably terminates.
     """
@@ -420,9 +411,9 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
                 # point re-runs with its attempt advanced (injected
                 # first-attempt faults cannot recur).
                 error = PointTimeoutError(
-                    f"point {_describe_point(points[index])} exceeded "
+                    f"point {points[index].label} exceeded "
                     f"{policy.timeout_s:g}s",
-                    point=_describe_point(points[index]),
+                    point=points[index].label,
                     seconds=policy.timeout_s or 0.0,
                 )
                 for other in pending:
@@ -447,7 +438,7 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
                 if attempts[index] < policy.max_attempts:
                     metrics.inc("resilience.retries")
                     log_event("point.retry",
-                              point=_describe_point(points[index]),
+                              point=points[index].label,
                               attempt=attempts[index],
                               error=type(error).__name__)
                     time.sleep(policy.backoff_for(attempts[index] - 1))
@@ -499,29 +490,28 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
 
 
 def map_points_healed(
-    points: list[PointSpec] | tuple[PointSpec, ...],
+    points: list[GridChunk] | tuple[GridChunk, ...],
     jobs: int = 1,
     policy: RetryPolicy | None = None,
     record: RunRecord | None = None,
     cache_dir: str | os.PathLike | None = None,
 ) -> HealedRun:
-    """Evaluate *points* with self-healing; never raises per-point.
+    """Evaluate *points* with self-healing; never raises per unit.
 
     The resilient counterpart of
     :func:`repro.engine.parallel.map_points`: failures are retried
     under *policy* (with backoff), worker crashes restart the pool,
-    per-point timeouts are enforced, and the sweep always completes,
+    per-unit timeouts are enforced, and the sweep always completes,
     returning a :class:`HealedRun` whose outcomes (and results) are in
-    input order.  Points that still fail after ``policy.max_attempts``
+    input order.  Units that still fail after ``policy.max_attempts``
     tries are reported as ``failed`` outcomes with a structured error
     instead of aborting the sweep.
 
     Args:
-        points: work units — design points and/or
-            :class:`~repro.engine.grid.GridChunk` capacity axes — in
+        points: :class:`~repro.engine.grid.GridChunk` work units in
             the order outcomes are wanted (a chunk's outcome carries
-            the *list* of its per-capacity results, and the whole
-            chunk retries as one unit).
+            the list of its per-capacity results, and the whole chunk
+            retries as one unit).
         jobs: worker processes; ``<= 1`` heals serially in-process.
         policy: retry/timeout policy (default :class:`RetryPolicy`).
         record: run record receiving merged per-stage counters from
@@ -535,12 +525,7 @@ def map_points_healed(
     """
     points = list(points)
     policy = policy if policy is not None else RetryPolicy()
-    for point in points:
-        if point.algorithm not in POINT_ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {point.algorithm!r}; choose from "
-                f"{POINT_ALGORITHMS}"
-            )
+    check_algorithms(points)
     note_total(len(points))
     log_event("heal.start", units=len(points), jobs=jobs,
               max_attempts=policy.max_attempts)

@@ -2,10 +2,9 @@
 
 Requests that share a compatibility key — same tenant, workload,
 session configuration and allocator — are answered most cheaply as
-*one* grid chunk: the workbench profiles once, the capacity axis
-solves in ascending order with warm starts, and the single-pass cache
-replay serves every capacity from one stream expansion
-(``sim.kernel.stream_reuse``).  The :class:`MicroBatcher` therefore
+*one* grid chunk: the workbench profiles once and the capacity axis
+solves in ascending order, each step through the shared ``result``
+artifacts.  The :class:`MicroBatcher` therefore
 holds each incoming request briefly (bounded by ``max_delay_s``) in a
 per-key group, flushing every pending group as one batch when any
 group reaches ``max_batch`` requests or the oldest enqueued request

@@ -1,10 +1,10 @@
 """Grid pipeline: single-pass replay and grid chunks.
 
-The grid pipeline's contract is that batching is purely a wall-clock
-optimisation: :func:`~repro.memory.kernel.grid.simulate_grid` must
-match per-configuration simulation bit for bit, and a sweep
-scheduled as :class:`~repro.engine.grid.GridChunk` work units must
-reproduce the per-point path's reports and allocations byte for byte.
+:func:`~repro.memory.kernel.grid.simulate_grid` must match
+per-configuration simulation bit for bit; a
+:class:`~repro.engine.grid.GridChunk` over a capacity axis must
+reproduce one-size chunks' reports and allocations byte for byte, and
+its capacity steps share the per-size ``result`` artifacts.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from repro.core.pipeline import Workbench, WorkbenchConfig
 from repro.engine.grid import CHUNK_ALGORITHMS, GridChunk, \
     evaluate_chunk
-from repro.engine.parallel import PointSpec, evaluate_point, \
-    map_points
 from repro.engine.runner import StageRunner, make_workbench
 from repro.engine.store import ArtifactStore, set_default_store
 from repro.errors import ConfigurationError
@@ -83,16 +81,25 @@ class TestGridOnRandomPrograms:
             assert not report_differences(reference, vector)
 
 
+def fresh_workbench():
+    """The tiny workbench on its own fresh in-memory store."""
+    runner = StageRunner(store=ArtifactStore())
+    _, bench = make_workbench("tiny", 0.2, 0, runner=runner)
+    return runner, bench
+
+
 class TestRunGrid:
     """Workbench.run_grid == the per-size run_* entry points."""
 
-    def test_matches_per_size_runs(self, tiny_workbench):
-        bench = tiny_workbench
+    def test_matches_per_size_runs(self):
         sizes = (64, 128)
-        for algorithm, run in (("casa", bench.run_casa),
-                               ("steinke", bench.run_steinke),
-                               ("greedy", bench.run_greedy)):
-            grid_results = bench.run_grid(algorithm, sizes)
+        for algorithm in ("casa", "steinke", "greedy"):
+            # Separate stores, so both sides are real computations
+            # rather than one serving the other's result artifacts.
+            _, grid_bench = fresh_workbench()
+            grid_results = grid_bench.run_grid(algorithm, sizes)
+            _, single_bench = fresh_workbench()
+            run = getattr(single_bench, f"run_{algorithm}")
             for size, from_grid in zip(sizes, grid_results):
                 single = run(size)
                 assert not report_differences(single.report,
@@ -112,31 +119,32 @@ class TestRunGrid:
             tiny_workbench.run_grid("nonsense", (64,))
 
 
-class TestSimulateImageGrid:
-    """One grid_sim artifact covers the whole cache axis."""
+class TestSharedResultKey:
+    """Grid steps and per-size runs share one ``result`` entry."""
 
-    def test_reports_match_and_artifact_is_reused(self):
-        runner = StageRunner(store=ArtifactStore())
-        workload, bench = make_workbench("tiny", 0.2, 0,
-                                         runner=runner)
-        image = LinkedImage(bench.program, bench.memory_objects)
-        grid = lru_axis()
-        first = bench.simulate_image_grid(image, grid)
-        assert len(first) == len(grid)
-        for hierarchy, grid_report in zip(grid, first):
-            reference = simulate(
-                image, hierarchy, bench.block_sequence,
-                spm_base=bench.config.spm_base, backend="reference",
-            )
-            assert not report_differences(reference, grid_report)
-        stages = runner.record.stages
-        assert stages["grid_sim"].computed == 1
-        second = bench.simulate_image_grid(image, grid)
-        stages = runner.record.stages
-        assert stages["grid_sim"].computed == 1
-        assert stages["grid_sim"].hits == 1
-        for a, b in zip(first, second):
-            assert not report_differences(a, b)
+    def _assert_served(self, runner, grid, single):
+        grid()
+        before = runner.record.stages["result"]
+        single()
+        after = runner.record.stages["result"]
+        assert after.hits == before.hits + 1
+        assert after.computed == before.computed
+
+    def test_casa_step_serves_run_casa(self):
+        runner, bench = fresh_workbench()
+        self._assert_served(
+            runner,
+            lambda: bench.run_grid("casa", (64, 128)),
+            lambda: bench.run_casa(128),
+        )
+
+    def test_ross_step_serves_run_ross(self):
+        runner, bench = fresh_workbench()
+        self._assert_served(
+            runner,
+            lambda: bench.run_grid("ross", (64, 128), max_regions=2),
+            lambda: bench.run_ross(128, max_regions=2),
+        )
 
 
 class TestGridChunks:
@@ -154,7 +162,8 @@ class TestGridChunks:
                           algorithm="casa", scale=0.2)
         from_chunk = self._fresh(lambda: evaluate_chunk(chunk))
         from_points = self._fresh(lambda: [
-            evaluate_point(PointSpec("tiny", size, "casa", scale=0.2))
+            evaluate_chunk(GridChunk(workload="tiny", spm_sizes=(size,),
+                                     algorithm="casa", scale=0.2))[0]
             for size in (64, 128)
         ])
         assert len(from_chunk) == len(from_points)
@@ -171,17 +180,6 @@ class TestGridChunks:
             evaluate_chunk(GridChunk(workload="tiny",
                                      spm_sizes=(64,),
                                      algorithm="nonsense"))
-
-    def test_map_points_mixes_chunks_and_points(self):
-        units = [
-            GridChunk(workload="tiny", spm_sizes=(64, 128),
-                      algorithm="greedy", scale=0.2),
-            PointSpec("tiny", 64, "greedy", scale=0.2),
-        ]
-        results = self._fresh(lambda: map_points(units))
-        assert isinstance(results[0], list) and len(results[0]) == 2
-        assert not isinstance(results[1], list)
-        assert results[0][0].energy.total == results[1].energy.total
 
     def test_healed_chunk_retries_as_one_unit(self):
         from repro.resilience.faults import FaultPlan, set_fault_plan
@@ -227,7 +225,7 @@ class TestVerifyGridGate:
         assert not case.ok
         assert "zero-coverage" in case.differences[0]
 
-    def test_allocation_comparison_ignores_solver_nodes(self):
+    def test_allocation_comparison_reports_solver_nodes(self):
         from dataclasses import replace
 
         from repro.core.allocation import Allocation
@@ -239,7 +237,9 @@ class TestVerifyGridGate:
                           predicted_energy=1.0, solver_nodes=7,
                           solver_status="optimal", capacity=64,
                           used_bytes=8)
-        assert not allocation_differences(
-            base, replace(base, solver_nodes=3))
+        assert not allocation_differences(base, replace(base))
+        assert allocation_differences(
+            base, replace(base, solver_nodes=3)) == [
+            "allocation.solver_nodes: reference 7 != kernel 3"]
         assert allocation_differences(
             base, replace(base, spm_resident=frozenset()))

@@ -11,7 +11,10 @@ from __future__ import annotations
 import json
 
 from repro.cli import main
-from repro.obs.report import CHUNK_SPAN, POINT_SPAN
+from repro.obs.report import POINT_SPAN
+
+#: Span name of one grid-chunk (work-unit) evaluation.
+CHUNK_SPAN = "chunk.evaluate"
 
 #: Timing-only span attributes, excluded from identity comparisons.
 TIMING_ARGS = ("cpu_us", "depth")
@@ -68,9 +71,10 @@ def test_parallel_trace_matches_serial(tmp_path, capsys):
     assert serial_names == parallel_names
     assert point_signatures(serial) == point_signatures(parallel)
 
-    # The expected instrumentation is present on a cold run (the
-    # sweep schedules grid chunks by default).
+    # The expected instrumentation is present on a cold run: one
+    # chunk per allocator, one design-point span per capacity step.
     assert CHUNK_SPAN in serial_names
+    assert POINT_SPAN in serial_names
     assert "engine.resolve.result" in serial_names
     assert "ilp.solve" in serial_names
     assert "sim.hierarchy" in serial_names

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from repro.engine.parallel import PointSpec, map_points
+from repro.engine.grid import GridChunk
+from repro.engine.parallel import map_points
 from repro.engine.store import ArtifactStore, set_default_store
 from repro.obs.live import (
     HeartbeatWriter,
@@ -239,8 +240,8 @@ class TestPrometheusRender:
 
 class TestEndToEnd:
     def test_sweep_feeds_bus_and_converges(self, shared_cache, bus):
-        points = [PointSpec("tiny", 64, "casa", scale=0.2),
-                  PointSpec("tiny", 128, "casa", scale=0.2)]
+        points = [GridChunk("tiny", (64,), "casa", scale=0.2),
+                  GridChunk("tiny", (128,), "casa", scale=0.2)]
         results = map_points(points, jobs=1)
         assert len(results) == 2
         snapshot = bus.snapshot()
@@ -267,7 +268,7 @@ class TestEndToEnd:
         poller.start()
         try:
             results = map_points(
-                [PointSpec("tiny", 64, "casa", scale=0.2)], jobs=1)
+                [GridChunk("tiny", (64,), "casa", scale=0.2)], jobs=1)
         finally:
             stop.set()
             poller.join(timeout=5.0)

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.engine.parallel import PointSpec, map_points
+from repro.engine.grid import GridChunk
+from repro.engine.parallel import map_points
 from repro.engine.store import ArtifactStore, set_default_store
 from repro.errors import ConfigurationError
 from repro.obs.events import EventRecorder, set_recorder
@@ -23,10 +24,10 @@ from repro.resilience.healing import (
 )
 
 POINTS = [
-    PointSpec("tiny", 64, "casa", scale=0.2),
-    PointSpec("tiny", 64, "steinke", scale=0.2),
-    PointSpec("tiny", 128, "casa", scale=0.2),
-    PointSpec("tiny", 128, "steinke", scale=0.2),
+    GridChunk("tiny", (64,), "casa", scale=0.2),
+    GridChunk("tiny", (64,), "steinke", scale=0.2),
+    GridChunk("tiny", (128,), "casa", scale=0.2),
+    GridChunk("tiny", (128,), "steinke", scale=0.2),
 ]
 
 
@@ -60,10 +61,10 @@ def shared_cache(tmp_path):
 
 
 def signatures(results):
-    """The deterministic observables of a result list."""
+    """The deterministic observables of per-unit result lists."""
     return [(r.energy.total, r.report.cache_misses,
              tuple(sorted(r.allocation.spm_resident)))
-            for r in results]
+            for unit in results for r in unit]
 
 
 def test_transient_fault_is_retried_to_identical_result(registry):
@@ -215,7 +216,7 @@ def test_outcomes_carry_active_run_id(tmp_path):
 
 def test_unknown_algorithm_rejected_up_front():
     with pytest.raises(ConfigurationError):
-        map_points_healed([PointSpec("tiny", 64, "annealing")])
+        map_points_healed([GridChunk("tiny", (64,), "annealing")])
 
 
 def test_finish_outcome_classifies_degraded_results(registry):
@@ -224,9 +225,9 @@ def test_finish_outcome_classifies_degraded_results(registry):
         allocation=SimpleNamespace(solver_status="degraded"))
     optimal = SimpleNamespace(
         allocation=SimpleNamespace(solver_status="optimal"))
-    assert _finish_outcome(0, point, 1, degraded, None).status \
-        == "degraded"
-    assert _finish_outcome(0, point, 2, optimal, None).status \
+    assert _finish_outcome(0, point, 1, [optimal, degraded],
+                           None).status == "degraded"
+    assert _finish_outcome(0, point, 2, [optimal], None).status \
         == "retried"
-    assert _finish_outcome(0, point, 1, optimal, None).status == "ok"
+    assert _finish_outcome(0, point, 1, [optimal], None).status == "ok"
     assert registry.value("resilience.degraded_points") == 1
