@@ -456,11 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=1,
                        help="worker processes for multi-chunk "
                             "batches (default 1)")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batch flush threshold (default 8)")
-    serve.add_argument("--max-delay", type=float, default=0.02,
-                       help="micro-batch flush deadline in seconds "
-                            "(default 0.02)")
     serve.add_argument(
         "--store-backend", default="memory", metavar="SPEC",
         help="tenant-store backend spec: 'memory[:bytes]', "
@@ -821,8 +816,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         jobs=args.jobs,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay,
         store_backend=args.store_backend,
         retry=RetryPolicy(max_attempts=args.max_attempts,
                           timeout_s=args.timeout),

@@ -628,9 +628,9 @@ def measure_serve_latency(
     """
     from repro.serve.daemon import start_in_thread
     from repro.serve.loadgen import run_load
-    from repro.serve.service import AllocationService, ServiceConfig
+    from repro.serve.service import AllocationService
 
-    service = AllocationService(ServiceConfig(max_delay_s=0.02))
+    service = AllocationService()
     handle = start_in_thread(service)
     try:
         report = run_load(
@@ -660,8 +660,8 @@ def measure_serve_overload(
     Three short segments, the first two fully deterministic:
 
     1. **admission** — a service bounded to one in-flight request
-       holds a slow solve in the micro-batcher while *sheds* more
-       requests arrive; every one must shed, so
+       has admitted one solve when *sheds* more requests arrive
+       (admission is synchronous); every one must shed, so
        ``serve.overload.shed.total`` is exactly *sheds*.
     2. **breaker** — a service with ``breaker_threshold=2`` sees two
        genuinely failing requests (an unknown workload; healed faults
@@ -684,16 +684,15 @@ def measure_serve_overload(
 
     metrics: dict[str, float] = {}
 
-    # Segment 1: exactly `sheds` overload sheds behind one slow solve.
-    service = AllocationService(ServiceConfig(
-        max_inflight=1, max_delay_s=0.3))
+    # Segment 1: exactly `sheds` overload sheds behind one solve.
+    service = AllocationService(ServiceConfig(max_inflight=1))
     service.start()
     try:
         async def admission_scenario() -> None:
             slow = asyncio.ensure_future(service.handle(
                 EvaluateRequest(workload_name, scale=scale,
                                 seed=seed, spm_size=64)))
-            await asyncio.sleep(0.05)  # admitted, queued in batcher
+            await asyncio.sleep(0)  # admitted, queued in batcher
             for _ in range(sheds):
                 response = await service.handle(EvaluateRequest(
                     workload_name, scale=scale, seed=seed,
@@ -726,8 +725,7 @@ def measure_serve_overload(
         service.registry.value("serve.breaker.opens")
 
     # Segment 3: accepted-request latency under 2x overload.
-    service = AllocationService(ServiceConfig(
-        max_inflight=2, max_delay_s=0.02))
+    service = AllocationService(ServiceConfig(max_inflight=2))
     handle = start_in_thread(service)
     try:
         run_load(handle.url, requests=4, workers=1,

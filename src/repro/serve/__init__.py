@@ -5,7 +5,8 @@ Layers, bottom up:
 * :mod:`repro.serve.schema` — versioned wire request/response
   dataclasses (the canonical public API of the Session verbs);
 * :mod:`repro.serve.batching` — the micro-batching queue coalescing
-  compatible requests into shared grid chunks;
+  compatible requests queued behind a running batch into shared grid
+  chunks;
 * :mod:`repro.serve.breaker` / :mod:`repro.serve.admission` — the
   hardening layer: per-verb circuit breakers behind an admission
   controller enforcing max-in-flight, per-tenant quotas and drain;

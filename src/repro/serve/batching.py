@@ -4,11 +4,12 @@ Requests that share a compatibility key — same tenant, workload,
 session configuration and allocator — are answered most cheaply as
 *one* grid chunk: the workbench profiles once and the capacity axis
 solves in ascending order, each step through the shared ``result``
-artifacts.  The :class:`MicroBatcher` therefore
-holds each incoming request briefly (bounded by ``max_delay_s``) in a
-per-key group, flushing every pending group as one batch when any
-group reaches ``max_batch`` requests or the oldest enqueued request
-hits the deadline.
+artifacts.  The :class:`MicroBatcher` batches only what is already
+queued and never waits for more: an idle batcher flushes at the end
+of the current event-loop iteration (so one ``asyncio.gather`` still
+shares a batch), and requests arriving while a batch runs flush
+together when it completes.  Batches run one at a time, and the
+admission controller's ``max_inflight`` bounds the queue.
 
 Batching metrics (on the registry the batcher is built with):
 ``serve.batch.flushes``, ``serve.batch.size`` (histogram of group
@@ -23,13 +24,6 @@ from typing import Any, Awaitable, Callable, Hashable
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Default flush threshold: a group this large flushes immediately.
-DEFAULT_MAX_BATCH = 8
-
-#: Default flush deadline in seconds: no request waits longer than
-#: this for companions to coalesce with.
-DEFAULT_MAX_DELAY_S = 0.02
-
 #: One pending batch: ``(key, [request, ...])``.
 Group = tuple[Hashable, list[Any]]
 
@@ -41,12 +35,8 @@ class MicroBatcher:
         execute: async callable receiving the drained groups (a list
             of ``(key, requests)`` pairs) and returning one result
             list per group, aligned request-for-request.  Called from
-            the event loop; long work belongs in an executor inside
-            *execute*.
-        max_batch: flush as soon as any single group holds this many
-            requests.
-        max_delay_s: flush at latest this long after the first
-            request of the current batching window arrived.
+            the event loop, at most one batch at a time; long work
+            belongs in an executor inside *execute*.
         registry: metrics registry receiving the batching counters
             (``None`` disables them).
     """
@@ -54,17 +44,13 @@ class MicroBatcher:
     def __init__(
         self,
         execute: Callable[[list[Group]], Awaitable[list[list[Any]]]],
-        max_batch: int = DEFAULT_MAX_BATCH,
-        max_delay_s: float = DEFAULT_MAX_DELAY_S,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self._execute = execute
-        self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
         self._registry = registry
         self._pending: dict[Hashable, list[tuple[Any,
                                                  asyncio.Future]]] = {}
-        self._deadline: asyncio.TimerHandle | None = None
+        self._busy = False  # a flush is scheduled or a batch is running
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         if self._registry is not None:
@@ -83,38 +69,29 @@ class MicroBatcher:
         if group:
             self._count("serve.batch.coalesced")
         group.append((request, future))
-        if len(group) >= self.max_batch:
-            self._flush_now()
-        elif self._deadline is None:
-            self._deadline = loop.call_later(self.max_delay_s,
-                                             self._flush_now)
+        if not self._busy:
+            self._busy = True
+            loop.call_soon(self._flush)
         return await future
 
-    def _flush_now(self) -> None:
+    def _flush(self) -> None:
         """Drain every pending group into one batch execution task."""
-        if self._deadline is not None:
-            self._deadline.cancel()
-            self._deadline = None
         if not self._pending:
+            self._busy = False
             return
-        drained = self._pending
-        self._pending = {}
+        drained, self._pending = self._pending, {}
         self._count("serve.batch.flushes")
-        for group in drained.values():
-            if self._registry is not None:
+        if self._registry is not None:
+            for group in drained.values():
                 self._registry.histogram("serve.batch.size").observe(
                     len(group))
         asyncio.get_running_loop().create_task(self._run(drained))
-
-    async def flush(self) -> None:
-        """Flush pending groups immediately (shutdown / tests)."""
-        self._flush_now()
 
     async def _run(
         self,
         drained: dict[Hashable, list[tuple[Any, asyncio.Future]]],
     ) -> None:
-        """Execute one drained batch and distribute the results."""
+        """Execute one drained batch, then flush what queued meanwhile."""
         groups: list[Group] = [
             (key, [request for request, _ in entries])
             for key, entries in drained.items()
@@ -126,8 +103,9 @@ class MicroBatcher:
                 for _, future in entries:
                     if not future.done():
                         future.set_exception(error)
-            return
-        for (_, entries), results in zip(drained.items(), per_group):
-            for (_, future), result in zip(entries, results):
-                if not future.done():
-                    future.set_result(result)
+        else:
+            for entries, results in zip(drained.values(), per_group):
+                for (_, future), result in zip(entries, results):
+                    if not future.done():
+                        future.set_result(result)
+        self._flush()

@@ -254,7 +254,7 @@ def run_serve_chaos(workload: str = "tiny", scale: float = 0.2,
     """
     result = ServeChaosResult()
     daemon = _Daemon([
-        "--jobs", "1", "--max-batch", "4", "--max-delay", "0.05",
+        "--jobs", "1",
         "--max-inflight", str(max_inflight),
         "--breaker-threshold", "0",
         "--client-timeout", "1.0",

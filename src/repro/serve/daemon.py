@@ -33,9 +33,9 @@ Hardening at this layer (the service handles admission/deadlines):
 
 :func:`run_daemon` is the blocking entry point behind ``repro serve``;
 on SIGTERM/SIGINT it drains gracefully — new work sheds immediately,
-``/healthz`` and ``/readyz`` flip to 503, pending batches flush,
-in-flight requests get ``drain_timeout_s`` to finish, and the process
-exits 0.  :func:`start_in_thread` runs the same daemon on a background
+``/healthz`` and ``/readyz`` flip to 503, in-flight requests
+(queued ones included) get ``drain_timeout_s`` to finish, and the
+process exits 0.  :func:`start_in_thread` runs the same daemon on a background
 thread for tests, benches and the smoke gate.
 """
 
@@ -440,7 +440,7 @@ def run_daemon(service: AllocationService, host: str = "127.0.0.1",
     listener, calls *announce* with the bound base URL, and serves
     until SIGTERM/SIGINT — then drains gracefully: admission refuses
     new work (``/healthz`` and ``/readyz`` flip to 503 immediately),
-    pending batches flush, in-flight requests get *drain_timeout_s* to
+    in-flight requests (queued ones included) get *drain_timeout_s* to
     finish, and both daemon and service unwind cleanly (exit 0).
     """
     async def main() -> None:

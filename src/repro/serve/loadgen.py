@@ -30,9 +30,12 @@ the bench suite's serve rows route through here.
 
 from __future__ import annotations
 
+import concurrent.futures
 import http.client
 import itertools
 import json
+import random
+import re
 import socket
 import threading
 import time
@@ -354,8 +357,10 @@ def run_adversarial(url: str, mode: str, count: int = 5,
       expects a structured 400 before the body is ever sent.
     * ``unknown_verb`` — post to ``/v1/<nonsense>``; expects
       structured 400s.
-    * ``deadline_storm`` — valid requests with ``deadline_ms`` so
-      small most must answer ``deadline_exceeded``.
+    * ``deadline_storm`` — *count* concurrent requests with
+      ``deadline_ms``, fired while a deadline-free cold sweep holds
+      the executor, so every one must answer ``deadline_exceeded``
+      from the queue; the tally's ``blocker`` is the sweep's status.
 
     Returns a per-mode tally dict (``attempts`` plus mode-specific
     counts such as ``closed_by_server`` / ``structured_400`` /
@@ -460,15 +465,44 @@ def run_adversarial(url: str, mode: str, count: int = 5,
             return tally
 
         assert mode == "deadline_storm"
-        # Let any batch window opened by earlier traffic flush first:
-        # a storm request that piggybacks on an already-ticking group
-        # flushes with near-zero queue wait and beats its deadline,
-        # which is exactly the leniency the storm must not measure.
-        time.sleep(0.15)
-        report = run_load(url, requests=count, workers=2,
-                          mix="evaluate=1", workload=workload,
-                          scale=scale, timeout_s=timeout_s,
-                          deadline_ms=deadline_ms)
+        # Hold the executor with a deadline-free cold sweep (~0.3 s; a
+        # fresh seed keeps it cold), then fire the whole storm at once:
+        # every storm request queues behind the sweep and its budget
+        # runs out in the queue.
+        blocker = json.dumps(SweepRequest(
+            "adpcm", scale=1.0,
+            seed=random.randrange(1, 1 << 30)).to_json())
+
+        def sweeps_seen() -> float:
+            connection.request("GET", "/metrics")
+            text = connection.getresponse().read().decode("utf-8")
+            match = re.search(r"^repro_serve_requests_sweep_total (\S+)$",
+                              text, re.MULTILINE)
+            return float(match.group(1)) if match else 0.0
+
+        def block() -> str:
+            sweep = http.client.HTTPConnection(host, port,
+                                               timeout=timeout_s)
+            try:
+                sweep.request("POST", "/v1/sweep", body=blocker,
+                              headers={"Content-Type":
+                                       "application/json"})
+                return json.loads(sweep.getresponse().read())["status"]
+            finally:
+                sweep.close()
+
+        before = sweeps_seen()
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            blocked = pool.submit(block)
+            # The counter ticks in the event-loop step that queues the
+            # sweep, so the storm arrives strictly after it.
+            while not blocked.done() and sweeps_seen() <= before:
+                time.sleep(0.005)
+            report = run_load(url, requests=count, workers=count,
+                              mix="evaluate=1", workload=workload,
+                              scale=scale, timeout_s=timeout_s,
+                              deadline_ms=deadline_ms)
+            tally["blocker"] = blocked.result()
         tally["deadline_exceeded"] = report.deadline_exceeded
         tally["failures"] = report.failures
         tally["resets"] = report.resets

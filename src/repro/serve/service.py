@@ -5,8 +5,9 @@ without any HTTP in front of it (the benches and tests drive it
 directly).  It owns:
 
 * a :class:`~repro.serve.batching.MicroBatcher` that coalesces
-  compatible requests into :class:`~repro.engine.grid.GridChunk` work
-  units;
+  compatible requests queued while the executor is busy into
+  :class:`~repro.engine.grid.GridChunk` work units (it never waits
+  for more requests);
 * a single-threaded executor on which batches run through
   :func:`~repro.resilience.healing.map_points_healed` — the resilience
   layer's retry/timeout/degradation ladders apply to every request,
@@ -83,12 +84,7 @@ from repro.serve.admission import (
     AdmissionController,
     AdmissionTicket,
 )
-from repro.serve.batching import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_DELAY_S,
-    Group,
-    MicroBatcher,
-)
+from repro.serve.batching import Group, MicroBatcher
 from repro.serve.breaker import (
     DEFAULT_COOLDOWN_S,
     DEFAULT_WINDOW_S,
@@ -148,9 +144,6 @@ class ServiceConfig:
     Attributes:
         jobs: worker processes for multi-chunk batches (``<= 1`` runs
             solves serially on the executor thread).
-        max_batch: micro-batching flush threshold (requests per
-            group).
-        max_delay_s: micro-batching flush deadline in seconds.
         store_backend: backend spec for tenant stores —
             ``"memory[:bytes]"``, ``"disk[:root]"`` or a registered
             backend name (default in-memory).  A ``disk`` spec's path
@@ -179,8 +172,6 @@ class ServiceConfig:
     """
 
     jobs: int = 1
-    max_batch: int = DEFAULT_MAX_BATCH
-    max_delay_s: float = DEFAULT_MAX_DELAY_S
     store_backend: str | None = None
     store_root: str | os.PathLike | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -211,12 +202,8 @@ class AllocationService:
         self.registry = MetricsRegistry()
         self.bus = ProgressBus(self.run_id,
                                stall_timeout=self.config.stall_timeout)
-        self.batcher = MicroBatcher(
-            self._execute_groups_async,
-            max_batch=self.config.max_batch,
-            max_delay_s=self.config.max_delay_s,
-            registry=self.registry,
-        )
+        self.batcher = MicroBatcher(self._execute_groups_async,
+                                    registry=self.registry)
         self.admission = AdmissionController(
             self.registry,
             max_inflight=self.config.max_inflight,
@@ -250,7 +237,6 @@ class AllocationService:
                        source="serve"))
         self._started = True
         log_event("serve.start", jobs=self.config.jobs,
-                  max_batch=self.config.max_batch,
                   backend=self.config.store_backend or "memory")
 
     def stop(self) -> None:
@@ -600,8 +586,9 @@ class AllocationService:
 
         From this moment :meth:`healthz` and :meth:`readyz` report
         unhealthy/unready and every new verb request sheds with reason
-        ``draining``; the daemon then flushes the batcher, waits for
-        in-flight work and exits 0.  Idempotent.
+        ``draining``; the daemon then waits for in-flight work
+        (including anything still queued in the batcher) and exits 0.
+        Idempotent.
         """
         if not self.admission.draining:
             log_event("serve.drain.begin",
@@ -610,14 +597,14 @@ class AllocationService:
         self.admission.begin_drain()
 
     async def drain(self, timeout_s: float) -> bool:
-        """Flush the batcher and wait for in-flight work to finish.
+        """Begin the drain and wait for in-flight work to finish.
 
-        Returns ``True`` when everything completed inside
-        *timeout_s*, ``False`` when the deadline cut the wait short
-        (in-flight requests may still be running).
+        Queued requests need no flush: the batcher runs them as soon
+        as the executor frees up.  Returns ``True`` when everything
+        completed inside *timeout_s*, ``False`` when the deadline cut
+        the wait short (in-flight requests may still be running).
         """
         self.begin_drain()
-        await self.batcher.flush()
         deadline = time.monotonic() + max(0.0, timeout_s)
         while self.admission.inflight > 0:
             if time.monotonic() >= deadline:

@@ -17,9 +17,7 @@ from repro.serve.service import AllocationService, ServiceConfig
 
 
 def _service(**overrides) -> AllocationService:
-    defaults = dict(max_delay_s=0.05)
-    defaults.update(overrides)
-    return AllocationService(ServiceConfig(**defaults))
+    return AllocationService(ServiceConfig(**overrides))
 
 
 def _get(port: int, path: str) -> tuple[int, bytes]:
@@ -136,7 +134,7 @@ class TestBatching:
     """Compatible concurrent requests coalesce into shared chunks."""
 
     def test_concurrent_evaluates_share_one_chunk(self):
-        service = _service(max_delay_s=0.2)
+        service = _service()
         service.start()
         # The upper sizes fit the whole working set, so their layouts
         # are identical and the shared chunk re-uses the compiled
@@ -166,7 +164,7 @@ class TestBatching:
         assert service.registry.value("sim.kernel.stream_reuse") > 0
 
     def test_incompatible_requests_do_not_coalesce(self):
-        service = _service(max_delay_s=0.2)
+        service = _service()
         service.start()
 
         async def fire():

@@ -54,9 +54,7 @@ class _Clock:
 
 
 def _service(**overrides) -> AllocationService:
-    defaults = dict(max_delay_s=0.05)
-    defaults.update(overrides)
-    return AllocationService(ServiceConfig(**defaults))
+    return AllocationService(ServiceConfig(**overrides))
 
 
 def _post(port: int, path: str, payload) -> tuple[int, dict, dict]:
@@ -312,7 +310,7 @@ class TestServiceHardening:
         assert service.registry.value("serve.breaker.opens") == 0
 
     def test_tenant_quota_isolation_under_concurrency(self):
-        service = _service(tenant_quota=1, max_delay_s=0.1)
+        service = _service(tenant_quota=1)
         service.start()
 
         async def scenario():
@@ -335,11 +333,23 @@ class TestServiceHardening:
         assert other.status == "ok"  # team-b unaffected
 
     def test_deadline_expires_in_queue(self):
-        service = _service(max_delay_s=0.05)
+        service = _service()
         service.start()
+
+        async def scenario():
+            # A deadline-free blocker's batch occupies the executor,
+            # so the 1 ms request queues behind it and expires there.
+            blocker = asyncio.ensure_future(service.handle(
+                EvaluateRequest("tiny", scale=0.2, spm_size=64)))
+            while not service.registry.value("serve.batch.flushes"):
+                await asyncio.sleep(0)
+            response = await service.handle(EvaluateRequest(
+                "tiny", scale=0.2, spm_size=64, deadline_ms=1))
+            assert (await blocker).status == "ok"
+            return response
+
         try:
-            response = asyncio.run(service.handle(EvaluateRequest(
-                "tiny", scale=0.2, spm_size=64, deadline_ms=1)))
+            response = asyncio.run(scenario())
         finally:
             service.stop()
         assert response.status == "deadline_exceeded"
@@ -350,7 +360,7 @@ class TestServiceHardening:
             "serve.deadline.expired_in_queue") == 1
 
     def test_generous_deadline_is_met(self):
-        service = _service(max_delay_s=0.02)
+        service = _service()
         service.start()
         try:
             response = asyncio.run(service.handle(EvaluateRequest(
@@ -360,7 +370,7 @@ class TestServiceHardening:
         assert response.status == "ok"
 
     def test_drain_flips_readiness_then_finishes_inflight(self):
-        service = _service(max_delay_s=0.1)
+        service = _service()
         service.start()
 
         async def scenario():
@@ -455,7 +465,7 @@ class TestDaemonHardening:
         assert report.failures == 0
 
     def test_deadline_storm_over_http(self):
-        service = _service(max_delay_s=0.05)
+        service = _service()
         handle = start_in_thread(service)
         try:
             tally = run_adversarial(handle.url, "deadline_storm",
@@ -463,11 +473,12 @@ class TestDaemonHardening:
         finally:
             handle.stop()
         assert tally["deadline_exceeded"] == 4
+        assert tally["blocker"] == "ok"
         assert tally["failures"] == 0
         assert tally["resets"] == 0
 
     def test_drain_under_load_sees_no_resets(self):
-        service = _service(max_delay_s=0.02)
+        service = _service()
         handle = start_in_thread(service)
         box = {}
 
