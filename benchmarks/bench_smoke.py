@@ -499,7 +499,7 @@ class _CountingSink:
         """Count the call."""
         self.notes += 1
 
-    def unit_finished(self, label, seconds):
+    def unit_finished(self, label):
         """Count the call."""
         self.notes += 1
 
@@ -521,7 +521,7 @@ def _disabled_note_cost(iterations: int = 100_000) -> float:
     for _ in range(iterations):
         note_unit_started("probe")
         note_phase("probe")
-        note_unit_finished("probe", 0.0)
+        note_unit_finished("probe")
     return (time.perf_counter() - started) / (3 * iterations)
 
 
@@ -531,7 +531,7 @@ def test_disabled_live_telemetry_overhead_below_two_percent(tmp_path):
     A run under a counting sink measures how many progress notes the
     bench workload emits; the measured per-call cost of the disabled
     fast path (one global read + one ``None`` comparison) then bounds
-    the overhead a plain run (no ``--watch``/``--telemetry``) pays.
+    the overhead a plain run (no ``--watch``) pays.
     The duration-histogram observations ride the already-bounded
     metrics fast path, so the note count is the live layer's entire
     disabled surface.
@@ -582,14 +582,13 @@ def test_watch_instrumented_run_metrics_bit_identical(tmp_path):
 
     The same warm sweep runs once plain and once under the full live
     pipeline (progress bus, watch renderer into a sink stream,
-    telemetry exporter, sampling profiler); every non-timing metric
-    must match bit for bit, because live consumers only *read*
-    snapshots.
+    sampling profiler); every non-timing metric must match bit for
+    bit, because live consumers only *read* snapshots.
     """
     import io
 
-    from repro.obs.live import ProgressBus, TelemetryWriter, \
-        WatchRenderer, set_progress_sink
+    from repro.obs.live import ProgressBus, WatchRenderer, \
+        set_progress_sink
     from repro.obs.profiler import SamplingProfiler
 
     points = EXHIBIT_POINTS["table1"]
@@ -600,15 +599,13 @@ def test_watch_instrumented_run_metrics_bit_identical(tmp_path):
 
     live_registry = MetricsRegistry()
     bus = ProgressBus(run_id="bench")
-    watcher = WatchRenderer(bus, live_registry, stream=io.StringIO(),
+    stream = io.StringIO()
+    watcher = WatchRenderer(bus, live_registry, stream=stream,
                             interval=0.01)
-    telemetry = TelemetryWriter(bus, str(tmp_path / "telemetry.jsonl"),
-                                live_registry, interval=0.01)
     profiler = SamplingProfiler(interval=0.001)
     previous_store = set_default_store(ArtifactStore(cache_dir=cache_dir))
     previous_registry = set_registry(live_registry)
     previous_sink = set_progress_sink(bus)
-    telemetry.start()
     watcher.start()
     profiler.start()
     try:
@@ -616,11 +613,10 @@ def test_watch_instrumented_run_metrics_bit_identical(tmp_path):
     finally:
         profiler.stop()
         watcher.stop()
-        telemetry.stop()
         set_progress_sink(previous_sink)
         set_registry(previous_registry)
         set_default_store(previous_store)
 
-    assert telemetry.snapshots_written >= 2
+    assert stream.getvalue().count("\r") >= 2, "watch painted < 2 lines"
     assert _deterministic_metrics(live_registry) \
         == _deterministic_metrics(plain_registry)

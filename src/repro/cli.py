@@ -44,11 +44,9 @@ accept ``--trace FILE`` (record a Chrome-trace
 run file, viewable in ``chrome://tracing`` / Perfetto and readable by
 ``report``), ``--metrics`` (print the run's metric counters),
 ``--events`` (record the cache eviction/miss event stream and print
-its set-pressure summary), and the live telemetry flags — ``--watch``
-(in-terminal progress + ETA + worker liveness), ``--telemetry FILE``
-(periodic JSONL snapshots) with ``--telemetry-interval`` /
-``--stall-timeout``, ``--prom FILE`` (Prometheus text exposition),
-``--log FILE`` (run_id-correlated structured JSON log) and
+its set-pressure summary), and the live flags — ``--watch``
+(in-terminal progress + ETA + stall flag, counted by the parent
+process), ``--log FILE`` (run_id-correlated structured JSON log) and
 ``--profile-sample FILE`` (collapsed-stack sampling profile) — see
 ``docs/OBSERVABILITY.md``.
 """
@@ -71,6 +69,8 @@ from repro.evaluation.sweep import run_sweep
 from repro.evaluation.table1 import run_table1
 from repro.evaluation.reporting import microjoules, percent
 from repro.obs.events import EventRecorder, set_recorder
+from repro.obs.live import DEFAULT_STALL_TIMEOUT, ProgressBus, \
+    WatchRenderer, set_progress_sink
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.report import build_run_payload, load_run, \
     render_run_report, summarise_run, write_run_file
@@ -145,28 +145,6 @@ def _add_scale(parser: argparse.ArgumentParser,
             help="paint a live single-line progress display (units "
                  "done, ETA, worker liveness, latency percentiles) "
                  "on stderr while the command runs",
-        )
-        parser.add_argument(
-            "--telemetry", metavar="FILE", default=None,
-            help="append periodic JSONL progress snapshots "
-                 "(progress, counters, percentile summaries, worker "
-                 "health) to FILE while the command runs",
-        )
-        parser.add_argument(
-            "--telemetry-interval", type=float, default=1.0,
-            metavar="SEC",
-            help="seconds between telemetry snapshots (default 1.0)",
-        )
-        parser.add_argument(
-            "--prom", metavar="FILE", default=None,
-            help="render each telemetry snapshot to FILE in "
-                 "Prometheus text exposition format (atomically "
-                 "replaced every interval)",
-        )
-        parser.add_argument(
-            "--stall-timeout", type=float, default=30.0, metavar="SEC",
-            help="flag a worker as stalled when its current unit has "
-                 "run this long without finishing (default 30)",
         )
         parser.add_argument(
             "--log", metavar="FILE", default=None,
@@ -463,9 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default memory)",
     )
     serve.add_argument(
-        "--stall-timeout", type=float, default=30.0,
+        "--stall-timeout", type=float, default=DEFAULT_STALL_TIMEOUT,
         help="seconds before /healthz flags a stalled solve "
-             "(default 30)",
+             f"(default {DEFAULT_STALL_TIMEOUT:g})",
     )
     serve.add_argument(
         "--max-attempts", type=int, default=3,
@@ -620,17 +598,14 @@ def _run_observed(args: argparse.Namespace,
     previous observability state, then prints the metric table /
     event summary and/or writes the run file.
 
-    The live telemetry flags layer on the same scaffolding: ``--log``
-    opens a run_id-correlated structured log; ``--watch`` /
-    ``--telemetry`` / ``--prom`` install a
+    The live flags layer on the same scaffolding: ``--log`` opens a
+    run_id-correlated structured log; ``--watch`` installs a
     :class:`~repro.obs.live.ProgressBus` (which implies a metrics
-    registry, so percentiles have a source) and start the matching
-    consumer threads; ``--profile-sample`` runs the sampling profiler
-    around the whole command.  None of this changes the run's
-    deterministic outputs — live consumers only *read* snapshots.
+    registry, so percentiles have a source) and starts the renderer
+    thread; ``--profile-sample`` runs the sampling profiler around the
+    whole command.  None of this changes the run's deterministic
+    outputs — live consumers only *read* snapshots.
     """
-    from repro.obs.live import ProgressBus, TelemetryWriter, \
-        WatchRenderer, set_progress_sink
     from repro.obs.logging import RunLog, log_event, new_run_id, \
         set_run_log
 
@@ -638,30 +613,21 @@ def _run_observed(args: argparse.Namespace,
     want_metrics = getattr(args, "metrics", False)
     want_events = getattr(args, "events", False)
     want_watch = getattr(args, "watch", False)
-    telemetry_path = getattr(args, "telemetry", None)
-    prom_path = getattr(args, "prom", None)
     log_path = getattr(args, "log", None)
     profile_path = getattr(args, "profile_sample", None)
-    live_on = bool(want_watch or telemetry_path or prom_path)
 
     collector = TraceCollector() if trace_path else None
     registry = MetricsRegistry() \
-        if (want_metrics or collector is not None or live_on) else None
+        if (want_metrics or collector is not None or want_watch) \
+        else None
     recorder = EventRecorder() if want_events else None
     record = RunRecord()
 
     run_id = new_run_id() \
-        if (live_on or log_path or profile_path or trace_path) else None
+        if (want_watch or log_path or profile_path or trace_path) else None
     run_log = RunLog(log_path, run_id=run_id) if log_path else None
-    bus = ProgressBus(run_id=run_id,
-                      stall_timeout=getattr(args, "stall_timeout",
-                                            30.0)) if live_on else None
-    watcher = WatchRenderer(bus, registry) if want_watch else None
-    telemetry = TelemetryWriter(
-        bus, telemetry_path, registry,
-        interval=getattr(args, "telemetry_interval", 1.0),
-        prom_path=prom_path,
-    ) if bus is not None and (telemetry_path or prom_path) else None
+    bus = ProgressBus(run_id=run_id) if want_watch else None
+    watcher = WatchRenderer(bus, registry) if bus is not None else None
     profiler = None
     if profile_path:
         from repro.obs.profiler import SamplingProfiler
@@ -677,8 +643,6 @@ def _run_observed(args: argparse.Namespace,
     previous_sink = set_progress_sink(bus) if bus is not None else None
     log_event("run.start", command=args.command,
               argv=getattr(args, "_argv", None))
-    if telemetry is not None:
-        telemetry.start()
     if watcher is not None:
         watcher.start()
     if profiler is not None:
@@ -690,8 +654,6 @@ def _run_observed(args: argparse.Namespace,
             profiler.stop()
         if watcher is not None:
             watcher.stop()
-        if telemetry is not None:
-            telemetry.stop()
         log_event("run.done", command=args.command)
         if bus is not None:
             set_progress_sink(previous_sink)
@@ -717,11 +679,6 @@ def _run_observed(args: argparse.Namespace,
         print(f"profile written to {profile_path} "
               f"({profiler.sample_count} samples, "
               f"{len(profiler.samples)} stacks)")
-    if telemetry_path:
-        print(f"telemetry written to {telemetry_path} "
-              f"({telemetry.snapshots_written} snapshots)"
-              if telemetry is not None else
-              f"telemetry written to {telemetry_path}")
     if log_path:
         print(f"log written to {log_path} (run id {run_id})")
     if collector is not None and trace_path:

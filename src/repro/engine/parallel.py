@@ -4,10 +4,11 @@ The work unit is a :class:`~repro.engine.grid.GridChunk`: one
 allocator over a capacity axis of one workload — optionally with
 cache / trace-formation overrides, as design-space exploration needs.
 :func:`map_points` fans a list of chunks across a process pool (sweeps
-are embarrassingly parallel per chunk), falls back to serial execution
-when a pool cannot be created, and always returns results in the order
-of the input chunks, so parallel output is indistinguishable from
-serial output.
+are embarrassingly parallel per chunk), evaluates serially whatever a
+pool cannot deliver (no pool, or a broken one), and always returns
+results in the order of the input chunks, so parallel output is
+indistinguishable from serial output.  The parent process alone
+reports progress to the live bus.
 
 Workers share the parent's on-disk artifact cache (when one is
 configured), so the expensive allocation-independent stages are
@@ -21,8 +22,6 @@ import concurrent.futures
 import concurrent.futures.process
 import os
 import pickle
-import shutil
-import tempfile
 import time
 from typing import TYPE_CHECKING
 
@@ -51,33 +50,26 @@ if TYPE_CHECKING:
 def _evaluate_unit(chunk: GridChunk,
                    runner: StageRunner | None = None
                    ) -> list["ExperimentResult"]:
-    """Evaluate one work unit, with its live instrumentation.
+    """Evaluate one work unit, timing it when metrics are on.
 
-    This is the engine's unit boundary, so it carries the unit
-    start/finish notes to the active progress sink (stall detection
-    keys off the start note) and a per-unit wall-time observation into
-    the ``chunk.evaluate.seconds`` percentile histogram.  Both are
-    free when no sink and no registry are installed.
+    The per-unit wall time lands in the ``chunk.evaluate.seconds``
+    percentile histogram; with no registry installed this is a plain
+    :func:`~repro.engine.grid.evaluate_chunk` call.  Progress notes
+    are the callers' job: only the parent process reports them.
     """
     registry = active_registry()
-    if live.active_sink() is None and registry is None:
+    if registry is None:
         return evaluate_chunk(chunk, runner=runner)
-    label = chunk.label
-    live.note_unit_started(label)
     start = time.perf_counter()
     try:
-        result = evaluate_chunk(chunk, runner=runner)
+        return evaluate_chunk(chunk, runner=runner)
     finally:
-        seconds = time.perf_counter() - start
-        if registry is not None:
-            registry.histogram("chunk.evaluate.seconds").observe(seconds)
-        live.note_unit_finished(label, seconds)
-    return result
+        registry.histogram("chunk.evaluate.seconds").observe(
+            time.perf_counter() - start)
 
 
 def _init_worker(cache_dir: str | None,
                  fault_spec: str | None = None,
-                 heartbeat_dir: str | None = None,
                  log_spec: tuple[str, str] | None = None) -> None:
     """Process-pool initializer: point the worker at the shared cache.
 
@@ -85,16 +77,15 @@ def _init_worker(cache_dir: str | None,
     workers replay the same rules even under the ``spawn`` start
     method (``fork`` would inherit the plan, but the spec makes the
     behaviour start-method independent — with fresh per-process rule
-    state either way).  When the parent has live telemetry on, the
-    heartbeat directory and run-log spec ride along the same way: the
-    worker installs a :class:`~repro.obs.live.HeartbeatWriter` sink
-    and reopens the parent's structured log under the same ``run_id``.
+    state either way).  The run-log spec rides along the same way, so
+    the worker reopens the parent's structured log under the same
+    ``run_id``.  Workers report no progress: the parent counts units,
+    so a bus inherited through ``fork`` is dropped.
     """
     set_default_store(ArtifactStore(cache_dir=cache_dir))
     if fault_spec:
         set_fault_plan(FaultPlan.from_spec(fault_spec))
-    if heartbeat_dir:
-        live.set_progress_sink(live.HeartbeatWriter(heartbeat_dir))
+    live.set_progress_sink(None)
     install_from_spec(log_spec)
 
 
@@ -146,47 +137,17 @@ def _active_fault_spec() -> str | None:
     return plan.spec() if plan is not None and plan.rules else None
 
 
-def _setup_worker_live() -> tuple[str | None, "live.ProgressBus | None"]:
-    """Create a heartbeat directory when a progress bus is installed.
-
-    Returns ``(heartbeat_dir, bus)`` — both ``None`` when live
-    telemetry is off (the common case), in which case nothing is
-    created and the pool initializer receives ``None``.
-    """
-    sink = live.active_sink()
-    if not isinstance(sink, live.ProgressBus):
-        return None, None
-    directory = tempfile.mkdtemp(prefix="repro-hb-")
-    sink.attach_heartbeat_dir(directory)
-    return directory, sink
-
-
-def _teardown_worker_live(directory: str | None,
-                          bus: "live.ProgressBus | None",
-                          absorb: bool) -> None:
-    """Detach and remove a pooled map's heartbeat directory.
-
-    With ``absorb=True`` (pool completed and its metric payloads were
-    merged) the workers' final done-counts fold into the bus so
-    progress stays monotone after the files disappear; with ``False``
-    (pool failed, serial fallback re-runs everything) the partial
-    counts are discarded.
-    """
-    if directory is None or bus is None:
-        return
-    if absorb:
-        bus.detach_heartbeat_dir()
-    else:
-        bus.attach_heartbeat_dir(None)
-    shutil.rmtree(directory, ignore_errors=True)
-
-
 def _run_serial(points: list[GridChunk],
                 runner: StageRunner | None,
                 record: RunRecord | None) -> list[list["ExperimentResult"]]:
     if runner is None:
         runner = StageRunner(record=record)
-    return [_evaluate_unit(point, runner=runner) for point in points]
+    results = []
+    for point in points:
+        live.note_unit_started(point.label)
+        results.append(_evaluate_unit(point, runner=runner))
+        live.note_unit_finished(point.label)
+    return results
 
 
 def map_points(
@@ -235,23 +196,32 @@ def map_points(
          recorder is not None, 0)
         for point in points
     ]
-    heartbeat_dir, bus = _setup_worker_live()
+    outcomes = []
     try:
         maybe_inject("worker.spawn", jobs=jobs)
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(points)),
             initializer=_init_worker,
-            initargs=(init_arg, _active_fault_spec(), heartbeat_dir,
-                      active_log_spec()),
+            initargs=(init_arg, _active_fault_spec(), active_log_spec()),
         ) as pool:
-            outcomes = list(pool.map(_evaluate_in_worker, tasks))
+            futures = [pool.submit(_evaluate_in_worker, task)
+                       for task in tasks]
+            # The parent is the only progress reporter: a unit is
+            # current while the parent waits on it, done on arrival.
+            try:
+                for point, future in zip(points, futures):
+                    live.note_unit_started(point.label)
+                    outcomes.append(future.result())
+                    live.note_unit_finished(point.label)
+            finally:
+                pool.shutdown(cancel_futures=True)  # drop unstarted
     except (OSError, concurrent.futures.process.BrokenProcessPool,
             pickle.PicklingError, InjectedFault):
         # No usable multiprocessing (restricted sandbox, unpicklable
-        # payload...): degrade to the serial path, same results.
-        _teardown_worker_live(heartbeat_dir, bus, absorb=False)
-        log_event("map.fallback", mode="serial", units=len(points))
-        return _run_serial(points, runner, record)
+        # payload...): the units not yet returned degrade to the
+        # serial path, same results.
+        log_event("map.fallback", mode="serial",
+                  units=len(points) - len(outcomes))
     results: list[list["ExperimentResult"]] = []
     # Worker observability folds back in input order, mirroring the
     # record merge: the merged span/metric stream is deterministic no
@@ -266,6 +236,8 @@ def map_points(
         if recorder is not None and event_snapshot:
             recorder.merge(event_snapshot)
         results.append(result)
-    _teardown_worker_live(heartbeat_dir, bus, absorb=True)
+    if len(results) < len(points):
+        return results + _run_serial(points[len(results):], runner,
+                                     record)
     log_event("map.done", units=len(points), jobs=jobs)
     return results

@@ -18,10 +18,11 @@ design-space-exploration tool you can see inside:
   rendered from a ``--trace`` run file;
 * :mod:`repro.obs.history` — JSONL benchmark snapshots and baseline
   comparison (``repro bench record`` / ``repro bench compare``);
-* :mod:`repro.obs.live` — the live telemetry pipeline: a thread-safe
-  :class:`~repro.obs.live.ProgressBus` fed by the engine, worker
-  heartbeats with stall detection, the ``--watch`` single-line
-  renderer, and periodic ``telemetry.jsonl`` / Prometheus exporters;
+* :mod:`repro.obs.live` — live progress: a thread-safe
+  :class:`~repro.obs.live.ProgressBus` that the parent process feeds
+  (units done, the current unit, stall detection), the ``--watch``
+  single-line renderer, and the Prometheus text rendering behind
+  ``repro serve``'s ``/metrics``;
 * :mod:`repro.obs.logging` — structured JSONL logs with a per-run
   ``run_id`` threaded through the engine, workers and resilience
   retries (``--log FILE``);
@@ -34,7 +35,7 @@ Tracing, metrics, event recording and live telemetry are all
 helpers, :func:`~repro.obs.live.note_unit_finished`-style hooks and
 the cache's bound recorder, costing one global read and one comparison
 when nothing is installed.  The CLI's ``--trace FILE``, ``--metrics``,
-``--events``, ``--watch``, ``--telemetry FILE``, ``--log FILE`` and
+``--events``, ``--watch``, ``--log FILE`` and
 ``--profile-sample FILE`` flags (on ``sweep``, ``fig4``, ``fig5``,
 ``table1`` and ``dse``) install them for one run; see
 ``docs/OBSERVABILITY.md`` for the full guide.
@@ -68,10 +69,8 @@ from repro.obs.history import (
 )
 from repro.obs.live import (
     DEFAULT_STALL_TIMEOUT,
-    HeartbeatWriter,
     ProgressBus,
     ProgressSnapshot,
-    TelemetryWriter,
     WatchRenderer,
     WorkerHealth,
     active_sink,
@@ -155,10 +154,8 @@ __all__ = [
     "machine_fingerprint",
     "record_suite",
     "DEFAULT_STALL_TIMEOUT",
-    "HeartbeatWriter",
     "ProgressBus",
     "ProgressSnapshot",
-    "TelemetryWriter",
     "WatchRenderer",
     "WorkerHealth",
     "active_sink",

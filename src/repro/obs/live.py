@@ -1,4 +1,4 @@
-"""Live telemetry: progress bus, heartbeats, watch/telemetry consumers.
+"""Live progress: the progress bus and its ``--watch`` / scrape consumers.
 
 Post-hoc spans and metrics answer "what happened"; this module answers
 "what is happening *right now*" for multi-minute sweeps:
@@ -8,46 +8,36 @@ Post-hoc spans and metrics answer "what happened"; this module answers
   helpers that instrumented code calls unconditionally; like spans and
   metrics they cost one global read and one ``None`` comparison when no
   sink is installed (:func:`set_progress_sink`);
-* :class:`ProgressBus` — the parent-process sink: thread-safe unit
-  done/total accounting, the current engine stage, and worker liveness
-  with stall detection after a configurable heartbeat timeout;
-* :class:`HeartbeatWriter` — the worker-process sink: writes one small
-  atomic JSON heartbeat file per worker (unit boundaries and
-  rate-limited phase changes) that the parent bus folds into its
-  :meth:`ProgressBus.snapshot`, because pool workers only ship their
-  span/metrics payload when a task *completes*;
+* :class:`ProgressBus` — the one sink, in the parent process: thread-safe
+  unit done/total accounting, the current engine stage, and liveness of
+  the unit the parent is running or waiting on, with stall detection
+  after a configurable timeout.  Pool workers report nothing; the
+  parent marks each unit finished once, when its outcome is final;
 * consumers of :class:`ProgressSnapshot` — :class:`WatchRenderer`
-  (single-line in-terminal progress + ETA, ``--watch``),
-  :class:`TelemetryWriter` (periodic ``telemetry.jsonl`` export,
-  ``--telemetry``) and :func:`render_prometheus` (text exposition for
-  the future ``repro serve`` scrape endpoint, ``--prom``).
+  (single-line in-terminal progress + ETA, ``--watch``) and
+  :func:`render_prometheus` (the text exposition ``repro serve``
+  returns from ``/metrics``).
 
-Percentiles shown live come from two places merged at snapshot time:
-the parent's active :class:`~repro.obs.metrics.MetricsRegistry` (serial
-work) and the per-worker cumulative ``*.seconds`` histograms carried in
-heartbeat files (pooled work, whose registries merge only at the end).
+Live percentiles come from the run's active
+:class:`~repro.obs.metrics.MetricsRegistry`; pooled workers'
+observations join it when their results merge back.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import os
 import sys
 import threading
 import time
 from typing import Any, TextIO
 
-from repro.obs import metrics as metrics_mod
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "WorkerHealth",
     "ProgressSnapshot",
     "ProgressBus",
-    "HeartbeatWriter",
-    "TelemetryWriter",
     "WatchRenderer",
     "set_progress_sink",
     "active_sink",
@@ -59,8 +49,8 @@ __all__ = [
     "format_watch_line",
 ]
 
-#: Default seconds a worker's current unit may run before it is
-#: flagged as stalled on the bus.
+#: Default seconds the current unit may run (or be waited on) before it
+#: is flagged as stalled on the bus.
 DEFAULT_STALL_TIMEOUT = 30.0
 
 #: Suffix identifying duration histograms surfaced as live percentiles.
@@ -69,23 +59,21 @@ SECONDS_SUFFIX = ".seconds"
 
 @dataclasses.dataclass
 class WorkerHealth:
-    """Liveness of one executor (``main`` or a pool worker)."""
+    """Liveness of the parent process (``main``) and its current unit."""
 
     name: str
     units_done: int
     current: str | None
     busy_s: float
-    beat_age_s: float
     status: str  # "ok" | "stalled" | "idle"
 
     def to_json(self) -> dict[str, Any]:
-        """Plain-dict form for telemetry export."""
+        """Plain-dict form for the ``/healthz`` body."""
         return {
             "name": self.name,
             "units_done": self.units_done,
             "current": self.current,
             "busy_s": round(self.busy_s, 6),
-            "beat_age_s": round(self.beat_age_s, 6),
             "status": self.status,
         }
 
@@ -112,7 +100,7 @@ class ProgressSnapshot:
         return [w for w in self.workers if w.status == "stalled"]
 
     def to_json(self) -> dict[str, Any]:
-        """JSON-able dict, one ``telemetry.jsonl`` record."""
+        """JSON-able dict, the body of serve's ``/healthz``."""
         return {
             "kind": "snapshot",
             "ts": round(self.ts, 6),
@@ -150,10 +138,10 @@ class ProgressBus:
     """Thread-safe progress accounting for one run (parent process).
 
     Engine code reports through the module-level sink helpers; live
-    consumers poll :meth:`snapshot` from their own threads.  When a
-    heartbeat directory is attached (pooled runs), worker heartbeat
-    files contribute done-counts, current-unit liveness and duration
-    histograms to every snapshot.
+    consumers poll :meth:`snapshot` from their own threads.  The
+    parent process is the only reporter: pooled runs mark a unit
+    started when the parent begins waiting for its result, so the one
+    current unit is also what stall detection watches.
     """
 
     def __init__(self, run_id: str | None = None,
@@ -168,8 +156,6 @@ class ProgressBus:
         self._phase: str | None = None
         self._current: str | None = None
         self._current_since = 0.0
-        self._heartbeat_dir: str | None = None
-        self._workers_final: bool = False
 
     # -- sink protocol ---------------------------------------------------
 
@@ -179,16 +165,17 @@ class ProgressBus:
             self._total += count
 
     def unit_started(self, label: str) -> None:
-        """Mark *label* as the unit now executing in this process."""
+        """Mark *label* as the unit this process now runs or waits on."""
         with self._lock:
             self._current = label
             self._current_since = time.monotonic()
 
-    def unit_finished(self, label: str, seconds: float) -> None:
-        """Mark one unit done (*seconds* of wall time)."""
+    def unit_finished(self, label: str) -> None:
+        """Mark unit *label* done; its outcome is final."""
         with self._lock:
             self._done += 1
-            self._current = None
+            if self._current == label:
+                self._current = None
 
     def phase(self, name: str) -> None:
         """Record the fine-grained activity inside the current unit."""
@@ -198,72 +185,15 @@ class ProgressBus:
         """Record the coarse engine stage currently running."""
         self._stage = name
 
-    # -- heartbeat directory --------------------------------------------
-
-    def attach_heartbeat_dir(self, path: str | None) -> None:
-        """Fold worker heartbeat files under *path* into snapshots."""
-        with self._lock:
-            self._heartbeat_dir = path
-            self._workers_final = False
-
-    def detach_heartbeat_dir(self) -> None:
-        """Fold final worker done-counts in and stop scanning the dir.
-
-        Called when a pooled map completes: the heartbeat files are
-        about to be deleted, so their done-counts transfer to the
-        bus's own counter (progress stays monotone) and their
-        histograms stop contributing (the parent registry has merged
-        the authoritative worker snapshots by now).
-        """
-        beats = self._read_heartbeats()
-        with self._lock:
-            for beat in beats:
-                self._done += int(beat.get("units_done", 0))
-            self._heartbeat_dir = None
-            self._workers_final = True
-
-    def finalize_workers(self) -> None:
-        """Stop merging worker histograms (their registries are merged).
-
-        Called after a pooled map completes and the parent registry has
-        absorbed the workers' metric snapshots — from then on, merging
-        heartbeat histograms as well would double-count.  Worker done
-        counts and liveness stay visible.
-        """
-        with self._lock:
-            self._workers_final = True
-
-    def _read_heartbeats(self) -> list[dict[str, Any]]:
-        directory = self._heartbeat_dir
-        if directory is None:
-            return []
-        beats = []
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError:
-            return []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(directory, name),
-                          encoding="utf-8") as handle:
-                    beats.append(json.load(handle))
-            except (OSError, ValueError):
-                continue  # mid-replace or already cleaned up
-        return beats
-
     # -- snapshots -------------------------------------------------------
 
     def snapshot(self, registry: MetricsRegistry | None = None
                  ) -> ProgressSnapshot:
-        """Current progress, worker health and live percentiles.
+        """Current progress, liveness and live percentiles.
 
-        *registry* is the run's active metrics registry (serial-path
-        observations); worker-side observations arrive via heartbeat
-        files until :meth:`finalize_workers`.
+        *registry* is the run's active metrics registry; pooled
+        workers' observations join it when their results merge back.
         """
-        now_wall = time.time()
         now_mono = time.monotonic()
         with self._lock:
             done = self._done
@@ -272,38 +202,17 @@ class ProgressBus:
             current = self._current
             current_since = self._current_since
             elapsed = now_mono - self._started
-            workers_final = self._workers_final
-        beats = self._read_heartbeats()
 
-        workers: list[WorkerHealth] = []
         busy = 0.0 if current is None else now_mono - current_since
         status = "idle" if current is None else (
             "stalled" if busy > self.stall_timeout else "ok")
-        workers.append(WorkerHealth("main", done, current, busy,
-                                    0.0, status))
+        workers = [WorkerHealth("main", done, current, busy, status)]
 
+        # A copy, so percentiles are read from a consistent state while
+        # the run keeps observing into *registry*.
         display = MetricsRegistry()
         if registry is not None:
             display.merge(registry.snapshot())
-        for beat in beats:
-            beat_done = int(beat.get("units_done", 0))
-            done += beat_done
-            beat_age = max(0.0, now_wall - float(beat.get("ts", now_wall)))
-            beat_current = beat.get("current")
-            started_at = beat.get("unit_started_at")
-            if beat_current is not None and started_at is not None:
-                beat_busy = max(0.0, now_wall - float(started_at))
-                beat_status = ("stalled" if beat_busy > self.stall_timeout
-                               else "ok")
-            else:
-                beat_busy = 0.0
-                beat_status = "idle"
-            workers.append(WorkerHealth(str(beat.get("name", "worker")),
-                                        beat_done, beat_current,
-                                        beat_busy, beat_age, beat_status))
-            if not workers_final:
-                display.merge(beat.get("hist", {}))
-
         rate = done / elapsed if elapsed > 0 and done else 0.0
         if total > done and rate > 0:
             eta: float | None = (total - done) / rate
@@ -311,127 +220,21 @@ class ProgressBus:
             eta = 0.0
         else:
             eta = None
-        counters = display.counters()
         return ProgressSnapshot(
-            ts=now_wall, run_id=self.run_id, stage=stage,
+            ts=time.time(), run_id=self.run_id, stage=stage,
             done=done, total=total, elapsed_s=elapsed, rate_ups=rate,
             eta_s=eta, workers=workers,
             percentiles=_summaries_from_registry(display),
-            counters=counters,
+            counters=display.counters(),
         )
-
-
-class HeartbeatWriter:
-    """Worker-process sink that persists liveness to a heartbeat file.
-
-    Writes are atomic (temp file + ``os.replace``) so the parent never
-    reads a torn beat.  Unit boundaries always write; phase changes are
-    rate-limited to one write per ``min_interval`` seconds.  At unit
-    completion the worker's active per-task registry is scraped for
-    ``*.seconds`` histograms, which accumulate across this worker's
-    lifetime — that is what gives the parent live percentiles before
-    any task payload has been shipped back.
-    """
-
-    def __init__(self, directory: str, name: str | None = None,
-                 min_interval: float = 0.2) -> None:
-        self.directory = directory
-        self.name = name or f"pid-{os.getpid()}"
-        self.path = os.path.join(directory, f"{self.name}.json")
-        self.min_interval = min_interval
-        self._units_done = 0
-        self._current: str | None = None
-        self._unit_started_at: float | None = None
-        self._phase: str | None = None
-        self._hist: dict[str, Histogram] = {}
-        self._last_write = 0.0
-        self._lock = threading.Lock()
-
-    # -- sink protocol ---------------------------------------------------
-
-    def add_total(self, count: int) -> None:
-        """Totals are tracked by the parent bus; workers ignore them."""
-
-    def unit_started(self, label: str) -> None:
-        """Record the unit now executing and beat immediately."""
-        with self._lock:
-            self._current = label
-            self._unit_started_at = time.time()
-            self._write()
-
-    def unit_finished(self, label: str, seconds: float) -> None:
-        """Record unit completion, scrape durations, beat immediately."""
-        with self._lock:
-            self._units_done += 1
-            self._current = None
-            self._unit_started_at = None
-            self._scrape_active_registry()
-            self._write()
-
-    def phase(self, name: str) -> None:
-        """Record fine-grained activity (rate-limited beat)."""
-        with self._lock:
-            self._phase = name
-            if time.monotonic() - self._last_write >= self.min_interval:
-                self._write()
-
-    def stage(self, name: str) -> None:
-        """Engine stages inside a worker are phases for display."""
-        self.phase(name)
-
-    # -- persistence -----------------------------------------------------
-
-    def _scrape_active_registry(self) -> None:
-        registry = metrics_mod.active_registry()
-        if registry is None:
-            return
-        for name, data in registry.snapshot().items():
-            if data.get("type") != "histogram":
-                continue
-            if not name.endswith(SECONDS_SUFFIX):
-                continue
-            own = self._hist.get(name)
-            if own is None:
-                own = self._hist[name] = Histogram()
-            shard = MetricsRegistry()
-            shard.merge({name: data})
-            merged = shard.histogram(name)
-            own.count += merged.count
-            own.total += merged.total
-            own.minimum = min(own.minimum, merged.minimum)
-            own.maximum = max(own.maximum, merged.maximum)
-            own.zeros += merged.zeros
-            for index, n in merged.buckets.items():
-                own.buckets[index] = own.buckets.get(index, 0) + n
-
-    def _write(self) -> None:
-        beat = {
-            "name": self.name,
-            "pid": os.getpid(),
-            "ts": time.time(),
-            "units_done": self._units_done,
-            "current": self._current,
-            "unit_started_at": self._unit_started_at,
-            "phase": self._phase,
-            "hist": {name: h.snapshot() for name, h in self._hist.items()},
-        }
-        tmp = self.path + ".tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(beat, handle)
-            os.replace(tmp, self.path)
-        except OSError:
-            return  # heartbeat dir vanished (run tearing down): drop beat
-        self._last_write = time.monotonic()
 
 
 # -- process-wide active sink --------------------------------------------------
 
-_SINK: ProgressBus | HeartbeatWriter | None = None
+_SINK: ProgressBus | None = None
 
 
-def set_progress_sink(sink: ProgressBus | HeartbeatWriter | None
-                      ) -> ProgressBus | HeartbeatWriter | None:
+def set_progress_sink(sink: ProgressBus | None) -> ProgressBus | None:
     """Install (or, with ``None``, remove) the active progress sink.
 
     Returns the previously active sink so callers can restore it.
@@ -442,7 +245,7 @@ def set_progress_sink(sink: ProgressBus | HeartbeatWriter | None
     return previous
 
 
-def active_sink() -> ProgressBus | HeartbeatWriter | None:
+def active_sink() -> ProgressBus | None:
     """The active progress sink, or ``None`` when live telemetry is off."""
     return _SINK
 
@@ -454,11 +257,11 @@ def note_unit_started(label: str) -> None:
         sink.unit_started(label)
 
 
-def note_unit_finished(label: str, seconds: float) -> None:
-    """Report a unit finishing (no-op when no sink is installed)."""
+def note_unit_finished(label: str) -> None:
+    """Report a unit's final outcome (no-op when no sink is installed)."""
     sink = _SINK
     if sink is not None:
-        sink.unit_finished(label, seconds)
+        sink.unit_finished(label)
 
 
 def note_phase(name: str) -> None:
@@ -493,9 +296,8 @@ _SPINNER = "|/-\\"
 def format_watch_line(snapshot: ProgressSnapshot, tick: int = 0) -> str:
     """Render one in-terminal status line from *snapshot*.
 
-    Honest under ``--jobs N``: done-counts and liveness come from the
-    worker heartbeat files, so the line reflects what the pool actually
-    finished, not what was scheduled.
+    Honest under ``--jobs N``: a unit counts as done once its result
+    reached the parent, not when it was scheduled.
     """
     spin = _SPINNER[tick % len(_SPINNER)]
     if snapshot.total:
@@ -509,10 +311,8 @@ def format_watch_line(snapshot: ProgressSnapshot, tick: int = 0) -> str:
     if snapshot.rate_ups:
         parts.append(f"{snapshot.rate_ups:.2f} u/s")
     parts.append(f"eta {_fmt_seconds(snapshot.eta_s)}")
-    pool = [w for w in snapshot.workers if w.name != "main"]
-    active = pool if pool else snapshot.workers
-    ok = sum(1 for w in active if w.status != "stalled")
-    stalled = [w for w in active if w.status == "stalled"]
+    stalled = snapshot.stalled
+    ok = len(snapshot.workers) - len(stalled)
     health = f"workers {ok} ok"
     if stalled:
         health += f", {len(stalled)} STALLED ({stalled[0].name})"
@@ -576,69 +376,6 @@ class WatchRenderer:
             self.stream.flush()
         except (OSError, ValueError):
             pass
-
-
-class TelemetryWriter:
-    """Periodic ``telemetry.jsonl`` exporter (``--telemetry``).
-
-    Appends one :meth:`ProgressSnapshot.to_json` record per interval —
-    the scrape format the future ``repro serve`` daemon will expose.
-    Writes one snapshot immediately on :meth:`start` and one on
-    :meth:`stop`, so even sub-interval runs export at least two
-    records.  When *prom_path* is given, each snapshot is also rendered
-    to a Prometheus text-exposition file (atomically replaced).
-    """
-
-    def __init__(self, bus: ProgressBus, path: str | None,
-                 registry: MetricsRegistry | None = None,
-                 interval: float = 1.0,
-                 prom_path: str | None = None) -> None:
-        self.bus = bus
-        self.path = str(path) if path is not None else None
-        self.registry = registry
-        self.interval = interval
-        self.prom_path = prom_path
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._handle: TextIO | None = None
-        self.snapshots_written = 0
-
-    def _emit(self) -> None:
-        snapshot = self.bus.snapshot(self.registry)
-        if self.path is not None:
-            if self._handle is None:
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(json.dumps(snapshot.to_json()) + "\n")
-            self._handle.flush()
-        self.snapshots_written += 1
-        if self.prom_path:
-            tmp = self.prom_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(render_prometheus(snapshot))
-            os.replace(tmp, self.prom_path)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._emit()
-
-    def start(self) -> None:
-        """Write the first snapshot and start the export thread."""
-        self._emit()
-        self._thread = threading.Thread(target=self._loop,
-                                        name="repro-telemetry",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Write the final snapshot and close the file."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._emit()
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 def _prom_name(name: str) -> str:

@@ -38,15 +38,14 @@ from repro.engine.parallel import (
     _evaluate_in_worker,
     _evaluate_unit,
     _init_worker,
-    _setup_worker_live,
-    _teardown_worker_live,
 )
 from repro.engine.runner import RunRecord, StageRunner
 from repro.engine.store import default_store
 from repro.errors import InjectedFault, PointTimeoutError
 from repro.obs import metrics
 from repro.obs.events import active_recorder
-from repro.obs.live import note_total
+from repro.obs.live import note_total, note_unit_finished, \
+    note_unit_started
 from repro.obs.logging import active_log_spec, active_run_id, log_event
 from repro.obs.metrics import active_registry
 from repro.obs.trace import get_collector
@@ -278,45 +277,54 @@ def _evaluate_with_timeout(point: GridChunk, runner: StageRunner,
     return box["result"]
 
 
+def _heal_unit(index: int, point: GridChunk, policy: RetryPolicy,
+               runner: StageRunner, attempt: int = 0,
+               durations: list[float] | None = None,
+               last_error: BaseException | None = None) -> PointOutcome:
+    """Heal one unit in-process, from retry attempt *attempt* on.
+
+    A pool that could not be restarted hands its unfinished units here
+    with their attempt count, durations and last error so far.
+    """
+    durations = [] if durations is None else durations
+    note_unit_started(point.label)
+    outcome = None
+    while attempt < policy.max_attempts:
+        set_fault_attempt(attempt)
+        started = time.perf_counter()
+        try:
+            result = _evaluate_with_timeout(
+                point, runner, policy.timeout_s)
+        except Exception as error:  # contained: reported per unit
+            durations.append(time.perf_counter() - started)
+            last_error = error
+            attempt += 1
+            if attempt < policy.max_attempts:
+                metrics.inc("resilience.retries")
+                log_event("point.retry", point=point.label,
+                          attempt=attempt, error=type(error).__name__)
+                time.sleep(policy.backoff_for(attempt - 1))
+            continue
+        finally:
+            set_fault_attempt(0)
+        durations.append(time.perf_counter() - started)
+        outcome = _finish_outcome(index, point, attempt + 1, result,
+                                  last_error, durations)
+        break
+    if outcome is None:
+        assert last_error is not None
+        outcome = _failed_outcome(index, point, policy.max_attempts,
+                                  last_error, durations)
+    note_unit_finished(point.label)
+    return outcome
+
+
 def _heal_serial(points: list[GridChunk], policy: RetryPolicy,
                  record: RunRecord | None) -> HealedRun:
     """Serial healing loop: retry each point in-process."""
     runner = StageRunner(record=record)
-    outcomes = []
-    for index, point in enumerate(points):
-        last_error: BaseException | None = None
-        outcome = None
-        durations: list[float] = []
-        for attempt in range(policy.max_attempts):
-            set_fault_attempt(attempt)
-            started = time.perf_counter()
-            try:
-                result = _evaluate_with_timeout(
-                    point, runner, policy.timeout_s)
-            except Exception as error:  # contained: reported per unit
-                durations.append(time.perf_counter() - started)
-                last_error = error
-                if attempt + 1 < policy.max_attempts:
-                    metrics.inc("resilience.retries")
-                    log_event("point.retry",
-                              point=point.label,
-                              attempt=attempt + 1,
-                              error=type(error).__name__)
-                    time.sleep(policy.backoff_for(attempt))
-                continue
-            finally:
-                set_fault_attempt(0)
-            durations.append(time.perf_counter() - started)
-            outcome = _finish_outcome(index, point, attempt + 1,
-                                      result, last_error, durations)
-            break
-        if outcome is None:
-            assert last_error is not None
-            outcome = _failed_outcome(index, point,
-                                      policy.max_attempts, last_error,
-                                      durations)
-        outcomes.append(outcome)
-    return HealedRun(outcomes)
+    return HealedRun([_heal_unit(index, point, policy, runner)
+                      for index, point in enumerate(points)])
 
 
 def _heal_pooled(points: list[GridChunk], jobs: int,
@@ -324,13 +332,17 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
                  cache_dir: str | os.PathLike | None) -> HealedRun:
     """Pool healing loop: per-unit retries plus pool restarts.
 
-    Raises whatever pool *creation* raises (including an injected
-    ``worker.spawn`` fault) — the caller degrades to the serial
-    healing path, mirroring plain ``map_points``.  Once a pool exists,
-    a broken pool (worker crash) or a unit timeout restarts it
+    A broken pool (worker crash) or a unit timeout restarts the pool
     and re-runs every unfinished unit with its attempt counter
     advanced, so injected first-attempt faults cannot recur and the
-    loop provably terminates.
+    loop provably terminates.  When no pool can be created — at the
+    start or on a restart (restricted sandbox, unpicklable payload,
+    injected ``worker.spawn`` fault) — the unfinished units heal
+    serially instead, same results, mirroring plain ``map_points``.
+
+    The parent is the only progress reporter: the unit it waits on is
+    the current one, and each unit is marked finished once, when its
+    outcome is final.
     """
     n = len(points)
     if cache_dir is None:
@@ -341,15 +353,13 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
     recorder = active_recorder()
     flags = (collector is not None, registry is not None,
              recorder is not None)
-    heartbeat_dir, bus = _setup_worker_live()
 
     def make_pool() -> concurrent.futures.ProcessPoolExecutor:
         maybe_inject("worker.spawn", jobs=jobs)
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, n),
             initializer=_init_worker,
-            initargs=(init_arg, _active_fault_spec(), heartbeat_dir,
-                      active_log_spec()),
+            initargs=(init_arg, _active_fault_spec(), active_log_spec()),
         )
 
     started = [0.0] * n
@@ -360,19 +370,20 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
         started[index] = time.perf_counter()
         return pool.submit(_evaluate_in_worker, task)
 
-    try:
-        pool = make_pool()
-    except BaseException:
-        # Pool creation failed (the caller degrades to serial
-        # healing); drop the heartbeat dir before propagating.
-        _teardown_worker_live(heartbeat_dir, bus, absorb=False)
-        raise
     outcomes: list[PointOutcome | None] = [None] * n
     payloads: list[tuple | None] = [None] * n
     attempts = [0] * n
     last_errors: list[BaseException | None] = [None] * n
+    pending = set(range(n))
+    pool = None
+
+    def finish(index: int, outcome: PointOutcome) -> None:
+        outcomes[index] = outcome
+        pending.discard(index)
+        note_unit_finished(points[index].label)
+
     try:
-        pending = set(range(n))
+        pool = make_pool()
         futures = {index: submit(pool, index, 0) for index in pending}
 
         def restart(bump: set[int]) -> None:
@@ -390,10 +401,9 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
             for index in exhausted:
                 error = last_errors[index]
                 assert error is not None
-                outcomes[index] = _failed_outcome(
+                finish(index, _failed_outcome(
                     index, points[index], attempts[index], error,
-                    durations[index])
-            pending.difference_update(exhausted)
+                    durations[index]))
             pool = make_pool()
             for index in pending:
                 if attempts[index] > 0:
@@ -402,6 +412,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
 
         while pending:
             index = min(pending)
+            note_unit_started(points[index].label)
             future = futures[index]
             try:
                 payload = future.result(timeout=policy.timeout_s)
@@ -454,20 +465,29 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
                                 last_errors[other] or broken
                         restart(set(pending) - {index})
                 else:
-                    outcomes[index] = _failed_outcome(
+                    finish(index, _failed_outcome(
                         index, points[index], attempts[index], error,
-                        durations[index])
-                    pending.discard(index)
+                        durations[index]))
                 continue
             durations[index].append(
                 time.perf_counter() - started[index])
             payloads[index] = payload
-            outcomes[index] = _finish_outcome(
+            finish(index, _finish_outcome(
                 index, points[index], attempts[index] + 1, payload[0],
-                last_errors[index], durations[index])
-            pending.discard(index)
+                last_errors[index], durations[index]))
+    except (OSError, pickle.PicklingError, InjectedFault):
+        # No usable pool: heal what is left in-process.  A unit that
+        # already used an attempt continues as a counted retry.
+        runner = StageRunner(record=record)
+        for index in sorted(pending):
+            if attempts[index]:
+                metrics.inc("resilience.retries")
+            outcomes[index] = _heal_unit(
+                index, points[index], policy, runner, attempts[index],
+                durations[index], last_errors[index])
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     # Fold worker observability back in input order, exactly like
     # plain map_points (failed points contribute nothing).
@@ -483,7 +503,6 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
             registry.merge(snapshot)
         if recorder is not None and event_snapshot:
             recorder.merge(event_snapshot)
-    _teardown_worker_live(heartbeat_dir, bus, absorb=True)
     final = [outcome for outcome in outcomes if outcome is not None]
     assert len(final) == n
     return HealedRun(final)
@@ -530,11 +549,5 @@ def map_points_healed(
     log_event("heal.start", units=len(points), jobs=jobs,
               max_attempts=policy.max_attempts)
     if jobs > 1 and len(points) > 1:
-        try:
-            return _heal_pooled(points, jobs, policy, record, cache_dir)
-        except (OSError, pickle.PicklingError, InjectedFault):
-            # No usable multiprocessing (restricted sandbox,
-            # unpicklable payload, injected spawn fault): heal
-            # serially instead, same results.
-            pass
+        return _heal_pooled(points, jobs, policy, record, cache_dir)
     return _heal_serial(points, policy, record)

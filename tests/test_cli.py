@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+from repro.obs.live import DEFAULT_STALL_TIMEOUT
 
 
 class TestCli:
@@ -150,36 +151,26 @@ class TestLiveTelemetryCli:
             "--algorithms", "casa", "--scale", "0.2", "--no-cache"]
 
     def test_sweep_with_full_live_pipeline(self, capsys, tmp_path):
-        telemetry = tmp_path / "telemetry.jsonl"
-        prom = tmp_path / "metrics.prom"
         profile = tmp_path / "profile.txt"
         log = tmp_path / "run.log"
         code = main(self.BASE + [
             "--jobs", "2", "--watch",
-            "--telemetry", str(telemetry), "--telemetry-interval",
-            "0.05", "--prom", str(prom),
             "--profile-sample", str(profile), "--log", str(log),
         ])
         assert code == 0
         captured = capsys.readouterr()
         assert "casa (uJ)" in captured.out, "results still render"
-        assert "eta" in captured.err, "--watch paints to stderr"
-        # Telemetry: at least two snapshots, monotone in time and done.
-        records = [json.loads(line)
-                   for line in telemetry.read_text().splitlines()]
-        assert len(records) >= 2
-        assert all(r["kind"] == "snapshot" for r in records)
-        assert [r["done"] for r in records] \
-            == sorted(r["done"] for r in records)
-        # The grid pipeline may bundle several sizes into one chunk
-        # unit, so assert completion rather than a unit count.
-        assert records[-1]["total"] >= 1
-        assert records[-1]["done"] == records[-1]["total"]
-        run_id = records[-1]["run_id"]
-        assert run_id and len(run_id) == 12
-        assert "point.evaluate" in records[-1]["percentiles"]
-        # Prometheus exposition file from the final snapshot.
-        assert "repro_units_done" in prom.read_text()
+        # --watch paints on stderr; its final line reports completion
+        # (the grid pipeline may bundle several sizes into one chunk
+        # unit, so assert N/N rather than a unit count), percentiles
+        # and the run id.
+        final = captured.err.rsplit("\r", 1)[-1].strip()
+        progress = re.search(r"(\d+)/(\d+) \(100%\)", final)
+        assert progress and progress.group(1) == progress.group(2)
+        assert "eta" in final
+        assert "p50" in final
+        run_id = re.search(r"run (\w+)", final).group(1)
+        assert len(run_id) == 12
         # Collapsed-stack profile is non-empty and well-formed.
         assert f"profile written to {profile}" in captured.out
         profile_text = profile.read_text()
@@ -196,7 +187,7 @@ class TestLiveTelemetryCli:
 
     def test_live_flags_leave_metrics_bit_identical(self, capsys,
                                                     tmp_path):
-        """--watch/--telemetry must not change deterministic metrics."""
+        """--watch/--profile-sample must not change deterministic metrics."""
 
         def deterministic(text):
             # Drop timing histograms and live-artifact notices, and
@@ -206,9 +197,7 @@ class TestLiveTelemetryCli:
             for line in text.splitlines():
                 if ".seconds" in line:
                     continue
-                if line.startswith(("profile written",
-                                    "telemetry written",
-                                    "log written")):
+                if line.startswith(("profile written", "log written")):
                     continue
                 lines.append(re.sub(r"\d+\.\d+ s$", "<t>", line))
             return lines
@@ -217,14 +206,22 @@ class TestLiveTelemetryCli:
         plain = capsys.readouterr().out
         assert main(self.BASE + [
             "--metrics", "--watch",
-            "--telemetry", str(tmp_path / "t.jsonl"),
             "--profile-sample", str(tmp_path / "p.txt"),
         ]) == 0
         live = capsys.readouterr().out
         assert deterministic(live) == deterministic(plain)
 
-    def test_stall_timeout_flag_parses(self, capsys, tmp_path):
-        assert main(self.BASE + [
-            "--watch", "--stall-timeout", "5",
-        ]) == 0
-        assert "casa (uJ)" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", ["--telemetry", "--prom",
+                                      "--telemetry-interval",
+                                      "--stall-timeout"])
+    def test_removed_live_flags_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE + [flag, "1"])
+        assert excinfo.value.code == 2
+
+    def test_serve_keeps_its_stall_timeout(self):
+        parser = _build_parser()
+        args = parser.parse_args(["serve", "--stall-timeout", "60"])
+        assert args.stall_timeout == 60.0
+        default = parser.parse_args(["serve"]).stall_timeout
+        assert default == DEFAULT_STALL_TIMEOUT

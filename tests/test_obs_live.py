@@ -1,9 +1,10 @@
-"""Live telemetry: progress bus, heartbeats, stall detection, exports."""
+"""Live progress: the parent-fed bus, stall detection, watch, scrape."""
 
 from __future__ import annotations
 
 import io
-import json
+import os
+import tempfile
 import threading
 import time
 
@@ -13,9 +14,7 @@ from repro.engine.grid import GridChunk
 from repro.engine.parallel import map_points
 from repro.engine.store import ArtifactStore, set_default_store
 from repro.obs.live import (
-    HeartbeatWriter,
     ProgressBus,
-    TelemetryWriter,
     WatchRenderer,
     active_sink,
     format_watch_line,
@@ -26,8 +25,9 @@ from repro.obs.live import (
     render_prometheus,
     set_progress_sink,
 )
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import FaultPlan, set_fault_plan
+from repro.resilience.healing import RetryPolicy, map_points_healed
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ class TestProgressBus:
         assert active_sink() is None
         note_total(3)
         note_unit_started("x")
-        note_unit_finished("x", 0.1)
+        note_unit_finished("x")
         note_phase("p")
 
     def test_set_sink_returns_previous(self, bus):
@@ -68,7 +68,7 @@ class TestProgressBus:
         assert (snapshot.done, snapshot.total) == (0, 4)
         assert snapshot.workers[0].current == "tiny/casa@64"
         assert snapshot.workers[0].status == "ok"
-        note_unit_finished("tiny/casa@64", 0.01)
+        note_unit_finished("tiny/casa@64")
         snapshot = bus.snapshot()
         assert snapshot.done == 1
         assert snapshot.workers[0].status == "idle"
@@ -77,7 +77,7 @@ class TestProgressBus:
 
     def test_eta_zero_when_complete(self, bus):
         note_total(1)
-        note_unit_finished("u", 0.0)
+        note_unit_finished("u")
         assert bus.snapshot().eta_s == 0.0
 
     def test_phase_overrides_stage(self, bus):
@@ -85,6 +85,13 @@ class TestProgressBus:
         assert bus.snapshot().stage == "result"
         note_phase("ilp.solve")
         assert bus.snapshot().stage == "ilp.solve"
+
+    def test_finishing_another_unit_keeps_the_current_one(self, bus):
+        note_unit_started("waited-on")
+        note_unit_finished("exhausted-elsewhere")
+        snapshot = bus.snapshot()
+        assert snapshot.done == 1
+        assert snapshot.workers[0].current == "waited-on"
 
     def test_serial_stall_detection(self):
         bus = ProgressBus(stall_timeout=0.01)
@@ -104,73 +111,13 @@ class TestProgressBus:
         assert percentiles["point.evaluate"]["count"] == 1
 
 
-class TestHeartbeats:
-    def test_beat_round_trip(self, tmp_path, bus):
-        writer = HeartbeatWriter(str(tmp_path), name="w0")
-        writer.unit_started("tiny/casa@64")
-        bus.attach_heartbeat_dir(str(tmp_path))
-        snapshot = bus.snapshot()
-        names = [w.name for w in snapshot.workers]
-        assert names == ["main", "w0"]
-        assert snapshot.workers[1].current == "tiny/casa@64"
-        assert snapshot.workers[1].status == "ok"
-
-    def test_beat_done_counts_add_to_progress(self, tmp_path, bus):
-        writer = HeartbeatWriter(str(tmp_path), name="w0")
-        writer.unit_started("a")
-        writer.unit_finished("a", 0.01)
-        bus.attach_heartbeat_dir(str(tmp_path))
-        assert bus.snapshot().done == 1
-
-    def test_stale_beat_unit_is_flagged_stalled(self, tmp_path):
-        bus = ProgressBus(stall_timeout=0.01)
-        writer = HeartbeatWriter(str(tmp_path), name="w0")
-        writer.unit_started("stuck")
-        time.sleep(0.05)
-        bus.attach_heartbeat_dir(str(tmp_path))
-        snapshot = bus.snapshot()
-        assert snapshot.workers[1].status == "stalled"
-        assert "STALLED" in format_watch_line(snapshot)
-
-    def test_detach_keeps_progress_monotone(self, tmp_path, bus):
-        writer = HeartbeatWriter(str(tmp_path), name="w0")
-        writer.unit_started("a")
-        writer.unit_finished("a", 0.01)
-        bus.attach_heartbeat_dir(str(tmp_path))
-        before = bus.snapshot().done
-        bus.detach_heartbeat_dir()
-        # The beat files are gone from view, but its done-count moved
-        # into the bus's own counter.
-        assert bus.snapshot().done == before == 1
-
-    def test_worker_histograms_feed_live_percentiles(self, tmp_path, bus):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            registry.histogram("point.evaluate.seconds").observe(0.25)
-            writer = HeartbeatWriter(str(tmp_path), name="w0")
-            writer.unit_started("a")
-            writer.unit_finished("a", 0.25)
-        finally:
-            set_registry(previous)
-        bus.attach_heartbeat_dir(str(tmp_path))
-        # No parent registry passed: the percentiles come purely from
-        # the worker's heartbeat payload.
-        percentiles = bus.snapshot().percentiles
-        assert percentiles["point.evaluate"]["count"] == 1
-        # After finalize, heartbeat histograms no longer contribute
-        # (the parent registry would hold the merged truth).
-        bus.finalize_workers()
-        assert bus.snapshot().percentiles == {}
-
-
 class TestWatchLine:
     def _snapshot(self, bus, registry=None):
         return bus.snapshot(registry)
 
     def test_format_contains_progress_eta_and_run_id(self, bus):
         note_total(2)
-        note_unit_finished("a", 0.01)
+        note_unit_finished("a")
         registry = MetricsRegistry()
         registry.histogram("point.evaluate.seconds").observe(0.5)
         line = format_watch_line(bus.snapshot(registry), tick=1)
@@ -192,39 +139,6 @@ class TestWatchLine:
         assert "eta" in output
 
 
-class TestTelemetryWriter:
-    def test_at_least_two_monotone_snapshots(self, tmp_path, bus):
-        path = tmp_path / "telemetry.jsonl"
-        note_total(2)
-        writer = TelemetryWriter(bus, str(path), interval=0.01)
-        writer.start()
-        note_unit_finished("a", 0.01)
-        time.sleep(0.05)
-        note_unit_finished("b", 0.01)
-        writer.stop()
-        records = [json.loads(line)
-                   for line in path.read_text().splitlines()]
-        assert len(records) >= 2
-        assert writer.snapshots_written == len(records)
-        assert all(r["kind"] == "snapshot" for r in records)
-        dones = [r["done"] for r in records]
-        assert dones == sorted(dones), "done-count must be monotone"
-        times = [r["ts"] for r in records]
-        assert times == sorted(times)
-        assert records[-1]["done"] == 2
-        assert records[-1]["run_id"] == "testrun"
-
-    def test_prometheus_file_rendered(self, tmp_path, bus):
-        prom = tmp_path / "metrics.prom"
-        writer = TelemetryWriter(bus, None, prom_path=str(prom),
-                                 interval=5.0)
-        writer.start()
-        writer.stop()
-        text = prom.read_text()
-        assert "repro_units_done" in text
-        assert 'repro_run_info{run_id="testrun"}' in text
-
-
 class TestPrometheusRender:
     def test_summaries_and_counters(self, bus):
         registry = MetricsRegistry()
@@ -238,6 +152,24 @@ class TestPrometheusRender:
         assert 'repro_worker_stalled{worker="main"} 0' in text
 
 
+def _chunks(*sizes):
+    return [GridChunk("tiny", (size,), "casa", scale=0.2)
+            for size in sizes]
+
+
+@pytest.fixture
+def fault_plan():
+    """Install a fault plan from a spec; the previous plan is restored."""
+    previous = []
+
+    def install(spec):
+        previous.append(set_fault_plan(FaultPlan.from_spec(spec)))
+
+    yield install
+    if previous:
+        set_fault_plan(previous[0])
+
+
 class TestEndToEnd:
     def test_sweep_feeds_bus_and_converges(self, shared_cache, bus):
         points = [GridChunk("tiny", (64,), "casa", scale=0.2),
@@ -248,9 +180,39 @@ class TestEndToEnd:
         assert snapshot.done == 2
         assert snapshot.total == 2
 
-    def test_fault_injected_stall_is_flagged_and_run_converges(
-            self, shared_cache):
-        """A sleeping worker shows up as stalled while the run finishes."""
+    def test_pooled_map_counts_each_unit_once(self, shared_cache, bus):
+        results = map_points(_chunks(64, 128), jobs=2)
+        assert len(results) == 2
+        snapshot = bus.snapshot()
+        assert snapshot.done == snapshot.total == 2
+        assert snapshot.workers[0].status == "idle"
+
+    def test_serial_retry_counts_the_unit_once(self, bus, fault_plan):
+        """A failed attempt is not a finished unit; the outcome is."""
+        fault_plan("worker.exec:error@nth=1")
+        healed = map_points_healed(_chunks(64, 128), jobs=1,
+                                   policy=RetryPolicy(backoff_s=0.001))
+        assert healed.counts() == {"retried": 1, "ok": 1}
+        snapshot = bus.snapshot()
+        assert snapshot.done == snapshot.total == 2
+
+    def test_failed_pool_restart_counts_each_unit_once(
+            self, shared_cache, bus, fault_plan):
+        """A crash whose pool restart fails heals in-process, once."""
+        before = set(os.listdir(tempfile.gettempdir()))
+        fault_plan("worker.exec:crash@nth=1;worker.spawn:error@nth=2")
+        healed = map_points_healed(_chunks(64, 128, 256), jobs=2,
+                                   policy=RetryPolicy(backoff_s=0.001))
+        assert healed.ok
+        snapshot = bus.snapshot()
+        assert snapshot.done == snapshot.total == 3
+        leaked = {name for name in os.listdir(tempfile.gettempdir())
+                  if name.startswith("repro-hb-")} - before
+        assert not leaked
+
+    @staticmethod
+    def _run_with_a_sleeping_unit(jobs: int) -> None:
+        """A sleeping unit shows up as stalled while the run finishes."""
         bus = ProgressBus(stall_timeout=0.05)
         previous_sink = set_progress_sink(bus)
         previous_plan = set_fault_plan(
@@ -267,12 +229,22 @@ class TestEndToEnd:
         poller = threading.Thread(target=poll, daemon=True)
         poller.start()
         try:
-            results = map_points(
-                [GridChunk("tiny", (64,), "casa", scale=0.2)], jobs=1)
+            results = map_points(_chunks(64, 128), jobs=jobs)
         finally:
             stop.set()
             poller.join(timeout=5.0)
             set_fault_plan(previous_plan)
             set_progress_sink(previous_sink)
-        assert len(results) == 1, "run must still converge"
+        assert len(results) == 2, "run must still converge"
         assert "main" in observed, "stall must be visible on the bus"
+        snapshot = bus.snapshot()
+        assert snapshot.done == snapshot.total == 2
+
+    def test_fault_injected_stall_is_flagged_and_run_converges(
+            self, shared_cache):
+        self._run_with_a_sleeping_unit(jobs=1)
+
+    def test_fault_injected_stall_is_flagged_in_a_pooled_run(
+            self, shared_cache):
+        """Pooled, the parent's entry is flagged: it waits on the unit."""
+        self._run_with_a_sleeping_unit(jobs=2)

@@ -239,7 +239,7 @@ class TestHealth:
             assert status == 503
             assert json.loads(body)["healthy"] is False
 
-            service.bus.unit_finished("wedged-solve", 0.12)
+            service.bus.unit_finished("wedged-solve")
             status, _ = _get(handle.port, "/healthz")
             assert status == 200
         finally:
