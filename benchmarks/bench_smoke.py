@@ -412,6 +412,46 @@ def test_policy_sweep_stays_on_the_kernel(policy, tmp_path):
     assert registry.value("sim.kernel.fallbacks") == 0
 
 
+def _ross_chunk_metrics(backend, tmp_path):
+    """Metrics of one Ross grid chunk on adpcm (three loop-cache sizes)."""
+    registry = MetricsRegistry()
+    previous_store = set_default_store(
+        ArtifactStore(cache_dir=tmp_path / "cache")
+    )
+    previous_registry = set_registry(registry)
+    try:
+        map_points(
+            [GridChunk(workload="adpcm", spm_sizes=(64, 128, 256),
+                       algorithm="ross", scale=SMOKE_SCALE,
+                       backend=backend)],
+            record=RunRecord(),
+        )
+    finally:
+        set_default_store(previous_store)
+        set_registry(previous_registry)
+    return registry
+
+
+def test_ross_sweep_stays_on_the_kernel(tmp_path):
+    """Under ``auto``, every Ross point is replayed by the kernel.
+
+    The preloaded loop cache is an address-range mask over the fetch
+    stream, so no point leaves for the reference interpreter: the
+    kernel runs the baseline profile plus all three Ross points.
+    """
+    registry = _ross_chunk_metrics("auto", tmp_path)
+    assert registry.value("sim.kernel.fallbacks") == 0
+    assert registry.value("sim.kernel.simulations") == 1 + 3
+
+
+def test_reference_backend_keeps_ross_on_the_interpreter(tmp_path):
+    """``backend="reference"`` still simulates Ross points by the
+    reference interpreter (the kernel never runs)."""
+    registry = _ross_chunk_metrics("reference", tmp_path)
+    assert registry.value("sim.kernel.simulations") == 0
+    assert registry.value("sim.runs") == 1 + 3
+
+
 @pytest.mark.parametrize("policy", ["lfu", "2q"])
 def test_grid_replays_policy_configs_without_leaving_kernel(policy):
     """A grid axis with a set-associative LFU/2Q member stays vector.

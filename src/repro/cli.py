@@ -319,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--workloads", nargs="+", default=None,
         choices=available_workloads(), metavar="WORKLOAD",
-        help="workloads of the end-to-end and audit checks "
-             "(default: tiny adpcm)",
+        help="workloads of the end-to-end, loop-cache and audit "
+             "checks (default: tiny adpcm)",
     )
     verify.add_argument(
         "--trials", type=int, default=50,
@@ -826,10 +826,15 @@ def _run_trace_report(args: argparse.Namespace) -> int:
         text = json.dumps(summarise_run(run, top=args.top), indent=2)
     else:
         text = render_run_report(run, top=args.top)
-    print(text)
     if args.output:
         import pathlib
         pathlib.Path(args.output).write_text(text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``): point stdout
+        # at /dev/null so the interpreter's exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

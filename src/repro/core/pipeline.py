@@ -282,7 +282,8 @@ class Workbench:
         return artifact.stream
 
     def _simulate_image(self, image: LinkedImage,
-                        hierarchy: HierarchyConfig) -> SimulationReport:
+                        hierarchy: HierarchyConfig,
+                        loop_regions=None) -> SimulationReport:
         """Simulate *image* under the configured backend.
 
         When the backend may take the vector path, the compiled fetch
@@ -295,6 +296,7 @@ class Workbench:
         return simulate(
             image, hierarchy, self._block_sequence,
             spm_base=self._config.spm_base,
+            loop_regions=loop_regions,
             backend=self._config.backend,
             stream=stream,
         )
@@ -350,12 +352,11 @@ class Workbench:
         hierarchy = HierarchyConfig(
             cache=self._config.cache, loop_cache=lc_config
         )
-        report = simulate(
-            self._baseline_image,
-            hierarchy,
-            self._block_sequence,
+        # The loop cache sits next to the unmodified baseline layout,
+        # so this reuses the baseline's compiled stream.
+        report = self._simulate_image(
+            self._baseline_image, hierarchy,
             loop_regions=list(allocation.loop_regions),
-            backend="reference",
         )
         model = build_energy_model(hierarchy)
         return ExperimentResult(

@@ -349,7 +349,12 @@ class InstructionMemorySimulator:
         """Word-exact path for segments straddling a loop-cache region.
 
         ``access_words`` already counted the loop-cache words, so only
-        the words *outside* the regions go through the cache here.
+        the words *outside* the regions go through the cache here, one
+        probe per word in address order.  The vector kernel mirrors
+        exactly this order (``_cache_path`` in
+        :mod:`repro.memory.kernel.vector` splits such segments into
+        1-word segments): the probe count drives LFU reference counts
+        and 2Q promotions, so it is part of the contract.
         """
         assert self.loop_cache is not None
         for offset in range(segment.num_words):
@@ -482,7 +487,8 @@ def simulate(
                         image, block_sequence, spm_base=spm_base
                     )
                 report = simulate_stream(stream, config,
-                                         spm_base=spm_base)
+                                         spm_base=spm_base,
+                                         loop_regions=loop_regions or ())
             except (InjectedFault, KernelUnsupported):
                 metrics.inc("sim.kernel.fallbacks")
                 metrics.inc("resilience.kernel_fallbacks")

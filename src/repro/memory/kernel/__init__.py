@@ -11,10 +11,11 @@ trades the interpreter for three array passes:
 2. the stream is expanded into cache-line probes per line size (memoised
    on the stream, so a multi-configuration sweep pays it once);
 3. :func:`~repro.memory.kernel.vector.simulate_stream` replays the
-   probes through a set-associative LRU/FIFO cache model with
+   probes through a set-associative LRU/FIFO/LFU/2Q cache model with
    conflict-miss attribution — fully vectorized for direct-mapped
-   caches, per-set chronological replay over small arrays otherwise —
-   and emits a :class:`~repro.memory.stats.SimulationReport` that is
+   caches, per-set chronological replay over small arrays otherwise;
+   a preloaded loop cache first masks out the words its regions
+   serve — and emits a :class:`~repro.memory.stats.SimulationReport` that is
    bit-identical to the reference simulator's (same counters, same
    dict/Counter insertion orders).
 

@@ -93,15 +93,17 @@ class SweepGrid:
             any kernel-supported policy), ``plain`` lists cache-less
             configs (no replay needed at all), and ``fallback`` lists
             configs that must be replayed one at a time — non-stack
-            policies (FIFO/LFU/2Q) per-config on the vector kernel,
-            kernel-unsupported ones (ARC/OPT/random, loop caches) on
-            whatever the caller routes them to.
+            policies (FIFO/LFU/2Q) and loop caches (the scan knows no
+            loop-cache controller) per-config on the vector kernel,
+            kernel-unsupported ones (ARC/OPT/random) on whatever the
+            caller routes them to.
         """
         groups: dict[tuple[int, int], list[int]] = {}
         plain: list[int] = []
         fallback: list[int] = []
         for index, cfg in enumerate(self.configs):
-            if unsupported_reason(cfg) is not None:
+            if cfg.loop_cache is not None or \
+                    unsupported_reason(cfg) is not None:
                 fallback.append(index)
                 continue
             cache = cfg.cache

@@ -159,49 +159,16 @@ class FetchStream:
             return cached
 
         mask = ~self.seg_on_spm
-        addr = self.seg_addr[mask]
-        words = self.seg_words[mask]
-        mo = self.seg_mo[mask]
-
-        if addr.shape[0] == 0:
-            empty_i64 = np.zeros(0, dtype=np.int64)
-            probe = ProbeStream(
-                line=empty_i64,
-                owner=np.zeros(0, dtype=np.int32),
-                words=empty_i64.copy(),
-                first=np.zeros(0, dtype=bool),
-                line_order=empty_i64.copy(),
-            )
-            self._probe_cache[line_size] = probe
-            return probe
-
-        first_line = addr // line_size
-        last_line = (addr + _WORD * words - _WORD) // line_size
-        nlines = last_line - first_line + 1
-        total = int(nlines.sum())
-
-        starts = np.cumsum(nlines) - nlines
-        probe_seg = np.repeat(
-            np.arange(addr.shape[0], dtype=np.int64), nlines
+        line, owner, probe_words = _expand_lines(
+            self.seg_addr[mask], self.seg_words[mask],
+            self.seg_mo[mask], line_size,
         )
-        intra = np.arange(total, dtype=np.int64) - starts[probe_seg]
-        line = first_line[probe_seg] + intra
-        owner = mo[probe_seg]
-
-        line_start = line * line_size
-        seg_start = addr[probe_seg]
-        seg_end = seg_start + _WORD * words[probe_seg]
-        begin = np.maximum(seg_start, line_start)
-        end = np.minimum(seg_end, line_start + line_size)
-        probe_words = (end - begin) // _WORD
-
         order = np.argsort(line, kind="stable")
         sorted_lines = line[order]
-        first_sorted = np.empty(total, dtype=bool)
-        first_sorted[0] = True
-        first_sorted[1:] = sorted_lines[1:] != sorted_lines[:-1]
-        first = np.empty(total, dtype=bool)
-        first[order] = first_sorted
+        first = np.empty(line.shape[0], dtype=bool)
+        first[order[:1]] = True
+        first[order[1:]] = sorted_lines[1:] != sorted_lines[:-1]
+        del sorted_lines
 
         probe = ProbeStream(
             line=line, owner=owner, words=probe_words, first=first,
@@ -209,6 +176,39 @@ class FetchStream:
         )
         self._probe_cache[line_size] = probe
         return probe
+
+
+def _expand_lines(addr: np.ndarray, words: np.ndarray, mo: np.ndarray,
+                  line_size: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Line id, owner and served words of every probe of the segments.
+
+    Only a few probe-sized arrays are alive at once, and the
+    per-segment temporaries are freed on return, which keeps the
+    expansion's peak memory a small multiple of the probes it returns.
+    """
+    seg_end = addr + _WORD * words
+    first_line = addr // line_size
+    last_line = (seg_end - _WORD) // line_size
+    nlines = last_line - first_line + 1
+    starts = np.cumsum(nlines) - nlines
+    total = int(nlines.sum())
+
+    line = np.arange(total, dtype=np.int64)
+    line += np.repeat(first_line - starts, nlines)
+    owner = np.repeat(mo, nlines)
+
+    # Inner probes serve a full line; a segment's last and first
+    # probes serve up to its end and from its start.  A one-line
+    # segment's only probe is both: the first-probe write comes last
+    # and holds the segment's word count.
+    probe_words = np.full(total, line_size // _WORD, dtype=np.int64)
+    probe_words[starts + nlines - 1] = \
+        (seg_end - last_line * line_size) // _WORD
+    probe_words[starts] = (
+        np.minimum(seg_end, (first_line + 1) * line_size) - addr
+    ) // _WORD
+    return line, owner, probe_words
 
 
 def compile_stream(

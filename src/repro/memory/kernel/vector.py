@@ -18,6 +18,12 @@ Two replay strategies, both bit-identical to
   ways in ascending order before ever evicting, making line <-> way a
   bijection within each set.
 
+A preloaded loop cache has a fixed region table and no replacement, so
+the words it serves are an address-range mask over the stream's
+segments, like the scratchpad flag: the served words are counted per
+segment, and only the remaining words are expanded into cache probes
+(see :func:`simulate_stream`).
+
 ARC and OPT track state beyond the resident ways (ghost lists, a
 next-use oracle), and seeded random replacement is inherently
 sequential; all three stay on the reference interpreter via the
@@ -39,7 +45,8 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.memory.cache import CacheConfig
-from repro.memory.kernel.stream import FetchStream, compile_stream
+from repro.memory.kernel.stream import _WORD, FetchStream, compile_stream
+from repro.memory.loopcache import LoopCache, LoopRegion
 from repro.memory.stats import MemoryObjectStats, SimulationReport
 from repro.obs import metrics
 from repro.obs.trace import span
@@ -51,8 +58,8 @@ SUPPORTED_POLICIES = ("lru", "fifo", "lfu", "2q")
 class KernelUnsupported(SimulationError):
     """The vector kernel cannot replay this configuration exactly.
 
-    Raised for loop-cache hierarchies, phase-tracked runs and
-    replacement policies outside :data:`SUPPORTED_POLICIES`
+    Raised for phase-tracked runs, loop regions passed without a loop
+    cache, and replacement policies outside :data:`SUPPORTED_POLICIES`
     (``random``, ``arc``, ``opt``); the ``auto`` backend catches it
     and falls back to the reference simulator.
     """
@@ -65,15 +72,17 @@ def unsupported_reason(
 ) -> str | None:
     """Why the kernel cannot handle a run, or ``None`` if it can.
 
+    Loop-cache hierarchies are replayed; loop regions without a loop
+    cache are an error the reference simulator reports.
+
     Args:
         config: a :class:`~repro.memory.hierarchy.HierarchyConfig`.
         block_phases: phase map of the intended run, if any.
         loop_regions: preloaded loop regions of the intended run.
     """
-    if config.loop_cache is not None:
-        return "loop-cache hierarchies use the reference simulator"
-    if loop_regions:
-        return "loop regions require the reference simulator"
+    if loop_regions and config.loop_cache is None:
+        return "loop regions without a loop cache use the reference " \
+            "simulator"
     if block_phases is not None:
         return "phase-tracked (overlay) runs use the reference simulator"
     for cache in (config.cache, config.l2_cache):
@@ -122,36 +131,50 @@ def _replay_direct(line: np.ndarray, owner: np.ndarray,
     if total == 0:
         return _Replay(hit, _EMPTY_I64, _EMPTY_I32, _EMPTY_I32)
 
+    # Probe-sized temporaries are dropped as soon as they are used,
+    # which keeps the replay's peak memory low.
     set_idx = _set_indices(line, num_sets)
     set_order = np.argsort(set_idx, kind="stable")
+    sorted_sets = set_idx[set_order]
+    same_set = sorted_sets[1:] == sorted_sets[:-1]
+    del set_idx, sorted_sets
     lines_by_set = line[set_order]
-    same_set = set_idx[set_order][1:] == set_idx[set_order][:-1]
     hit_sorted = np.zeros(total, dtype=bool)
     hit_sorted[1:] = same_set & (lines_by_set[1:] == lines_by_set[:-1])
+    del lines_by_set
     hit[set_order] = hit_sorted
 
     if not attribute:
         return _Replay(hit, _EMPTY_I64, _EMPTY_I32, _EMPTY_I32)
 
-    # Previous occurrence of the same line (global probe index).
+    # Previous occurrence of the same line (global probe index): the
+    # predecessor in line order, if it holds the same line.
     if line_order is None:
         line_order = np.argsort(line, kind="stable")
-    prev = np.full(total, -1, dtype=np.int64)
-    same_line = line[line_order][1:] == line[line_order][:-1]
-    prev[line_order[1:][same_line]] = line_order[:-1][same_line]
-
-    # Next probe within the same set (global probe index).
-    nxt = np.full(total, -1, dtype=np.int64)
-    nxt[set_order[:-1][same_set]] = set_order[1:][same_set]
+    sorted_lines = line[line_order]
+    same_line = sorted_lines[1:] == sorted_lines[:-1]
+    del sorted_lines
+    prev_sorted = np.empty(total, dtype=np.int64)
+    prev_sorted[0] = -1
+    prev_sorted[1:] = np.where(same_line, line_order[:-1], -1)
+    prev = np.empty(total, dtype=np.int64)
+    prev[line_order] = prev_sorted
+    del prev_sorted
 
     # A non-compulsory miss of line L was evicted by the probe that
     # followed L's previous occurrence in the set: that probe found L
     # resident, missed, and displaced it (associativity 1).
     victims = np.flatnonzero(~hit & (prev >= 0))
-    evict_probe = nxt[prev[victims]]
-    valid = evict_probe >= 0
+    last_seen = prev[victims]
+    del prev
+    rank = np.empty(total, dtype=np.int64)  # position in set order
+    rank[set_order] = np.arange(total, dtype=np.int64)
+    pos = rank[last_seen]
+    del rank
+    valid = pos < total - 1
+    valid[valid] = same_set[pos[valid]]
     victims = victims[valid]
-    evict_probe = evict_probe[valid]
+    evict_probe = set_order[pos[valid] + 1]
     return _Replay(
         hit=hit,
         conflict_idx=victims.astype(np.int64),
@@ -356,12 +379,80 @@ def _conflict_counters(replay: _Replay, names: tuple[str, ...]
     return conflicts, phase_conflicts
 
 
+def _loop_cache_words(stream: FetchStream,
+                      regions: list[LoopRegion]) -> np.ndarray:
+    """Words of every segment that the preloaded regions serve (int64).
+
+    Word ``a + 4k`` of a segment starting at byte ``a`` is served iff
+    ``r.start <= a + 4k < r.end`` for some region ``r``.  Preloaded
+    regions never overlap, so per-region counts add up.  Scratchpad
+    segments never reach the loop-cache controller.
+    """
+    addr = stream.seg_addr
+    words = stream.seg_words
+    served = np.zeros_like(words)
+    for region in regions:
+        # First and one-past-last covered word: ceil((bound - a) / 4).
+        low = np.clip(-((addr - region.start) // _WORD), 0, words)
+        high = np.clip(-((addr - region.end) // _WORD), 0, words)
+        served += np.maximum(high - low, 0)
+    served[stream.seg_on_spm] = 0
+    return served
+
+
+def _cache_path(stream: FetchStream, served: np.ndarray,
+                regions: list[LoopRegion]) -> FetchStream:
+    """The segments that still reach the I-cache behind a loop cache.
+
+    Fully served segments are dropped and unserved ones are kept
+    whole.  A segment that straddles a region boundary becomes one
+    1-word segment per unserved word, because the reference simulator
+    probes those words one at a time (``_fetch_mixed_segment`` in
+    :mod:`repro.memory.hierarchy`); merging them would change the
+    probe count and with it LFU reference counts and 2Q promotions.
+    """
+    if not served.any():
+        return stream
+    words = stream.seg_words
+    whole = np.flatnonzero(served == 0)
+    mixed = np.flatnonzero((served > 0) & (served < words))
+    mixed_words = words[mixed]
+    word_seg = np.repeat(mixed, mixed_words)
+    offset = np.arange(word_seg.shape[0], dtype=np.int64) - np.repeat(
+        np.cumsum(mixed_words) - mixed_words, mixed_words
+    )
+    word_addr = stream.seg_addr[word_seg] + _WORD * offset
+    unserved = np.ones(word_seg.shape[0], dtype=bool)
+    for region in regions:
+        unserved &= (word_addr < region.start) | (word_addr >= region.end)
+    word_seg = word_seg[unserved]
+
+    # Whole segments and split words never share a segment index, and
+    # split words are already in address order, so a stable sort by
+    # index restores the chronological order.
+    seg = np.concatenate([whole, word_seg])
+    order = np.argsort(seg, kind="stable")
+    return FetchStream(
+        mo_names=stream.mo_names,
+        seg_mo=stream.seg_mo[seg[order]],
+        seg_addr=np.concatenate(
+            [stream.seg_addr[whole], word_addr[unserved]])[order],
+        seg_words=np.concatenate(
+            [words[whole], np.ones(word_seg.shape[0], dtype=np.int64)]
+        )[order],
+        seg_on_spm=stream.seg_on_spm[seg[order]],
+        num_blocks=stream.num_blocks,
+        spm_base=stream.spm_base,
+    )
+
+
 def assemble_report(
     stream: FetchStream,
     config,
     spm_base: int | None,
     probes,
     replay: _Replay | None,
+    lc_words: np.ndarray | None = None,
 ) -> SimulationReport:
     """Assemble a report from a precomputed L1 replay.
 
@@ -369,7 +460,9 @@ def assemble_report(
     the grid path (:func:`repro.memory.kernel.grid.simulate_grid`), so
     both produce byte-for-byte identical reports from the same replay
     outcome.  ``probes``/``replay`` are ``None`` for cache-less
-    hierarchies.
+    hierarchies.  ``lc_words`` holds the loop-cache-served words of
+    every segment of *stream*, and is ``None`` without a loop cache;
+    ``probes`` then cover only the remaining words.
     """
     names = stream.mo_names
     num_mos = len(names)
@@ -399,6 +492,12 @@ def assemble_report(
             )
         spm_accesses = _counts(seg_mo[spm_mask], num_mos, spm_words)
 
+    lc_accesses = np.zeros(num_mos, dtype=np.int64)
+    path_words = seg_words
+    if lc_words is not None:
+        lc_accesses = _counts(seg_mo, num_mos, lc_words)
+        path_words = seg_words - lc_words
+
     conflicts: Counter = Counter()
     phase_conflicts: Counter = Counter()
     l2_hits = 0
@@ -406,7 +505,7 @@ def assemble_report(
     if config.cache is None:
         cache_mask = ~spm_mask
         cache_misses = _counts(
-            seg_mo[cache_mask], num_mos, seg_words[cache_mask]
+            seg_mo[cache_mask], num_mos, path_words[cache_mask]
         )
         cache_hits = np.zeros(num_mos, dtype=np.int64)
         compulsory = np.zeros(num_mos, dtype=np.int64)
@@ -416,10 +515,8 @@ def assemble_report(
         hit = replay.hit
         miss = ~hit
         owner = probes.owner
-        cache_hits = (
-            _counts(owner[hit], num_mos, probes.words[hit])
-            + _counts(owner[miss], num_mos, probes.words[miss] - 1)
-        )
+        # A hit serves all of its words; a miss serves all but one.
+        cache_hits = _counts(owner, num_mos, probes.words - miss)
         cache_misses = _counts(owner[miss], num_mos)
         compulsory = _counts(owner[probes.first], num_mos)
         conflicts, phase_conflicts = _conflict_counters(replay, names)
@@ -444,10 +541,14 @@ def assemble_report(
             name=names[mo_idx],
             fetches=int(fetches[mo_idx]),
             spm_accesses=int(spm_accesses[mo_idx]),
+            lc_accesses=int(lc_accesses[mo_idx]),
             cache_hits=int(cache_hits[mo_idx]),
             cache_misses=int(cache_misses[mo_idx]),
             compulsory_misses=int(compulsory[mo_idx]),
         )
+    if lc_words is not None:
+        # The controller checks every fetch that bypasses the SPM.
+        report.lc_controller_checks = int(seg_words[~spm_mask].sum())
     report.conflict_misses = conflicts
     report.phase_conflicts = phase_conflicts
     report.main_memory_words = main_memory_words
@@ -462,6 +563,7 @@ def simulate_stream(
     stream: FetchStream,
     config,
     spm_base: int | None = None,
+    loop_regions=(),
 ) -> SimulationReport:
     """Replay a compiled stream through a hierarchy configuration.
 
@@ -470,35 +572,51 @@ def simulate_stream(
     insertion order of ``mo_stats`` (first-fetch order) and of the
     conflict Counters (first-conflict order).
 
+    With a loop cache, the words inside *loop_regions* are served by
+    it and every other non-scratchpad word is probed through the
+    I-cache, in the reference simulator's order.
+
     Args:
         stream: compiled fetch stream (see :func:`compile_stream`).
         config: a :class:`~repro.memory.hierarchy.HierarchyConfig`.
         spm_base: scratchpad base address override (defaults to the
             base recorded in the stream).
+        loop_regions: regions preloaded into ``config.loop_cache``.
 
     Raises:
         KernelUnsupported: for configurations the kernel cannot replay
             exactly (see :func:`unsupported_reason`).
         SimulationError: on scratchpad mapping violations, exactly as
             the reference simulator.
+        AllocationError: for regions the loop cache cannot hold, as
+            the reference simulator.
     """
-    reason = unsupported_reason(config)
+    reason = unsupported_reason(config, loop_regions=loop_regions)
     if reason is not None:
         raise KernelUnsupported(reason)
 
     with span("sim.kernel.replay", segments=stream.num_segments,
               words=stream.total_words) as replay_span:
+        lc_words = None
+        cache_stream = stream
+        if config.loop_cache is not None:
+            # Preloading validates the region table like the reference.
+            regions = LoopCache(config.loop_cache,
+                                list(loop_regions)).regions
+            lc_words = _loop_cache_words(stream, regions)
+            cache_stream = _cache_path(stream, lc_words, regions)
         probes = None
         replay = None
         if config.cache is not None:
-            probes = stream.probes(config.cache.line_size)
+            probes = cache_stream.probes(config.cache.line_size)
             replay = _replay(probes.line, probes.owner, config.cache,
                              attribute=True,
                              line_order=probes.line_order)
             miss_probes = len(probes) - int(replay.hit.sum())
             replay_span.add(probes=len(probes), misses=miss_probes)
             metrics.inc("sim.kernel.probes", len(probes))
-        return assemble_report(stream, config, spm_base, probes, replay)
+        return assemble_report(stream, config, spm_base, probes, replay,
+                               lc_words=lc_words)
 
 
 def simulate(

@@ -3,7 +3,7 @@
 The kernel's contract is *bit-identical* reports — not just equal
 totals, but the same per-object counters, the same ``mo_stats``
 insertion order and the same conflict-Counter key order as the
-reference simulator.  This module checks that contract from three
+reference simulator.  This module checks that contract from four
 independent directions:
 
 1. **Randomized probe-level replay** — random cache geometries
@@ -18,12 +18,20 @@ independent directions:
    set-associative, every kernel-supported policy, several line
    sizes, with and without a scratchpad and an L2) through both
    backends, and the two reports are compared field by field.
-3. **Audit cross-check** — the conflict graph built from a
+3. **Loop-cache replay** — each workload's baseline image is
+   simulated with a preloaded loop cache next to every hierarchy of
+   the end-to-end grid, once with Ross's regions at each of the
+   workload's sizes and once with seeded synthetic regions that cut
+   through fetch segments (Ross's regions cover whole segments, so
+   only the synthetic ones exercise the kernel's word-by-word split),
+   plus one cache-less loop-cache hierarchy; both backends' reports
+   are compared field by field.
+4. **Audit cross-check** — the conflict graph built from a
    *vector-backend* report is audited against the event stream the
    *reference* simulator actually emitted
    (:func:`repro.obs.events.audit_workload` with ``backend="vector"``).
 
-``repro verify-kernel`` runs all three and exits non-zero on any
+``repro verify-kernel`` runs all four and exits non-zero on any
 difference.
 """
 
@@ -97,7 +105,7 @@ class VerifyCase:
     """Outcome of one differential check.
 
     Attributes:
-        kind: ``probe`` | ``workload`` | ``audit``.
+        kind: ``probe`` | ``workload`` | ``loop-cache`` | ``audit``.
         description: what was compared (config, workload, trial seed).
         differences: disagreements found (empty = the check passed).
     """
@@ -336,44 +344,137 @@ def workload_images(workload_name: str, scale: float, seed: int):
     return bench, images
 
 
-def _workload_cases(workload_name: str, scale: float,
-                    seed: int) -> list[VerifyCase]:
-    """End-to-end reference-vs-vector cases for one workload."""
-    from dataclasses import replace
+def _describe(hierarchy) -> str:
+    """The cache geometry of a hierarchy, for a case description."""
+    cache = hierarchy.cache
+    if cache is None:
+        return "cache-less"
+    return (
+        f"size={cache.size} line={cache.line_size} "
+        f"assoc={cache.associativity} policy={cache.policy}"
+        + (" +L2" if hierarchy.l2_cache is not None else "")
+    )
 
+
+def _differential_case(kind: str, description: str, bench, image,
+                       stream, hierarchy,
+                       loop_regions=None) -> VerifyCase:
+    """Simulate one hierarchy through both backends and compare."""
     from repro.memory.hierarchy import simulate
-    from repro.memory.kernel.stream import compile_stream
     from repro.memory.kernel.vector import simulate_stream
 
+    spm_base = bench.config.spm_base
+    reference = simulate(
+        image, hierarchy, bench.block_sequence, spm_base=spm_base,
+        loop_regions=loop_regions, backend="reference",
+    )
+    vector = simulate_stream(stream, hierarchy, spm_base=spm_base,
+                             loop_regions=loop_regions or ())
+    return VerifyCase(kind, description,
+                      tuple(report_differences(reference, vector)))
+
+
+def _workload_cases(workload_name: str, scale: float,
+                    seed: int) -> list[VerifyCase]:
+    """End-to-end and loop-cache cases for one workload."""
+    from dataclasses import replace
+
+    from repro.memory.kernel.stream import compile_stream
+
     bench, images = workload_images(workload_name, scale, seed)
-    config = bench.config
     cases: list[VerifyCase] = []
     for label, image, spm_size in images:
         stream = compile_stream(image, bench.block_sequence,
-                                spm_base=config.spm_base)
+                                spm_base=bench.config.spm_base)
         for hierarchy in _config_grid():
             hierarchy = replace(hierarchy, spm_size=spm_size)
-            reference = simulate(
-                image, hierarchy, bench.block_sequence,
-                spm_base=config.spm_base, backend="reference",
-            )
-            vector = simulate_stream(stream, hierarchy,
-                                     spm_base=config.spm_base)
-            cache = hierarchy.cache
-            description = (
-                f"{workload_name}/{label} size={cache.size} "
-                f"line={cache.line_size} assoc={cache.associativity} "
-                f"policy={cache.policy}"
-                + (" +L2" if hierarchy.l2_cache is not None else "")
-            )
-            cases.append(VerifyCase(
-                "workload", description,
-                tuple(report_differences(reference, vector)),
+            cases.append(_differential_case(
+                "workload",
+                f"{workload_name}/{label} {_describe(hierarchy)}",
+                bench, image, stream, hierarchy,
             ))
+        if label == "baseline":
+            cases.extend(_loop_cache_cases(workload_name, seed, bench,
+                                           image, stream))
     return cases
 
 
-# -- check 3: audit cross-check -----------------------------------------------
+# -- check 3: loop-cache replay -----------------------------------------------
+
+
+def synthetic_regions(stream, seed: int, count: int = 3) -> list:
+    """Seeded word-aligned loop regions that cut through segments.
+
+    Each region starts inside a random multi-word cache-path segment,
+    so that segment straddles the region's start; regions never
+    overlap, as the loop cache requires.
+    """
+    from repro.memory.loopcache import LoopRegion
+
+    rng = random.Random(seed)
+    candidates = np.flatnonzero(
+        (stream.seg_words > 1) & ~stream.seg_on_spm
+    ).tolist()
+    regions: list[LoopRegion] = []
+    for _ in range(8 * count):
+        if len(regions) == count or not candidates:
+            break
+        segment = rng.choice(candidates)
+        start = int(stream.seg_addr[segment]) + 4 * rng.randrange(
+            1, int(stream.seg_words[segment])
+        )
+        end = start + 4 * rng.randrange(1, 40)
+        if all(end <= r.start or r.end <= start for r in regions):
+            regions.append(LoopRegion(f"synthetic:{len(regions)}",
+                                      start, end - start))
+    return regions
+
+
+def _loop_cache_cases(workload_name: str, seed: int, bench, image,
+                      stream) -> list[VerifyCase]:
+    """Loop-cache reference-vs-vector cases on the baseline image."""
+    from dataclasses import replace
+
+    from repro.core.ross import RossLoopCacheAllocator
+    from repro.memory.hierarchy import HierarchyConfig
+    from repro.memory.loopcache import LoopCacheConfig
+    from repro.workloads.registry import get_workload
+
+    region_sets = []
+    for size in get_workload(workload_name).spm_sizes:
+        lc_config = LoopCacheConfig(size=size)
+        allocation = RossLoopCacheAllocator(lc_config).allocate(
+            bench.conflict_graph, context=bench.allocation_context()
+        )
+        region_sets.append((f"ross@{size}", lc_config,
+                            list(allocation.loop_regions)))
+    regions = synthetic_regions(stream, seed)
+    region_sets.append((
+        f"synthetic(seed={seed})",
+        LoopCacheConfig(size=sum(r.size for r in regions),
+                        max_regions=max(1, len(regions))),
+        regions,
+    ))
+
+    cases: list[VerifyCase] = []
+    for label, lc_config, regions in region_sets:
+        for hierarchy in _config_grid():
+            cases.append(_differential_case(
+                "loop-cache",
+                f"{workload_name}/{label} {_describe(hierarchy)}",
+                bench, image, stream,
+                replace(hierarchy, loop_cache=lc_config), regions,
+            ))
+    label, lc_config, regions = region_sets[-1]
+    cases.append(_differential_case(
+        "loop-cache", f"{workload_name}/{label} cache-less",
+        bench, image, stream,
+        HierarchyConfig(cache=None, loop_cache=lc_config), regions,
+    ))
+    return cases
+
+
+# -- check 4: audit cross-check -----------------------------------------------
 
 
 def _audit_case(workload_name: str, scale: float,

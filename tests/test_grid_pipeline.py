@@ -81,6 +81,44 @@ class TestGridOnRandomPrograms:
             assert not report_differences(reference, vector)
 
 
+class TestPartition:
+    """Configs the single-pass scan cannot model fall back per config."""
+
+    def test_loop_cache_config_falls_back(self):
+        from repro.memory.loopcache import LoopCacheConfig
+
+        cache = CacheConfig(size=128, line_size=16, associativity=2)
+        grid = SweepGrid.of([
+            HierarchyConfig(cache=cache),
+            HierarchyConfig(cache=cache,
+                            loop_cache=LoopCacheConfig(size=256)),
+        ])
+        groups, plain, fallback = grid.partition()
+        assert groups == {(16, cache.num_sets): [0]}
+        assert plain == []
+        assert fallback == [1]
+
+    def test_loop_cache_config_matches_reference(self, tiny_workbench):
+        from repro.memory.loopcache import LoopCacheConfig
+
+        bench = tiny_workbench
+        image = LinkedImage(bench.program, bench.memory_objects)
+        hierarchy = HierarchyConfig(
+            cache=bench.config.cache,
+            loop_cache=LoopCacheConfig(size=256),
+        )
+        stream = compile_stream(image, bench.block_sequence,
+                                spm_base=bench.config.spm_base)
+        [from_grid] = simulate_grid(stream, SweepGrid.of([hierarchy]),
+                                    spm_base=bench.config.spm_base)
+        reference = simulate(image, hierarchy, bench.block_sequence,
+                             spm_base=bench.config.spm_base,
+                             backend="reference")
+        assert reference.lc_controller_checks == \
+            reference.total_fetches
+        assert not report_differences(reference, from_grid)
+
+
 def fresh_workbench():
     """The tiny workbench on its own fresh in-memory store."""
     runner = StageRunner(store=ArtifactStore())

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig, simulate
+from repro.memory.loopcache import LoopCacheConfig, LoopRegion
 from repro.memory.kernel import report_differences
 from repro.obs.events import EventRecorder, set_recorder
 from repro.traces.layout import LinkedImage, Placement
@@ -54,13 +55,15 @@ def images_of(bench, spm_size=64):
     return pairs
 
 
-def both_backends(bench, hierarchy, spm_size, image):
+def both_backends(bench, hierarchy, spm_size, image, loop_regions=None):
     """Simulate one configuration through both backends."""
     reference = simulate(image, hierarchy, bench.block_sequence,
                          spm_base=bench.config.spm_base,
+                         loop_regions=loop_regions,
                          backend="reference")
     vector = simulate(image, hierarchy, bench.block_sequence,
                       spm_base=bench.config.spm_base,
+                      loop_regions=loop_regions,
                       backend="vector")
     return reference, vector
 
@@ -104,6 +107,79 @@ class TestTwoLevel:
         assert report_differences(reference, vector) == []
         assert vector.l2_hits == reference.l2_hits
         assert vector.l2_misses == reference.l2_misses
+
+
+def ross_regions(bench, size):
+    """Ross's preloaded regions for a loop cache of *size* bytes."""
+    from repro.core.ross import RossLoopCacheAllocator
+
+    allocation = RossLoopCacheAllocator(
+        LoopCacheConfig(size=size, max_regions=4)
+    ).allocate(bench.conflict_graph, context=bench.allocation_context())
+    return list(allocation.loop_regions)
+
+
+class TestLoopCache:
+    """Loop-cache hierarchies replay on the kernel, bit for bit."""
+
+    @pytest.mark.parametrize("associativity,policy", [
+        (1, "lru"), (2, "lru"), (2, "fifo"), (2, "lfu"), (2, "2q"),
+    ])
+    def test_ross_regions_match_reference(self, adpcm_workbench,
+                                          associativity, policy):
+        image = images_of(adpcm_workbench)[0][1]
+        cache = CacheConfig(size=16 * associativity * 4, line_size=16,
+                            associativity=associativity, policy=policy)
+        for size in (64, 128, 256):
+            hierarchy = HierarchyConfig(
+                cache=cache,
+                loop_cache=LoopCacheConfig(size=size, max_regions=4),
+            )
+            regions = ross_regions(adpcm_workbench, size)
+            reference, vector = both_backends(
+                adpcm_workbench, hierarchy, 0, image,
+                loop_regions=regions,
+            )
+            assert reference.lc_accesses > 0
+            assert report_differences(reference, vector) == [], size
+
+    @pytest.mark.parametrize("cache", [
+        CacheConfig(size=64, line_size=16, associativity=1),
+        CacheConfig(size=128, line_size=16, associativity=2,
+                    policy="lfu"),
+        CacheConfig(size=128, line_size=16, associativity=2,
+                    policy="2q"),
+        None,
+    ], ids=["dm", "lfu", "2q", "cacheless"])
+    def test_regions_splitting_segments_match_reference(
+            self, adpcm_workbench, cache):
+        from repro.memory.kernel import compile_stream
+        from repro.memory.kernel.vector import _loop_cache_words
+        from repro.memory.kernel.verify import synthetic_regions
+
+        image = images_of(adpcm_workbench)[0][1]
+        stream = compile_stream(image, adpcm_workbench.block_sequence)
+        regions = synthetic_regions(stream, seed=1)
+        served = _loop_cache_words(stream, regions)
+        assert ((served > 0) & (served < stream.seg_words)).any()
+
+        hierarchy = HierarchyConfig(
+            cache=cache,
+            loop_cache=LoopCacheConfig(size=1 << 16, max_regions=4),
+        )
+        reference, vector = both_backends(
+            adpcm_workbench, hierarchy, 0, image, loop_regions=regions,
+        )
+        assert report_differences(reference, vector) == []
+
+    def test_regions_without_loop_cache_stay_an_error(
+            self, tiny_workbench):
+        image = images_of(tiny_workbench)[0][1]
+        with pytest.raises(ConfigurationError, match="loop"):
+            simulate(image, HierarchyConfig(),
+                     tiny_workbench.block_sequence,
+                     loop_regions=[LoopRegion("r", 0, 16)],
+                     backend="vector")
 
 
 class TestDispatch:

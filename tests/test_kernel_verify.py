@@ -91,9 +91,17 @@ class TestVerifyKernel:
     def test_passes_on_tiny(self, report):
         assert report.ok, report.render()
 
-    def test_covers_all_three_kinds(self, report):
+    def test_covers_all_four_kinds(self, report):
         kinds = {case.kind for case in report.cases}
-        assert kinds == {"probe", "workload", "audit"}
+        assert kinds == {"probe", "workload", "loop-cache", "audit"}
+
+    def test_loop_cache_cases_cover_ross_and_split_regions(self, report):
+        labels = {case.description.split()[0] for case in report.cases
+                  if case.kind == "loop-cache"}
+        assert labels == {"tiny/ross@64", "tiny/ross@128",
+                          "tiny/synthetic(seed=0)"}
+        assert any(case.description.endswith("cache-less")
+                   for case in report.cases)
 
     def test_render_mentions_coverage(self, report):
         text = report.render()
@@ -110,3 +118,24 @@ class TestVerifyKernel:
         text = failing.render()
         assert "FAILING" in text
         assert "hits differ" in text
+
+
+class TestSyntheticRegions:
+    def test_regions_split_segments_and_never_overlap(self,
+                                                      tiny_workbench):
+        from repro.memory.kernel import compile_stream
+        from repro.memory.kernel.vector import _loop_cache_words
+        from repro.memory.kernel.verify import synthetic_regions
+        from repro.traces.layout import LinkedImage
+
+        image = LinkedImage(tiny_workbench.program,
+                            tiny_workbench.memory_objects)
+        stream = compile_stream(image, tiny_workbench.block_sequence)
+        regions = synthetic_regions(stream, seed=0)
+        assert regions == synthetic_regions(stream, seed=0)
+        assert all(r.start % 4 == 0 and r.size % 4 == 0
+                   for r in regions)
+        ordered = sorted(regions, key=lambda r: r.start)
+        assert all(a.end <= b.start for a, b in zip(ordered, ordered[1:]))
+        served = _loop_cache_words(stream, regions)
+        assert ((served > 0) & (served < stream.seg_words)).any()

@@ -9,7 +9,12 @@ stage timings and cache hit rates from it.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.cli import main
 from repro.obs.report import POINT_SPAN
 
@@ -102,6 +107,30 @@ def test_report_renders_stage_timings_and_hit_rates(tmp_path, capsys):
     assert summary["command"] == "sweep"
     assert summary["stages"]["execution"]["computed"] == 1
     assert len(summary["slowest"]) <= 2
+
+
+def test_report_exits_quietly_when_stdout_closes(tmp_path, capsys):
+    """``repro report RUNFILE | head -1`` prints no traceback.
+
+    The pipe's read end is closed before the child writes, so its
+    first write fails with EPIPE, as when ``head`` has exited.
+    """
+    trace_file, _ = traced_sweep(tmp_path, "piped")
+    capsys.readouterr()
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "report", str(trace_file)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert child.stderr.decode() == ""
+    assert child.returncode == 0
 
 
 def test_metrics_flag_prints_registry(tmp_path, capsys):
