@@ -40,7 +40,6 @@ MODULES = (
     "repro.serve.schema",
     "repro.serve.batching",
     "repro.serve.admission",
-    "repro.serve.breaker",
     "repro.serve.service",
     "repro.serve.daemon",
     "repro.serve.loadgen",

@@ -469,29 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "<= 0 unbounded)",
     )
     serve.add_argument(
-        "--tenant-quota", type=int, default=None,
-        help="per-tenant concurrent-request bound (default none)",
-    )
-    serve.add_argument(
-        "--breaker-threshold", type=int, default=5,
-        help="rolling-window failures that open a verb's circuit "
-             "breaker (default 5, <= 0 disables breakers)",
-    )
-    serve.add_argument(
-        "--breaker-window", type=float, default=30.0,
-        help="breaker rolling-window width in seconds (default 30)",
-    )
-    serve.add_argument(
-        "--breaker-cooldown", type=float, default=5.0,
-        help="seconds an open breaker waits before half-opening "
-             "(default 5)",
-    )
-    serve.add_argument(
-        "--retry-after", type=float, default=1.0,
-        help="Retry-After hint on shed responses in seconds "
-             "(default 1)",
-    )
-    serve.add_argument(
         "--max-body-bytes", type=int, default=1 << 20,
         help="refuse request bodies above this size with a "
              "structured 400 (default 1 MiB)",
@@ -780,11 +757,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         fault_spec=args.faults or os.environ.get("CASA_FAULTS"),
         log_path=args.log,
         max_inflight=args.max_inflight,
-        tenant_quota=args.tenant_quota,
-        breaker_threshold=args.breaker_threshold,
-        breaker_window_s=args.breaker_window,
-        breaker_cooldown_s=args.breaker_cooldown,
-        retry_after_s=args.retry_after,
     )
     service = AllocationService(config)
 

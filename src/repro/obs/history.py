@@ -657,17 +657,13 @@ def measure_serve_overload(
 ) -> dict[str, float]:
     """Hardening-layer counters and overload latency of the service.
 
-    Three short segments, the first two fully deterministic:
+    Two short segments, the first fully deterministic:
 
     1. **admission** — a service bounded to one in-flight request
        has admitted one solve when *sheds* more requests arrive
        (admission is synchronous); every one must shed, so
        ``serve.overload.shed.total`` is exactly *sheds*.
-    2. **breaker** — a service with ``breaker_threshold=2`` sees two
-       genuinely failing requests (an unknown workload; healed faults
-       never count), so ``serve.overload.breaker.opens`` is exactly 1
-       and the next request sheds with reason ``breaker``.
-    3. **overload latency** — a real daemon with ``max_inflight=2``
+    2. **overload latency** — a real daemon with ``max_inflight=2``
        under ``2x`` closed-loop workers; the accepted-request p99
        (``serve.overload.latency.p99.seconds``, tolerance-banded) is
        the number the hardening layer protects, while
@@ -679,7 +675,7 @@ def measure_serve_overload(
 
     from repro.serve.daemon import start_in_thread
     from repro.serve.loadgen import run_load
-    from repro.serve.schema import EvaluateRequest, SimulateRequest
+    from repro.serve.schema import EvaluateRequest
     from repro.serve.service import AllocationService, ServiceConfig
 
     metrics: dict[str, float] = {}
@@ -706,25 +702,7 @@ def measure_serve_overload(
     metrics["serve.overload.shed.total"] = \
         service.registry.value("serve.shed.total")
 
-    # Segment 2: two hard failures open the verb's breaker once.
-    service = AllocationService(ServiceConfig(breaker_threshold=2))
-    service.start()
-    try:
-        async def breaker_scenario() -> None:
-            for _ in range(2):
-                await service.handle(
-                    SimulateRequest("no-such-workload"))
-            response = await service.handle(
-                SimulateRequest("no-such-workload"))
-            assert response.status == "shed"
-
-        asyncio.run(breaker_scenario())
-    finally:
-        service.stop()
-    metrics["serve.overload.breaker.opens"] = \
-        service.registry.value("serve.breaker.opens")
-
-    # Segment 3: accepted-request latency under 2x overload.
+    # Segment 2: accepted-request latency under 2x overload.
     service = AllocationService(ServiceConfig(max_inflight=2))
     handle = start_in_thread(service)
     try:

@@ -7,9 +7,8 @@ Layers, bottom up:
 * :mod:`repro.serve.batching` — the micro-batching queue coalescing
   compatible requests queued behind a running batch into shared grid
   chunks;
-* :mod:`repro.serve.breaker` / :mod:`repro.serve.admission` — the
-  hardening layer: per-verb circuit breakers behind an admission
-  controller enforcing max-in-flight, per-tenant quotas and drain;
+* :mod:`repro.serve.admission` — the admission controller: drain,
+  then a global max-in-flight bound, shedding with structured 503s;
 * :mod:`repro.serve.service` — :class:`AllocationService`, which runs
   admitted batches through the resilience layer over tenant-sharded
   artifact stores, propagating per-request deadlines;
@@ -30,7 +29,6 @@ from repro.serve.admission import (
     AdmissionTicket,
 )
 from repro.serve.batching import MicroBatcher
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.daemon import (
     DaemonHandle,
     ServeDaemon,
@@ -68,7 +66,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionTicket",
     "MicroBatcher",
-    "CircuitBreaker",
     "DaemonHandle",
     "ServeDaemon",
     "run_daemon",

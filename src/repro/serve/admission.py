@@ -2,76 +2,57 @@
 
 Every request the daemon accepts passes through one
 :class:`AdmissionController` *before* it may enter the micro-batcher.
-The controller enforces three independent gates, in order:
+The controller enforces two gates, in order:
 
 1. **drain** — a draining service accepts no new work
    (:data:`SHED_DRAINING`);
-2. **circuit breakers** — one :class:`~repro.serve.breaker.CircuitBreaker`
-   per verb; an open breaker sheds instantly
-   (:data:`SHED_BREAKER`);
-3. **concurrency** — a global ``max_inflight`` bound on
-   admitted-but-unanswered requests plus an optional per-tenant
-   quota (:data:`SHED_OVERLOAD` / :data:`SHED_TENANT`).  The
-   in-flight gate is what keeps the batch queue bounded: the batcher
-   can never hold more requests than the gate has admitted.
+2. **concurrency** — a global ``max_inflight`` bound on
+   admitted-but-unanswered requests (:data:`SHED_OVERLOAD`).  This
+   gate is what keeps the batch queue bounded: the batcher can never
+   hold more requests than the gate has admitted.
 
 A shed request is answered with a structured 503 carrying a
-``Retry-After`` hint and never touches the executor.  Accounting:
-``serve.shed.total`` plus ``serve.shed.<reason>`` counters (the
-chaos gate asserts the reasons always sum to the total), the
-``serve.inflight`` gauge, ``serve.breaker.opens`` and the
-``serve.breaker.state.<verb>`` gauges.
+``Retry-After`` hint of :data:`RETRY_AFTER_S` and never touches the
+executor.  Accounting: ``serve.shed.total`` plus
+``serve.shed.<reason>`` and ``serve.shed.verb.<verb>`` counters (the
+chaos gate asserts the reasons always sum to the total) and the
+``serve.inflight`` gauge.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable
 
-from repro.obs.logging import log_event
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.breaker import HALF_OPEN, CircuitBreaker
 
 #: Shed reasons, also the ``serve.shed.<reason>`` metric suffixes.
 SHED_DRAINING = "draining"
-SHED_BREAKER = "breaker"
 SHED_OVERLOAD = "overload"
-SHED_TENANT = "tenant_quota"
 
-SHED_REASONS = (SHED_DRAINING, SHED_BREAKER, SHED_OVERLOAD,
-                SHED_TENANT)
+SHED_REASONS = (SHED_DRAINING, SHED_OVERLOAD)
 
 #: Default bound on admitted-but-unanswered requests.
 DEFAULT_MAX_INFLIGHT = 64
 
-#: Default ``Retry-After`` hint attached to shed responses (seconds).
-DEFAULT_RETRY_AFTER_S = 1.0
+#: ``Retry-After`` hint attached to shed responses (seconds).
+RETRY_AFTER_S = 1.0
 
 
 class AdmissionTicket:
-    """Receipt of one admitted request; must be closed exactly once."""
+    """Receipt of one admitted request; must be released exactly once."""
 
-    __slots__ = ("verb", "tenant", "_controller", "_closed")
+    __slots__ = ("_controller", "_closed")
 
-    def __init__(self, controller: "AdmissionController", verb: str,
-                 tenant: str) -> None:
-        self.verb = verb
-        self.tenant = tenant
+    def __init__(self, controller: "AdmissionController") -> None:
         self._controller = controller
         self._closed = False
 
-    def release(self, ok: bool) -> None:
-        """Give the slot back and feed the outcome to the breaker.
-
-        *ok* is the breaker's health signal — ``False`` only for
-        responses whose status is ``failed`` (shed and
-        ``deadline_exceeded`` responses never reach a ticket).
-        Idempotent: double release is a no-op.
-        """
+    def release(self) -> None:
+        """Give the slot back (idempotent: double release is a no-op)."""
         if self._closed:
             return
         self._closed = True
-        self._controller._release(self, ok)
+        self._controller._release()
 
 
 class AdmissionController:
@@ -79,75 +60,20 @@ class AdmissionController:
 
     Args:
         registry: metrics registry receiving the shed counters and
-            gauges.
+            the in-flight gauge.
         max_inflight: bound on concurrently admitted requests
             (``<= 0`` = unbounded).
-        tenant_quota: per-tenant concurrent-request bound (``None``
-            or ``<= 0`` = unbounded).
-        breaker_threshold: rolling-window failures that open a verb's
-            breaker (``<= 0`` disables breakers).
-        breaker_window_s: breaker rolling-window width in seconds.
-        breaker_cooldown_s: seconds an open breaker waits before
-            half-opening.
-        retry_after_s: the ``Retry-After`` hint on shed responses.
-        clock: monotonic time source shared by the breakers (tests).
     """
 
     def __init__(self, registry: MetricsRegistry,
-                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
-                 tenant_quota: int | None = None,
-                 breaker_threshold: int = 0,
-                 breaker_window_s: float = 30.0,
-                 breaker_cooldown_s: float = 5.0,
-                 retry_after_s: float = DEFAULT_RETRY_AFTER_S,
-                 clock: Callable[[], float] | None = None) -> None:
+                 max_inflight: int = DEFAULT_MAX_INFLIGHT) -> None:
         self.registry = registry
         self.max_inflight = max_inflight
-        self.tenant_quota = tenant_quota
-        self.retry_after_s = retry_after_s
-        self._breaker_args = dict(
-            threshold=breaker_threshold,
-            window_s=breaker_window_s,
-            cooldown_s=breaker_cooldown_s,
-        )
-        if clock is not None:
-            self._breaker_args["clock"] = clock
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()
         self._inflight = 0
-        self._per_tenant: dict[str, int] = {}
         self.draining = False
 
-    # -- breakers -------------------------------------------------------------
-
-    def breaker(self, verb: str) -> CircuitBreaker:
-        """The breaker guarding *verb* (created on first use)."""
-        breaker = self._breakers.get(verb)
-        if breaker is None:
-            breaker = CircuitBreaker(**self._breaker_args)
-            self._breakers[verb] = breaker
-        return breaker
-
-    def _note_breaker(self, verb: str,
-                      breaker: CircuitBreaker,
-                      previous_state: str,
-                      previous_opens: int) -> None:
-        """Publish a breaker transition to metrics and the run log."""
-        if breaker.state == previous_state \
-                and breaker.opens == previous_opens:
-            return
-        self.registry.gauge(f"serve.breaker.state.{verb}").set(
-            breaker.state_value)
-        if breaker.opens > previous_opens:
-            self.registry.counter("serve.breaker.opens").inc(
-                breaker.opens - previous_opens)
-        log_event("serve.breaker", verb=verb, state=breaker.state,
-                  opens=breaker.opens)
-
-    # -- admission ------------------------------------------------------------
-
-    def try_admit(self, verb: str,
-                  tenant: str) -> "AdmissionTicket | str":
+    def try_admit(self, verb: str) -> "AdmissionTicket | str":
         """Admit one request or name the shed reason.
 
         Returns an :class:`AdmissionTicket` on admission, or one of
@@ -157,32 +83,11 @@ class AdmissionController:
         with self._lock:
             if self.draining:
                 return self._shed(verb, SHED_DRAINING)
-            breaker = self.breaker(verb)
-            state, opens = breaker.state, breaker.opens
-            allowed = breaker.allow()
-            self._note_breaker(verb, breaker, state, opens)
-            if not allowed:
-                return self._shed(verb, SHED_BREAKER)
             if 0 < self.max_inflight <= self._inflight:
-                self._probe_rollback(verb)
                 return self._shed(verb, SHED_OVERLOAD)
-            quota = self.tenant_quota
-            if quota and quota > 0 \
-                    and self._per_tenant.get(tenant, 0) >= quota:
-                self._probe_rollback(verb)
-                return self._shed(verb, SHED_TENANT)
             self._inflight += 1
-            self._per_tenant[tenant] = \
-                self._per_tenant.get(tenant, 0) + 1
             self.registry.gauge("serve.inflight").set(self._inflight)
-            return AdmissionTicket(self, verb, tenant)
-
-    def _probe_rollback(self, verb: str) -> None:
-        """Undo a half-open probe admission that a later gate shed."""
-        breaker = self._breakers[verb]
-        if breaker.state == HALF_OPEN:
-            breaker._inflight_probes = max(
-                0, breaker._inflight_probes - 1)
+            return AdmissionTicket(self)
 
     def _shed(self, verb: str, reason: str) -> str:
         """Count one shed (caller holds the lock) and return *reason*."""
@@ -191,22 +96,11 @@ class AdmissionController:
         self.registry.counter(f"serve.shed.verb.{verb}").inc()
         return reason
 
-    def _release(self, ticket: AdmissionTicket, ok: bool) -> None:
-        """Return *ticket*'s slot and record the breaker outcome."""
+    def _release(self) -> None:
+        """Return one admitted slot."""
         with self._lock:
             self._inflight = max(0, self._inflight - 1)
-            count = self._per_tenant.get(ticket.tenant, 0) - 1
-            if count <= 0:
-                self._per_tenant.pop(ticket.tenant, None)
-            else:
-                self._per_tenant[ticket.tenant] = count
             self.registry.gauge("serve.inflight").set(self._inflight)
-            breaker = self.breaker(ticket.verb)
-            state, opens = breaker.state, breaker.opens
-            breaker.record(ok)
-            self._note_breaker(ticket.verb, breaker, state, opens)
-
-    # -- introspection --------------------------------------------------------
 
     @property
     def inflight(self) -> int:

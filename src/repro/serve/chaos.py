@@ -63,7 +63,7 @@ class ServeChaosResult:
             assertion.
         overload: the overload-phase :class:`LoadReport` as JSON.
         adversarial: per-mode tallies from :func:`run_adversarial`.
-        counters: the daemon's final counter scrape (shed/breaker/
+        counters: the daemon's final counter scrape (shed and
             disconnect accounting).
         drain: drain-phase observations (exit code, resets, healthz
             statuses seen after SIGTERM, ...).
@@ -256,7 +256,6 @@ def run_serve_chaos(workload: str = "tiny", scale: float = 0.2,
     daemon = _Daemon([
         "--jobs", "1",
         "--max-inflight", str(max_inflight),
-        "--breaker-threshold", "0",
         "--client-timeout", "1.0",
         "--max-body-bytes", str(64 * 1024),
         "--drain-timeout", "15",

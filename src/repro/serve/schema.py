@@ -20,13 +20,15 @@ then fails loudly at the edge instead of deep in a solve.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.grid import CHUNK_ALGORITHMS
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.memory.cache import CacheConfig
 from repro.traces.tracegen import TraceGenConfig
+from repro.workloads.registry import available_workloads
 
 #: Wire format version this build emits.  v2 added the optional
 #: ``deadline_ms`` request field plus the ``shed`` and
@@ -39,6 +41,11 @@ SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 #: Tenant used when a request does not name one.
 DEFAULT_TENANT = "default"
+
+#: Accepted tenant names: 1-64 characters of ``[A-Za-z0-9_.-]``, not
+#: starting with ``.``.  A tenant names a directory under a disk
+#: store's root, so it must never be a path.
+TENANT_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]{0,63}")
 
 #: The statuses a response may carry: the healed-evaluation outcomes
 #: (mirroring :data:`repro.resilience.healing.OUTCOME_STATUSES`) plus
@@ -163,8 +170,21 @@ class _RequestBase:
 
 def _common_kwargs(data: dict[str, Any]) -> dict[str, Any]:
     """Decode the shared request fields from a payload dict."""
-    if not data.get("workload"):
+    workload = data.get("workload")
+    if not workload:
         raise ConfigurationError("request payload names no workload")
+    if workload not in available_workloads():
+        raise WorkloadError(
+            f"unknown workload {workload!r}; available: "
+            f"{available_workloads()}"
+        )
+    tenant = data.get("tenant", DEFAULT_TENANT)
+    if not isinstance(tenant, str) \
+            or not TENANT_PATTERN.fullmatch(tenant):
+        raise ConfigurationError(
+            f"tenant must be 1-64 characters of [A-Za-z0-9_.-] not "
+            f"starting with '.', got {tenant!r}"
+        )
     deadline_ms = data.get("deadline_ms")
     if deadline_ms is not None:
         if not isinstance(deadline_ms, int) or deadline_ms <= 0:
@@ -173,13 +193,13 @@ def _common_kwargs(data: dict[str, Any]) -> dict[str, Any]:
                 f"got {deadline_ms!r}"
             )
     return {
-        "workload": data["workload"],
+        "workload": workload,
         "scale": data.get("scale", 1.0),
         "seed": data.get("seed", 0),
         "cache": _cache_from_dict(data.get("cache")),
         "tracegen": _tracegen_from_dict(data.get("tracegen")),
         "backend": data.get("backend"),
-        "tenant": data.get("tenant", DEFAULT_TENANT),
+        "tenant": tenant,
         "deadline_ms": deadline_ms,
     }
 
@@ -555,7 +575,8 @@ class ShedResponse(_ResponseBase):
 
     Attributes:
         reason: why admission refused — one of
-            :data:`repro.serve.admission.SHED_REASONS`.
+            :data:`repro.serve.admission.SHED_REASONS` (``draining``
+            or ``overload``).
         retry_after_s: how long the client should back off.
     """
 

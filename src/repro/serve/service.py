@@ -24,9 +24,9 @@ directly).  It owns:
   ``run_id`` in the structured run log.
 
 The hardening layer sits in front of all of that: every request first
-passes the :class:`~repro.serve.admission.AdmissionController` (drain
-→ per-verb circuit breaker → max-in-flight → tenant quota; refusals
-become :class:`~repro.serve.schema.ShedResponse`), and an admitted
+passes the :class:`~repro.serve.admission.AdmissionController` (drain,
+then the max-in-flight bound; refusals become
+:class:`~repro.serve.schema.ShedResponse`), and an admitted
 request's optional ``deadline_ms`` budget is tracked from admission —
 requests that expire while queued in the micro-batcher are answered
 ``deadline_exceeded`` without ever touching a worker, and when every
@@ -37,7 +37,7 @@ to the nearest one.
 Service metrics: ``serve.requests.<verb>``, ``serve.requests.total``,
 ``serve.requests.failed``, ``serve.request.seconds``,
 ``serve.batch.*`` (see :mod:`repro.serve.batching`),
-``serve.shed.*``/``serve.inflight``/``serve.breaker.*`` (see
+``serve.shed.*``/``serve.inflight`` (see
 :mod:`repro.serve.admission`) and ``serve.deadline.*`` (below).
 """
 
@@ -80,15 +80,11 @@ from repro.resilience.healing import (
 )
 from repro.serve.admission import (
     DEFAULT_MAX_INFLIGHT,
-    DEFAULT_RETRY_AFTER_S,
+    RETRY_AFTER_S,
     AdmissionController,
     AdmissionTicket,
 )
 from repro.serve.batching import Group, MicroBatcher
-from repro.serve.breaker import (
-    DEFAULT_COOLDOWN_S,
-    DEFAULT_WINDOW_S,
-)
 from repro.serve.schema import (
     AllocateRequest,
     AllocateResponse,
@@ -159,16 +155,6 @@ class ServiceConfig:
             the service's ``run_id``.
         max_inflight: admission bound on concurrently admitted
             requests (``<= 0`` = unbounded).
-        tenant_quota: per-tenant concurrent-request bound (``None``
-            or ``<= 0`` = unbounded).
-        breaker_threshold: rolling-window failures that open a verb's
-            circuit breaker (``<= 0`` disables breakers, the
-            default).
-        breaker_window_s: breaker rolling-window width in seconds.
-        breaker_cooldown_s: seconds an open breaker waits before
-            half-opening.
-        retry_after_s: ``Retry-After`` hint attached to shed
-            responses.
     """
 
     jobs: int = 1
@@ -179,11 +165,6 @@ class ServiceConfig:
     fault_spec: str | None = None
     log_path: str | None = None
     max_inflight: int = DEFAULT_MAX_INFLIGHT
-    tenant_quota: int | None = None
-    breaker_threshold: int = 0
-    breaker_window_s: float = DEFAULT_WINDOW_S
-    breaker_cooldown_s: float = DEFAULT_COOLDOWN_S
-    retry_after_s: float = DEFAULT_RETRY_AFTER_S
 
 
 class AllocationService:
@@ -205,14 +186,7 @@ class AllocationService:
         self.batcher = MicroBatcher(self._execute_groups_async,
                                     registry=self.registry)
         self.admission = AdmissionController(
-            self.registry,
-            max_inflight=self.config.max_inflight,
-            tenant_quota=self.config.tenant_quota,
-            breaker_threshold=self.config.breaker_threshold,
-            breaker_window_s=self.config.breaker_window_s,
-            breaker_cooldown_s=self.config.breaker_cooldown_s,
-            retry_after_s=self.config.retry_after_s,
-        )
+            self.registry, max_inflight=self.config.max_inflight)
         self._stores: dict[str, ArtifactStore] = {}
         self._store_lock = threading.Lock()
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -291,33 +265,22 @@ class AllocationService:
         answered with a :class:`ShedResponse` (the daemon maps it to
         503 + ``Retry-After``) without entering the batcher.  Admitted
         requests hold their :class:`AdmissionTicket` until the
-        response is ready; the ticket's release feeds the verb's
-        circuit breaker (``ok`` unless the response status is
-        ``failed`` — sheds and deadline misses are not health
-        signals).
+        response is ready.
         """
         verb = type(request).kind
         self.registry.counter(f"serve.requests.{verb}").inc()
         self.registry.counter("serve.requests.total").inc()
         started = time.perf_counter()
-        admitted = self.admission.try_admit(verb, request.tenant)
+        admitted = self.admission.try_admit(verb)
         if isinstance(admitted, str):
             self.registry.histogram("serve.request.seconds").observe(
                 time.perf_counter() - started)
-            return ShedResponse(
-                reason=admitted,
-                retry_after_s=self.admission.retry_after_s,
-                run_id=self.run_id,
-            )
+            return ShedResponse(reason=admitted,
+                                retry_after_s=RETRY_AFTER_S,
+                                run_id=self.run_id)
         ticket: AdmissionTicket = admitted
-        response = None
         try:
             response = await self._dispatch(request)
-        except asyncio.CancelledError:
-            # The client vanished (daemon cancelled the orphaned
-            # work); not a health signal for the breaker.
-            ticket.release(ok=True)
-            raise
         except Exception as error:  # contained: reported per request
             self.registry.counter("serve.errors").inc()
             response = ErrorResponse(
@@ -327,9 +290,7 @@ class AllocationService:
                 attempts=1, run_id=self.run_id,
             )
         finally:
-            ticket.release(
-                ok=response is not None
-                and response.status != "failed")
+            ticket.release()
         if response.status == "failed":
             self.registry.counter("serve.requests.failed").inc()
         elif response.status == "deadline_exceeded":
@@ -642,8 +603,8 @@ class AllocationService:
 
         :func:`~repro.obs.live.render_prometheus` covers counters and
         histogram percentiles; the service appends its gauges
-        (``serve.inflight``, ``serve.breaker.state.<verb>``) which
-        have no place in the progress snapshot.
+        (``serve.inflight``), which have no place in the progress
+        snapshot.
         """
         text = render_prometheus(self.snapshot())
         lines = [text.rstrip("\n")] if text.strip() else []

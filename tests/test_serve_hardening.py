@@ -1,12 +1,11 @@
-"""Hardening-layer tests: admission, breakers, deadlines, drain.
+"""Hardening-layer tests: admission, validation, deadlines, drain.
 
 The serve-chaos gate (:mod:`repro.serve.chaos`) proves the hardened
 daemon survives a hostile world end to end; these tests pin the
-individual mechanisms — circuit-breaker state transitions under an
-injectable clock, admission accounting, deadline propagation, tenant
-quota isolation, graceful drain and the adversarial client modes —
-so a regression names the broken layer instead of failing the whole
-gate.
+individual mechanisms — admission accounting, request validation at
+the edge, deadline propagation, graceful drain and the adversarial
+client modes — so a regression names the broken layer instead of
+failing the whole gate.
 """
 
 from __future__ import annotations
@@ -17,16 +16,18 @@ import json
 import threading
 import time
 
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import (
-    SHED_BREAKER,
     SHED_DRAINING,
     SHED_OVERLOAD,
-    SHED_TENANT,
+    SHED_REASONS,
     AdmissionController,
     AdmissionTicket,
 )
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.obs.metrics import MetricsRegistry
+from repro.serve.chaos import _Daemon
 from repro.serve.daemon import start_in_thread
 from repro.serve.loadgen import run_adversarial, run_load
 from repro.serve.schema import (
@@ -38,19 +39,6 @@ from repro.serve.schema import (
     response_from_json,
 )
 from repro.serve.service import AllocationService, ServiceConfig
-
-
-class _Clock:
-    """A hand-cranked monotonic clock for breaker tests."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def _service(**overrides) -> AllocationService:
@@ -74,78 +62,6 @@ def _post(port: int, path: str, payload) -> tuple[int, dict, dict]:
         connection.close()
 
 
-class TestCircuitBreaker:
-    """State-machine transitions under an injectable clock."""
-
-    def test_opens_at_threshold_and_sheds(self):
-        clock = _Clock()
-        breaker = CircuitBreaker(threshold=3, window_s=10.0,
-                                 cooldown_s=5.0, clock=clock)
-        assert breaker.state == CLOSED
-        for _ in range(2):
-            assert breaker.allow()
-            breaker.record(ok=False)
-        assert breaker.state == CLOSED
-        breaker.record(ok=False)
-        assert breaker.state == OPEN
-        assert breaker.opens == 1
-        assert not breaker.allow()
-
-    def test_rolling_window_forgets_old_failures(self):
-        clock = _Clock()
-        breaker = CircuitBreaker(threshold=3, window_s=10.0,
-                                 clock=clock)
-        breaker.record(ok=False)
-        breaker.record(ok=False)
-        clock.advance(11.0)  # both failures age out of the window
-        breaker.record(ok=False)
-        assert breaker.state == CLOSED
-
-    def test_half_open_probe_success_closes(self):
-        clock = _Clock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=5.0,
-                                 clock=clock)
-        breaker.record(ok=False)
-        assert breaker.state == OPEN
-        assert not breaker.allow()  # cooldown not yet elapsed
-        clock.advance(5.1)
-        assert breaker.allow()  # the probe
-        assert breaker.state == HALF_OPEN
-        assert not breaker.allow()  # one probe at a time
-        breaker.record(ok=True)
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = _Clock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=5.0,
-                                 clock=clock)
-        breaker.record(ok=False)
-        clock.advance(5.1)
-        assert breaker.allow()
-        breaker.record(ok=False)
-        assert breaker.state == OPEN
-        assert breaker.opens == 2
-        assert not breaker.allow()  # cooldown restarted
-
-    def test_stale_outcome_cannot_close_an_open_breaker(self):
-        clock = _Clock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=5.0,
-                                 clock=clock)
-        assert breaker.allow()  # admitted before the failures landed
-        breaker.record(ok=False)
-        assert breaker.state == OPEN
-        breaker.record(ok=True)  # the stale straggler resolves late
-        assert breaker.state == OPEN
-
-    def test_threshold_zero_disables_the_breaker(self):
-        breaker = CircuitBreaker(threshold=0, clock=_Clock())
-        for _ in range(50):
-            assert breaker.allow()
-            breaker.record(ok=False)
-        assert breaker.state == CLOSED
-
-
 class TestAdmissionController:
     """Gate ordering, accounting and release bookkeeping."""
 
@@ -156,83 +72,34 @@ class TestAdmissionController:
 
     def test_max_inflight_sheds_overload(self):
         controller = self._controller(max_inflight=2)
-        first = controller.try_admit("evaluate", "default")
-        second = controller.try_admit("evaluate", "default")
+        first = controller.try_admit("evaluate")
+        second = controller.try_admit("evaluate")
         assert isinstance(first, AdmissionTicket)
         assert isinstance(second, AdmissionTicket)
-        assert controller.try_admit("evaluate", "default") \
-            == SHED_OVERLOAD
-        first.release(ok=True)
-        assert isinstance(
-            controller.try_admit("evaluate", "default"),
-            AdmissionTicket)
+        assert controller.try_admit("evaluate") == SHED_OVERLOAD
+        first.release()
+        assert isinstance(controller.try_admit("evaluate"),
+                          AdmissionTicket)
         registry = controller.registry
         assert registry.value("serve.shed.total") == 1
         assert registry.value("serve.shed.overload") == 1
         assert registry.value("serve.shed.verb.evaluate") == 1
 
-    def test_tenant_quota_isolates_tenants(self):
-        controller = self._controller(max_inflight=0, tenant_quota=1)
-        ticket = controller.try_admit("evaluate", "team-a")
-        assert isinstance(ticket, AdmissionTicket)
-        assert controller.try_admit("evaluate", "team-a") \
-            == SHED_TENANT
-        # A noisy neighbor must not consume team-b's quota.
-        assert isinstance(controller.try_admit("evaluate", "team-b"),
-                          AdmissionTicket)
-        ticket.release(ok=True)
-        assert isinstance(controller.try_admit("evaluate", "team-a"),
-                          AdmissionTicket)
-
     def test_drain_sheds_everything(self):
         controller = self._controller()
         controller.begin_drain()
-        assert controller.try_admit("evaluate", "default") \
-            == SHED_DRAINING
+        assert controller.try_admit("evaluate") == SHED_DRAINING
         assert controller.registry.value("serve.shed.draining") == 1
 
-    def test_open_breaker_sheds_before_concurrency(self):
-        clock = _Clock()
-        controller = self._controller(max_inflight=1,
-                                      breaker_threshold=1,
-                                      clock=clock)
-        ticket = controller.try_admit("evaluate", "default")
-        ticket.release(ok=False)  # threshold=1: breaker opens
-        assert controller.try_admit("evaluate", "default") \
-            == SHED_BREAKER
-        assert controller.registry.value("serve.breaker.opens") == 1
-        # Other verbs keep their own (closed) breakers.
-        assert isinstance(controller.try_admit("simulate", "default"),
-                          AdmissionTicket)
+    def test_drain_and_overload_are_the_only_gates(self):
+        assert SHED_REASONS == (SHED_DRAINING, SHED_OVERLOAD)
 
     def test_release_is_idempotent(self):
         controller = self._controller(max_inflight=1)
-        ticket = controller.try_admit("evaluate", "default")
-        ticket.release(ok=True)
-        ticket.release(ok=True)
+        ticket = controller.try_admit("evaluate")
+        ticket.release()
+        ticket.release()
         assert controller.inflight == 0
-
-    def test_probe_rollback_on_post_breaker_shed(self):
-        clock = _Clock()
-        controller = self._controller(max_inflight=1,
-                                      breaker_threshold=1,
-                                      breaker_cooldown_s=1.0,
-                                      clock=clock)
-        failing = controller.try_admit("evaluate", "default")
-        failing.release(ok=False)  # opens the evaluate breaker
-        # A different verb (its breaker is closed) occupies the only
-        # inflight slot while evaluate's cooldown elapses.
-        blocker = controller.try_admit("simulate", "default")
-        assert isinstance(blocker, AdmissionTicket)
-        clock.advance(1.1)
-        # Half-open probe admitted by the breaker but shed by the
-        # inflight gate: the probe slot must be returned, or the
-        # breaker would wait forever for an outcome that never comes.
-        assert controller.try_admit("evaluate", "default") \
-            == SHED_OVERLOAD
-        blocker.release(ok=True)
-        assert isinstance(controller.try_admit("evaluate", "default"),
-                          AdmissionTicket)
 
 
 class TestSchemaV2:
@@ -259,78 +126,67 @@ class TestSchemaV2:
         assert decoded.retry_after_s == 2.5
 
 
+#: Tenant names that are paths, empty or hidden: a tenant names a
+#: directory under a disk store's root, so each must be refused.
+BAD_TENANTS = ("../escape", "/abs", "a/b", "", ".hidden")
+
+
+class TestRequestValidation:
+    """Client mistakes are refused at the edge, before admission."""
+
+    @pytest.mark.parametrize("tenant", BAD_TENANTS)
+    def test_tenant_must_be_a_plain_name(self, tenant):
+        payload = SimulateRequest("tiny", scale=0.2).to_json()
+        payload["tenant"] = tenant
+        with pytest.raises(ConfigurationError, match="tenant"):
+            request_from_json(payload)
+
+    def test_tenant_path_cannot_escape_the_disk_root(self, tmp_path):
+        root = tmp_path / "root"
+        # The absolute tenant points inside tmp_path, so even a
+        # regression writes nowhere else.
+        tenants = [tenant for tenant in BAD_TENANTS
+                   if not tenant.startswith("/")]
+        tenants.append(str(tmp_path / "abs"))
+        service = _service(store_backend=f"disk:{root}")
+        handle = start_in_thread(service)
+        try:
+            refused = [
+                _post(handle.port, "/v1/simulate",
+                      {"schema_version": 2, "workload": "tiny",
+                       "scale": 0.2, "tenant": tenant})
+                for tenant in tenants
+            ]
+            status, data, _ = _post(
+                handle.port, "/v1/simulate",
+                {"schema_version": 2, "workload": "tiny",
+                 "scale": 0.2, "tenant": "alice"})
+        finally:
+            handle.stop()
+        for code, body, _ in refused:
+            assert code == 400
+            assert body["error"]["type"] == "ConfigurationError"
+        assert (status, data["status"]) == (200, "ok")
+        assert [path.name for path in tmp_path.iterdir()] == ["root"]
+        assert [path.name for path in root.iterdir()] == ["alice"]
+
+    def test_unknown_workload_is_a_client_error(self):
+        service = _service()
+        handle = start_in_thread(service)
+        try:
+            status, data, _ = _post(
+                handle.port, "/v1/simulate",
+                {"schema_version": 2, "workload": "no-such-workload"})
+        finally:
+            handle.stop()
+        assert status == 400
+        assert data["kind"] == "error.response"
+        assert data["error"]["type"] == "WorkloadError"
+        assert service.registry.value("serve.requests.failed") == 0
+
+
 class TestServiceHardening:
     """The mechanisms wired into a live service (no HTTP)."""
-
-    def test_breaker_opens_closes_end_to_end(self):
-        # A bad workload is the deterministic way to produce genuine
-        # ``failed`` responses: injected solver faults are healed into
-        # retried/degraded answers by design, and those must never
-        # trip a breaker.
-        service = _service(breaker_threshold=2,
-                           breaker_cooldown_s=0.05)
-        service.start()
-        try:
-            async def scenario():
-                for _ in range(2):
-                    response = await service.handle(
-                        SimulateRequest("no-such-workload"))
-                    assert response.status == "failed"
-                shed = await service.handle(
-                    SimulateRequest("no-such-workload"))
-                assert shed.status == "shed"
-                assert shed.reason == SHED_BREAKER
-                await asyncio.sleep(0.08)  # cooldown elapses
-                probe = await service.handle(
-                    SimulateRequest("tiny", scale=0.2))
-                assert probe.status == "ok"
-                again = await service.handle(
-                    SimulateRequest("tiny", scale=0.2))
-                assert again.status == "ok"
-
-            asyncio.run(scenario())
-        finally:
-            service.stop()
-        assert service.registry.value("serve.breaker.opens") == 1
-        assert service.registry.value("serve.shed.breaker") == 1
-        state = service.registry.snapshot()[
-            "serve.breaker.state.simulate"]
-        assert state["value"] == 0  # closed again
-
-    def test_healed_faults_do_not_trip_the_breaker(self):
-        service = _service(breaker_threshold=1,
-                           fault_spec="worker.exec:error@nth=1")
-        service.start()
-        try:
-            response = asyncio.run(service.handle(
-                EvaluateRequest("tiny", scale=0.2, spm_size=64)))
-        finally:
-            service.stop()
-        assert response.status in ("retried", "degraded")
-        assert service.registry.value("serve.breaker.opens") == 0
-
-    def test_tenant_quota_isolation_under_concurrency(self):
-        service = _service(tenant_quota=1)
-        service.start()
-
-        async def scenario():
-            return await asyncio.gather(
-                service.handle(EvaluateRequest(
-                    "tiny", scale=0.2, spm_size=64, tenant="team-a")),
-                service.handle(EvaluateRequest(
-                    "tiny", scale=0.2, spm_size=128, tenant="team-a")),
-                service.handle(EvaluateRequest(
-                    "tiny", scale=0.2, spm_size=64, tenant="team-b")),
-            )
-
-        try:
-            first, second, other = asyncio.run(scenario())
-        finally:
-            service.stop()
-        assert first.status == "ok"
-        assert second.status == "shed"
-        assert second.reason == SHED_TENANT
-        assert other.status == "ok"  # team-b unaffected
 
     def test_deadline_expires_in_queue(self):
         service = _service()
@@ -411,7 +267,7 @@ class TestDaemonHardening:
     """HTTP-visible behavior: sheds, 400s, adversarial clients."""
 
     def test_shed_is_503_with_retry_after(self):
-        service = _service(retry_after_s=2.0)
+        service = _service()
         handle = start_in_thread(service)
         try:
             service.begin_drain()
@@ -425,7 +281,7 @@ class TestDaemonHardening:
         assert data["kind"] == "shed.response"
         assert data["status"] == "shed"
         assert data["reason"] == SHED_DRAINING
-        assert headers.get("retry-after") == "2"
+        assert headers.get("retry-after") == "1"
 
     def test_oversized_body_gets_structured_400(self):
         handle = start_in_thread(_service(), max_body_bytes=256)
@@ -503,3 +359,23 @@ class TestDaemonHardening:
         done = sum(count for label, count in report.statuses.items()
                    if label in ("ok", "retried", "degraded", "shed"))
         assert done == report.requests
+
+
+class TestDaemonDefaults:
+    """A real ``repro serve`` subprocess with its default flags."""
+
+    def test_one_tenant_cannot_shed_another(self):
+        daemon = _Daemon([])
+        try:
+            for _ in range(5):
+                _post(daemon.port, "/v1/simulate",
+                      {"schema_version": 2,
+                       "workload": "no-such-workload",
+                       "tenant": "mallory"})
+            status, data, _ = _post(
+                daemon.port, "/v1/simulate",
+                {"schema_version": 2, "workload": "tiny",
+                 "scale": 0.2, "tenant": "alice"})
+        finally:
+            daemon.terminate_and_wait()
+        assert (status, data["status"]) == (200, "ok")
