@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError
 from repro.memory.stats import SimulationReport
@@ -280,21 +278,6 @@ class ConflictGraph:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a networkx digraph (node/edge attributes set)."""
-        graph = nx.DiGraph()
-        for node in self._nodes.values():
-            graph.add_node(
-                node.name,
-                fetches=node.fetches,
-                size=node.size,
-                compulsory=node.compulsory_misses,
-                self_misses=node.self_misses,
-            )
-        for (victim, evictor), weight in self._edges.items():
-            graph.add_edge(victim, evictor, misses=weight)
-        return graph
 
     def to_dot(self) -> str:
         """Export to Graphviz DOT (figure 2 style)."""

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
 
 from repro.errors import SolverError
 from repro.ilp.expr import LinExpr, Variable
@@ -68,6 +66,10 @@ except (OSError, TypeError, AttributeError):  # no C runtime to flush
 
 def _milp_quietly(cost: np.ndarray, **kwargs):
     """Run :func:`scipy.optimize.milp` with C-level stdout discarded."""
+    # Import before taking the lock: no import runs while fd 1 points
+    # at /dev/null.
+    from scipy.optimize import milp
+
     with _STDOUT_LOCK:
         if sys.stdout is not None:
             sys.stdout.flush()
@@ -311,6 +313,10 @@ class Model:
 
     def _solve_highs(self, max_nodes: int | None,
                      max_seconds: float | None) -> SolveResult:
+        # scipy costs ~0.4 s to import, so only solving pays for it.
+        from scipy.optimize import Bounds, LinearConstraint
+        from scipy.sparse import csr_matrix
+
         index = {var: i for i, var in enumerate(self.variables)}
         sign = 1.0 if self.sense is Sense.MINIMIZE else -1.0
         cost = np.zeros(len(self.variables))

@@ -2,15 +2,14 @@
 
 The Ross/Vahid loop-cache allocator preloads *loops and functions*; this
 module finds the natural loops of each function so the allocator has its
-candidate regions.  Dominators are computed with networkx's implementation
-of the Cooper/Harvey/Kennedy algorithm.
+candidate regions.  Immediate dominators are computed with the iterative
+Cooper/Harvey/Kennedy algorithm over reverse postorder ("A Simple, Fast
+Dominance Algorithm", 2001).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 from repro.program.function import Function
@@ -56,13 +55,18 @@ class ControlFlowGraph:
 
     def __init__(self, function: Function) -> None:
         self._function = function
-        graph = nx.DiGraph()
-        for block in function.blocks:
-            graph.add_node(block.name)
+        succs: dict[str, list[str]] = {b.name: [] for b in function.blocks}
+        preds: dict[str, list[str]] = {b.name: [] for b in function.blocks}
         for block in function.blocks:
             for successor in block.successors():
-                graph.add_edge(block.name, successor)
-        self._graph = graph
+                # One edge per (src, dst): a branch whose target is also
+                # its fall-through is a single edge.
+                if successor not in succs[block.name]:
+                    succs[block.name].append(successor)
+                    succs.setdefault(successor, [])
+                    preds.setdefault(successor, []).append(block.name)
+        self._succs = succs
+        self._preds = preds
         self._entry = function.entry.name
         self._dominators: dict[str, str] | None = None
 
@@ -76,22 +80,35 @@ class ControlFlowGraph:
         """Name of the entry block."""
         return self._entry
 
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying networkx digraph (do not mutate)."""
-        return self._graph
-
     def successors(self, block_name: str) -> list[str]:
         """Successor block names."""
-        return sorted(self._graph.successors(block_name))
+        return sorted(self._succs[block_name])
 
     def predecessors(self, block_name: str) -> list[str]:
         """Predecessor block names."""
-        return sorted(self._graph.predecessors(block_name))
+        return sorted(self._preds[block_name])
 
     def reachable_blocks(self) -> set[str]:
         """Blocks reachable from the entry."""
-        return set(nx.descendants(self._graph, self._entry)) | {self._entry}
+        return set(self._reverse_postorder())
+
+    def _reverse_postorder(self) -> list[str]:
+        """Reachable blocks in reverse postorder of an iterative DFS."""
+        postorder: list[str] = []
+        visited = {self._entry}
+        stack = [(self._entry, iter(self._succs[self._entry]))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if child not in visited:
+                    visited.add(child)
+                    stack.append((child, iter(self._succs[child])))
+                    break
+            else:
+                stack.pop()
+                postorder.append(node)
+        postorder.reverse()
+        return postorder
 
     # ------------------------------------------------------------------
     # Dominators
@@ -101,9 +118,33 @@ class ControlFlowGraph:
         """Immediate-dominator map over reachable blocks (entry maps to
         itself)."""
         if self._dominators is None:
-            idom = dict(nx.immediate_dominators(self._graph, self._entry))
-            # networkx >= 3.6 omits the entry's self-mapping; normalise.
-            idom[self._entry] = self._entry
+            order = self._reverse_postorder()
+            rank = {node: i for i, node in enumerate(order)}
+            idom = {self._entry: self._entry}
+
+            def intersect(a: str, b: str) -> str:
+                # Walk both fingers up the dominator tree until they
+                # meet; a lower rank is closer to the entry.
+                while a != b:
+                    while rank[a] > rank[b]:
+                        a = idom[a]
+                    while rank[b] > rank[a]:
+                        b = idom[b]
+                return a
+
+            changed = True
+            while changed:
+                changed = False
+                for node in order[1:]:
+                    new_idom = None
+                    for pred in self._preds[node]:
+                        if pred not in idom:
+                            continue  # unreachable or not yet processed
+                        new_idom = pred if new_idom is None \
+                            else intersect(pred, new_idom)
+                    if idom.get(node) != new_idom:
+                        idom[node] = new_idom
+                        changed = True
             self._dominators = idom
         return self._dominators
 
@@ -134,13 +175,14 @@ class ControlFlowGraph:
         The loop body is ``h`` plus every block that can reach ``u``
         without passing through ``h``.
         """
-        reachable = self.reachable_blocks()
+        order = self._reverse_postorder()
+        reachable = set(order)
         back_edges_by_header: dict[str, list[tuple[str, str]]] = {}
-        for src, dst in self._graph.edges():
-            if src not in reachable or dst not in reachable:
-                continue
-            if self.dominates(dst, src):
-                back_edges_by_header.setdefault(dst, []).append((src, dst))
+        for src in order:
+            for dst in self._succs[src]:
+                if self.dominates(dst, src):
+                    back_edges_by_header.setdefault(dst, []).append(
+                        (src, dst))
 
         loops: list[NaturalLoop] = []
         for header, back_edges in sorted(back_edges_by_header.items()):
@@ -152,7 +194,7 @@ class ControlFlowGraph:
                     worklist.append(latch)
             while worklist:
                 node = worklist.pop()
-                for pred in self._graph.predecessors(node):
+                for pred in self._preds[node]:
                     if pred in reachable and pred not in body:
                         body.add(pred)
                         worklist.append(pred)

@@ -163,12 +163,6 @@ class TestPredictedEnergy:
 
 
 class TestExport:
-    def test_networkx_roundtrip(self):
-        nx_graph = graph_abc().to_networkx()
-        assert nx_graph.number_of_nodes() == 3
-        assert nx_graph["A"]["B"]["misses"] == 300
-        assert nx_graph.nodes["A"]["fetches"] == 1000
-
     def test_dot_output(self):
         dot = graph_abc().to_dot()
         assert dot.startswith("digraph")
