@@ -37,7 +37,7 @@ SMOKE_REQUESTS = 500
 SMOKE_WORKERS = 4
 
 #: p99 latency bound in seconds (order-of-magnitude guard: typical
-#: tiny-workload p99 is a few tens of milliseconds).
+#: tiny-workload p99 is a few milliseconds).
 P99_BOUND_S = 2.0
 
 

@@ -20,6 +20,7 @@ then fails loudly at the edge instead of deep in a solve.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any
@@ -192,10 +193,19 @@ def _common_kwargs(data: dict[str, Any]) -> dict[str, Any]:
                 f"deadline_ms must be a positive integer, "
                 f"got {deadline_ms!r}"
             )
+    scale = data.get("scale", 1.0)
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)) \
+            or not math.isfinite(scale) or scale <= 0:
+        raise ConfigurationError(
+            f"scale must be a finite number > 0, got {scale!r}"
+        )
+    seed = data.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     return {
         "workload": workload,
-        "scale": data.get("scale", 1.0),
-        "seed": data.get("seed", 0),
+        "scale": scale,
+        "seed": seed,
         "cache": _cache_from_dict(data.get("cache")),
         "tracegen": _tracegen_from_dict(data.get("tracegen")),
         "backend": data.get("backend"),

@@ -4,36 +4,23 @@ Each entry bundles the program with the experimental parameters the
 paper pairs it with ("Instruction cache of size 2kB, 1kB and 128 Bytes
 was assumed for the mpeg, g721 and adpcm benchmarks, respectively",
 section 6; scratchpad/loop-cache sizes from table 1).
+
+A :class:`Workload` is cheap metadata: its program is built on first
+access to :attr:`Workload.program`, so callers that only read the
+cache or the scratchpad sizes never pay for a program build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from repro.errors import WorkloadError
 from repro.memory.cache import CacheConfig
 from repro.program.program import Program
 from repro.workloads import mediabench
 from repro.workloads.builder import Loop, ProgramBuilder, Seq, Straight
-
-
-@dataclass(frozen=True)
-class Workload:
-    """A benchmark plus its experiment parameters.
-
-    Attributes:
-        name: benchmark name.
-        program: the compiled program.
-        cache: the I-cache the paper pairs with this benchmark.
-        spm_sizes: the scratchpad/loop-cache sizes swept in table 1.
-        description: one-line provenance note.
-    """
-
-    name: str
-    program: Program
-    cache: CacheConfig
-    spm_sizes: tuple[int, ...]
-    description: str
 
 
 def _build_tiny(scale: float) -> Program:
@@ -52,8 +39,48 @@ def _build_tiny(scale: float) -> Program:
     return builder.build(entry="main")
 
 
+#: Program builder of each registered workload, called with the scale.
+_BUILDERS: dict[str, Callable[[float], Program]] = {
+    "adpcm": mediabench.build_adpcm,
+    "g721": mediabench.build_g721,
+    "mpeg": mediabench.build_mpeg,
+    "jpeg": mediabench.build_jpeg,
+    "epic": mediabench.build_epic,
+    "tiny": _build_tiny,
+}
+
+
+@dataclass(frozen=True)
+class Workload:
+    """A benchmark plus its experiment parameters.
+
+    Equality and hashing cover the fields only, so they do not depend
+    on whether :attr:`program` has been built.
+
+    Attributes:
+        name: benchmark name.
+        program: the compiled program, built on first access and then
+            kept (a cached property, not a field).
+        cache: the I-cache the paper pairs with this benchmark.
+        spm_sizes: the scratchpad/loop-cache sizes swept in table 1.
+        description: one-line provenance note.
+        scale: outer-loop trip-count multiplier of :attr:`program`.
+    """
+
+    name: str
+    cache: CacheConfig
+    spm_sizes: tuple[int, ...]
+    description: str
+    scale: float = 1.0
+
+    @cached_property
+    def program(self) -> Program:
+        """The compiled program at :attr:`scale`."""
+        return _BUILDERS[self.name](self.scale)
+
+
 def get_workload(name: str, scale: float = 1.0) -> Workload:
-    """Build a registered workload.
+    """Look up a registered workload; its program is built lazily.
 
     Args:
         name: one of :func:`available_workloads`.
@@ -65,54 +92,54 @@ def get_workload(name: str, scale: float = 1.0) -> Workload:
     if name == "adpcm":
         return Workload(
             name="adpcm",
-            program=mediabench.build_adpcm(scale),
             cache=CacheConfig(size=128, line_size=16, associativity=1),
             spm_sizes=(64, 128, 256),
             description="ADPCM codec model, ~1 kB code, 128 B I-cache",
+            scale=scale,
         )
     if name == "g721":
         return Workload(
             name="g721",
-            program=mediabench.build_g721(scale),
             cache=CacheConfig(size=1024, line_size=16, associativity=1),
             spm_sizes=(128, 256, 512, 1024),
             description="G.721 transcoder model, ~4.7 kB code, "
                         "1 kB I-cache",
+            scale=scale,
         )
     if name == "mpeg":
         return Workload(
             name="mpeg",
-            program=mediabench.build_mpeg(scale),
             cache=CacheConfig(size=2048, line_size=16, associativity=1),
             spm_sizes=(128, 256, 512, 1024),
             description="MPEG-2 encoder model, ~19.5 kB code, "
                         "2 kB I-cache",
+            scale=scale,
         )
     if name == "epic":
         return Workload(
             name="epic",
-            program=mediabench.build_epic(scale),
             cache=CacheConfig(size=1024, line_size=16, associativity=1),
             spm_sizes=(128, 256, 512),
             description="EPIC wavelet compression model, ~8 kB code, "
                         "1 kB I-cache",
+            scale=scale,
         )
     if name == "jpeg":
         return Workload(
             name="jpeg",
-            program=mediabench.build_jpeg(scale),
             cache=CacheConfig(size=512, line_size=16, associativity=1),
             spm_sizes=(128, 256, 512),
             description="phased JPEG encoder model for the overlay "
                         "extension",
+            scale=scale,
         )
     if name == "tiny":
         return Workload(
             name="tiny",
-            program=_build_tiny(scale),
             cache=CacheConfig(size=128, line_size=16, associativity=1),
             spm_sizes=(64, 128),
             description="minimal nested-loop smoke workload",
+            scale=scale,
         )
     raise WorkloadError(
         f"unknown workload {name!r}; available: {available_workloads()}"
@@ -121,4 +148,4 @@ def get_workload(name: str, scale: float = 1.0) -> Workload:
 
 def available_workloads() -> tuple[str, ...]:
     """Names accepted by :func:`get_workload`."""
-    return ("adpcm", "g721", "mpeg", "jpeg", "epic", "tiny")
+    return tuple(_BUILDERS)

@@ -129,6 +129,8 @@ class TestSchemaV2:
 #: Tenant names that are paths, empty or hidden: a tenant names a
 #: directory under a disk store's root, so each must be refused.
 BAD_TENANTS = ("../escape", "/abs", "a/b", "", ".hidden")
+BAD_SCALES = ("x", float("nan"), float("inf"), -1, 0, True, None, [0.2])
+BAD_SEEDS = ("1", 1.5, True, None)
 
 
 class TestRequestValidation:
@@ -183,6 +185,46 @@ class TestRequestValidation:
         assert data["kind"] == "error.response"
         assert data["error"]["type"] == "WorkloadError"
         assert service.registry.value("serve.requests.failed") == 0
+
+    @pytest.mark.parametrize("scale", BAD_SCALES)
+    def test_scale_must_be_a_positive_finite_number(self, scale):
+        payload = SimulateRequest("tiny").to_json()
+        payload["scale"] = scale
+        with pytest.raises(ConfigurationError, match="scale"):
+            request_from_json(payload)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_must_be_an_integer(self, seed):
+        payload = SimulateRequest("tiny", scale=0.2).to_json()
+        payload["seed"] = seed
+        with pytest.raises(ConfigurationError, match="seed"):
+            request_from_json(payload)
+
+    @pytest.mark.parametrize("scale", (0.2, 1))
+    def test_valid_scale_and_seed_decode_unchanged(self, scale):
+        payload = SimulateRequest("tiny", scale=scale, seed=7).to_json()
+        request = request_from_json(payload)
+        assert (request.scale, request.seed) == (scale, 7)
+
+    def test_bad_scale_and_seed_are_client_errors(self):
+        service = _service()
+        handle = start_in_thread(service)
+        payloads = [{"scale": scale} for scale in BAD_SCALES]
+        payloads += [{"scale": 0.2, "seed": seed} for seed in BAD_SEEDS]
+        try:
+            replies = [
+                _post(handle.port, "/v1/simulate",
+                      {"schema_version": 2, "workload": "tiny", **fields})
+                for fields in payloads
+            ]
+        finally:
+            handle.stop()
+        for status, data, _ in replies:
+            assert status == 400
+            assert data["kind"] == "error.response"
+            assert data["error"]["type"] == "ConfigurationError"
+        assert service.registry.value("serve.requests.failed") == 0
+        assert service.registry.value("serve.requests.total") == 0
 
 
 class TestServiceHardening:
