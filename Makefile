@@ -37,12 +37,22 @@ bench-smoke:
 # Chaos differential gate: a small sweep under a canned fault plan
 # (store corruption on read and write, one worker fault, one solver
 # fault, one kernel fault) must heal to results bit-identical to the
-# fault-free run, with at least one retry proving the plan bit.
+# fault-free run, with at least one retry proving the plan bit.  Then
+# a plain `repro sweep` whose pool workers crash must exit 0 with the
+# fault-free result table (the lines before "engine stages": retries
+# change the stage counts).
+CHAOS_SWEEP = sweep --workload tiny --scale 0.2 --jobs 2 --no-cache
+
 chaos-smoke:
 	$(PYTHON) -m repro chaos --workload tiny --scale 0.2 --jobs 2 \
 		--min-retries 1 --faults "store.read:error@nth=1;\
 	store.write:error@nth=1;worker.exec:error@nth=2;\
 	ilp.solve:error@nth=1;kernel.replay:error@nth=1"
+	clean=$$($(PYTHON) -m repro $(CHAOS_SWEEP)) && \
+	healed=$$(CASA_FAULTS="worker.exec:crash@nth=1" \
+		$(PYTHON) -m repro $(CHAOS_SWEEP)) && \
+	test "$${clean%%engine stages*}" = "$${healed%%engine stages*}" \
+		|| { echo "chaos-smoke: crashed sweep did not heal"; exit 1; }
 
 # Serving smoke gate: a real `repro serve` subprocess on an ephemeral
 # port must absorb a 500-request closed-loop mixed-verb burst with

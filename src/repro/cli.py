@@ -62,6 +62,7 @@ from repro.api import Session
 from repro.engine.runner import RunRecord
 from repro.engine.store import ArtifactStore, CACHE_DIR_ENV, \
     set_default_store
+from repro.errors import ConfigurationError, ReproError
 from repro.memory.replacement import available_policies
 from repro.evaluation.fig4 import run_fig4
 from repro.evaluation.fig5 import run_fig5
@@ -436,9 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "batches (default 1)")
     serve.add_argument(
         "--store-backend", default="memory", metavar="SPEC",
-        help="tenant-store backend spec: 'memory[:bytes]', "
-             "'disk[:root]' or a registered backend name "
-             "(default memory)",
+        help="tenant-store backend spec: 'memory[:bytes]' or "
+             "'disk[:root]' (default memory)",
     )
     serve.add_argument(
         "--stall-timeout", type=float, default=DEFAULT_STALL_TIMEOUT,
@@ -811,10 +811,24 @@ def _run_trace_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ReproError` ends the command with one
+    ``casa: error: <message>`` line on stderr instead of a traceback:
+    exit 2 for a :class:`~repro.errors.ConfigurationError` (argparse's
+    usage-error code), 1 for any other.
+    """
     args = _build_parser().parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
+    try:
+        return _run_command(args)
+    except ReproError as error:
+        print(f"casa: error: {error}", file=sys.stderr)
+        return 2 if isinstance(error, ConfigurationError) else 1
 
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the parsed command *args*; returns a process exit code."""
     if args.command == "workloads":
         for name in available_workloads():
             print(name)

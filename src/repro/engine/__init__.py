@@ -15,7 +15,8 @@ producing a typed artifact with a content-addressed digest:
 * :mod:`repro.engine.grid` — :class:`GridChunk`, the one work unit:
   an allocator over a capacity axis;
 * :mod:`repro.engine.parallel` — :func:`map_points` fans chunks across
-  a process pool with deterministic result ordering.
+  a process pool with deterministic result ordering, on the
+  self-healing executor of :mod:`repro.resilience.healing`.
 
 Every consumer — ``Workbench``, the sweep/figure/table harnesses, the
 CLI and the benchmarks — routes through this package, so a warm cache
@@ -60,14 +61,11 @@ from repro.engine.store import (
     ArtifactStore,
     BackendStats,
     DiskBackend,
-    KeyValueBackend,
     MemoryBackend,
     StorageBackend,
     StoreStats,
-    available_backends,
     default_store,
     make_backend,
-    register_backend,
     set_default_store,
 )
 
@@ -102,13 +100,10 @@ __all__ = [
     "ArtifactStore",
     "BackendStats",
     "DiskBackend",
-    "KeyValueBackend",
     "MemoryBackend",
     "StorageBackend",
     "StoreStats",
-    "available_backends",
     "default_store",
     "make_backend",
-    "register_backend",
     "set_default_store",
 ]

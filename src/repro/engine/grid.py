@@ -6,9 +6,10 @@ capacity axis; a single design point is the one-size chunk
 profiles the workbench once and solves the capacity steps in
 ascending order, each through the workbench's per-size entry point
 (and so the shared ``result`` artifacts) — so a sweep schedules one
-chunk per allocator.  :func:`~repro.engine.parallel.map_points` and
-the self-healing :func:`~repro.resilience.healing.map_points_healed`
-schedule chunks, and a chunk retries as one unit.
+chunk per allocator.  The one executor,
+:func:`~repro.resilience.healing.map_points_healed` (with
+:func:`~repro.engine.parallel.map_points` as its strict view),
+schedules chunks, and a chunk retries as one unit.
 """
 
 from __future__ import annotations

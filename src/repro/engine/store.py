@@ -9,13 +9,11 @@ protocol (``get`` / ``put`` / ``delete`` / ``entries`` / ``usage``):
 * an optional persistent tier — by default the :class:`DiskBackend`,
   one pickle per artifact under a cache directory (default
   ``.casa_cache/``) that survives processes and is shared by parallel
-  sweep workers; any other registered backend
-  (:func:`register_backend` / :func:`make_backend`) slots in the same
-  place, e.g. the :class:`KeyValueBackend` adapter for remote stores.
+  sweep workers; any other :class:`StorageBackend` object slots in
+  the same place.
 
-Backends are selected by **spec string** — ``"memory[:bytes]"``,
-``"disk[:path]"``, ``"kv"`` or any registered name — mirroring the
-``make_policy`` / ``make_allocator`` registries, with a typed
+Backends are selected by **spec string** — ``"memory[:bytes]"`` or
+``"disk[:path]"`` (:func:`make_backend`) — with a typed
 :class:`~repro.errors.UnknownBackendError` for unknown names.  Each
 backend counts its own hits/misses/puts/evictions and reports them as
 ``store.backend.<name>.*`` metrics.
@@ -40,7 +38,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, MutableMapping, Protocol, \
+from typing import Any, Callable, Protocol, \
     runtime_checkable
 
 from repro.engine.artifacts import SCHEMA_VERSION
@@ -109,10 +107,9 @@ class StorageBackend(Protocol):
     """One tier of artifact storage, keyed by ``(stage, digest)``.
 
     The protocol is deliberately small — five methods plus a ``name``
-    and a :class:`BackendStats` — so remote stores (key-value
-    services, object stores) can adapt in a page of code; see
-    :class:`KeyValueBackend` for the reference adapter and
-    :func:`register_backend` for the registry hook.
+    and a :class:`BackendStats` — so another store (a key-value
+    service, an object store) can adapt in a page of code and be
+    passed to :class:`ArtifactStore` directly.
     """
 
     #: Identity used in ``store.backend.<name>.*`` metrics.
@@ -448,110 +445,7 @@ class DiskBackend:
         ))
 
 
-class KeyValueBackend:
-    """Reference adapter from the protocol to a key-value service.
-
-    Stores the same versioned pickle envelopes the disk tier writes,
-    but as *bytes under string keys* in any mutable mapping — the
-    shape of every remote key-value store (Redis, memcached, an
-    object store bucket).  A real remote backend supplies a mapping
-    proxy whose ``__getitem__`` / ``__setitem__`` do network I/O and
-    registers itself under a name (:func:`register_backend`); this
-    in-process dict variant is what the backend contract test runs
-    and doubles as a shared-nothing tier for tests and demos.
-
-    Args:
-        mapping: the key → envelope-bytes mapping (default a dict).
-        name: metric identity (``store.backend.<name>.*``).
-    """
-
-    def __init__(self, mapping: MutableMapping[str, bytes] | None = None,
-                 name: str = "kv") -> None:
-        self.name = name
-        self.stats = BackendStats()
-        self.mapping: MutableMapping[str, bytes] = \
-            mapping if mapping is not None else {}
-
-    @staticmethod
-    def _key(stage: str, digest: str) -> str:
-        return f"{stage}-{digest}"
-
-    def get(self, stage: str, digest: str) -> Any | None:
-        """Fetch and unpickle one envelope; corrupt values are misses."""
-        raw = self.mapping.get(self._key(stage, digest))
-        if raw is None:
-            self.stats.misses += 1
-            _count(self, "misses")
-            return None
-        try:
-            envelope = pickle.loads(raw)
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("schema") != SCHEMA_VERSION
-                or envelope.get("stage") != stage
-                or envelope.get("digest") != digest
-            ):
-                raise ValueError("stale or foreign cache entry")
-        except _CORRUPTION_ERRORS:
-            self.mapping.pop(self._key(stage, digest), None)
-            self.stats.errors += 1
-            self.stats.misses += 1
-            _count(self, "errors")
-            return None
-        self.stats.hits += 1
-        _count(self, "hits")
-        return envelope["artifact"]
-
-    def put(self, stage: str, digest: str, artifact: Any) -> None:
-        """Pickle one envelope into the mapping (skip unpicklables)."""
-        envelope = {
-            "schema": SCHEMA_VERSION,
-            "stage": stage,
-            "digest": digest,
-            "artifact": artifact,
-        }
-        try:
-            raw = pickle.dumps(envelope,
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            self.stats.errors += 1
-            _count(self, "errors")
-            return
-        self.mapping[self._key(stage, digest)] = raw
-        self.stats.puts += 1
-        _count(self, "puts")
-
-    def delete(self, stage: str, digest: str) -> bool:
-        """Drop one entry; return whether it existed."""
-        return self.mapping.pop(
-            self._key(stage, digest), None) is not None
-
-    def entries(self) -> list[tuple[str, str]]:
-        """Every stored ``(stage, digest)`` key, sorted."""
-        keys = []
-        for key in self.mapping:
-            stage, _, digest = key.partition("-")
-            if digest:
-                keys.append((stage, digest))
-        return sorted(keys)
-
-    def usage(self) -> tuple[int, int]:
-        """``(entry_count, total_bytes)`` of the mapping."""
-        return len(self.mapping), sum(
-            len(raw) for raw in self.mapping.values())
-
-    def clear(self) -> int:
-        """Drop every entry; return how many were dropped."""
-        removed = len(self.mapping)
-        self.mapping.clear()
-        return removed
-
-
-# -- backend registry ----------------------------------------------------------
-
-
-def _default_cache_dir() -> str:
-    return os.environ.get(CACHE_DIR_ENV) or ".casa_cache"
+# -- backend specs -------------------------------------------------------------
 
 
 def _make_memory(arg: str | None) -> MemoryBackend:
@@ -566,56 +460,24 @@ def _make_memory(arg: str | None) -> MemoryBackend:
     return MemoryBackend(max_bytes=budget)
 
 
-def _make_disk(arg: str | None) -> DiskBackend:
-    return DiskBackend(arg if arg else _default_cache_dir())
-
-
-def _make_kv(arg: str | None) -> KeyValueBackend:
-    del arg  # the in-process variant has nothing to configure
-    return KeyValueBackend()
-
-
-_BACKENDS: dict[str, Callable[[str | None], Any]] = {
-    "memory": _make_memory,
-    "disk": _make_disk,
-    "kv": _make_kv,
-}
-
-
-def register_backend(name: str,
-                     factory: Callable[[str | None], Any]) -> None:
-    """Register a storage backend *factory* under *name*.
-
-    The hook for remote backends: *factory* receives the text after
-    the first ``:`` of a spec (or ``None``) and returns a
-    :class:`StorageBackend`.  Registered names are accepted anywhere
-    a backend spec is — ``ArtifactStore(backend=...)``,
-    ``default_store(backend=...)``, ``repro serve --store-backend``.
-    """
-    _BACKENDS[name] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (feeds errors and CLI help)."""
-    return tuple(sorted(_BACKENDS))
-
-
-def make_backend(spec: str) -> Any:
+def make_backend(spec: str) -> MemoryBackend | DiskBackend:
     """Build one :class:`StorageBackend` from a spec string.
 
     Grammar: ``name[:arg]`` — ``"memory"``, ``"memory:1048576"``
-    (byte budget), ``"disk"``, ``"disk:/var/cache/casa"``, or any
-    :func:`register_backend` name with its argument.
+    (byte budget), ``"disk"`` or ``"disk:/var/cache/casa"``.
 
     Raises:
-        UnknownBackendError: for a name outside the registry.
+        UnknownBackendError: for a name other than ``disk`` or
+            ``memory``.
         ConfigurationError: for a malformed argument.
     """
     name, _, arg = spec.partition(":")
-    factory = _BACKENDS.get(name)
-    if factory is None:
-        raise UnknownBackendError(name, available_backends())
-    return factory(arg if arg else None)
+    if name == "memory":
+        return _make_memory(arg or None)
+    if name == "disk":
+        return DiskBackend(
+            arg or os.environ.get(CACHE_DIR_ENV) or ".casa_cache")
+    raise UnknownBackendError(name, ("disk", "memory"))
 
 
 # -- the two-tier store --------------------------------------------------------
@@ -657,8 +519,8 @@ class ArtifactStore:
             when *backend* names a tier of its own.
         memory_items: LRU item capacity of the in-memory tier.
         backend: the persistent tier as a spec string
-            (``"memory[:bytes]"``, ``"disk[:path]"``, a registered
-            name — see :func:`make_backend`) or a ready
+            (``"memory[:bytes]"`` or ``"disk[:path]"`` — see
+            :func:`make_backend`) or a ready
             :class:`StorageBackend`.  ``"memory[:bytes]"`` configures
             the *front* tier instead (a memory-only store, optionally
             byte-budgeted).
@@ -808,8 +670,8 @@ def default_store(backend: str | None = None) -> ArtifactStore:
     """The process-wide store used when no store is passed explicitly.
 
     Created on first use: from the *backend* spec when one is given
-    (``"memory[:bytes]"`` / ``"disk[:path]"`` / a registered name —
-    see :func:`make_backend`), otherwise memory-only unless the
+    (``"memory[:bytes]"`` / ``"disk[:path]"`` — see
+    :func:`make_backend`), otherwise memory-only unless the
     :data:`CACHE_DIR_ENV` environment variable names a cache
     directory (the CLI configures a disk-backed store explicitly via
     :func:`set_default_store`).  Once a store exists, it is returned

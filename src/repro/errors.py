@@ -44,13 +44,12 @@ class UnknownPolicyError(ConfigurationError):
 
 
 class UnknownBackendError(ConfigurationError):
-    """A storage backend name is not in the backend registry.
+    """A storage backend spec names neither ``disk`` nor ``memory``.
 
     Attributes:
         name: the unrecognised backend name as given.
-        choices: the valid names, sorted (the registry feeds
-            :func:`repro.engine.store.make_backend`, the CLI help text
-            and the docs).
+        choices: the valid names, sorted (as
+            :func:`repro.engine.store.make_backend` accepts them).
     """
 
     def __init__(self, name: str, choices: tuple[str, ...] = ()) -> None:

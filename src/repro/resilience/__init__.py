@@ -5,9 +5,10 @@ Three layers, bottom up:
 * :mod:`repro.resilience.faults` — deterministic fault injection at
   named sites (:data:`~repro.resilience.faults.SITES`), driven by a
   :class:`~repro.resilience.faults.FaultPlan` (``$CASA_FAULTS``).
-* :mod:`repro.resilience.healing` — a self-healing variant of
-  ``map_points`` with a per-unit timeout, bounded retry-with-backoff,
-  pool restart on worker crashes and a per-unit
+* :mod:`repro.resilience.healing` — the engine's one work-unit
+  executor (``map_points`` is a strict view of it): serial or pooled
+  runs with a per-unit timeout, bounded retry-with-backoff, pool
+  restart on worker crashes and a per-unit
   :class:`~repro.resilience.healing.PointOutcome`.
 * :mod:`repro.resilience.chaos` — the differential gate: run a sweep
   with and without an injected plan and assert the deterministic

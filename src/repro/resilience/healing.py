@@ -1,13 +1,23 @@
-"""Self-healing sweep execution: retries, timeouts, pool restarts.
+"""The engine's one work-unit executor: serial or pooled, self-healing.
 
-:func:`map_points_healed` is the resilient sibling of
-:func:`repro.engine.parallel.map_points`: same work units (grid
-chunks), same deterministic input-order results, but each unit is
-evaluated under a :class:`RetryPolicy` — bounded retry-with-backoff,
-an optional per-unit timeout, and worker-crash detection with
-process-pool restart — and the sweep returns a :class:`HealedRun` of
-per-unit :class:`PointOutcome` records instead of raising on the first
-failure.
+The work unit is a :class:`~repro.engine.grid.GridChunk`: one
+allocator over a capacity axis of one workload — optionally with
+cache / trace-formation overrides, as design-space exploration needs.
+:func:`map_points_healed` evaluates a list of chunks serially or
+across a process pool (sweeps are embarrassingly parallel per chunk),
+each under a :class:`RetryPolicy` — bounded retry-with-backoff, an
+optional per-unit timeout, and worker-crash detection with
+process-pool restart — and returns a :class:`HealedRun` of per-unit
+:class:`PointOutcome` records in input order instead of raising on
+the first failure.  :func:`repro.engine.parallel.map_points`, which
+the CLI exhibits use, runs the same loop under the default policy
+and raises the first unit that still failed.  The parent process
+alone reports progress to the live bus.
+
+Workers share the parent's on-disk artifact cache (when one is
+configured), so the expensive allocation-independent stages are
+computed once per workbench configuration no matter which worker gets
+there first.
 
 The healing loop leans on one invariant of the fault framework:
 injection rules skip retry attempts unless explicitly opted in
@@ -32,24 +42,26 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.grid import GridChunk, check_algorithms
-from repro.engine.parallel import (
-    _active_fault_spec,
-    _evaluate_in_worker,
-    _evaluate_unit,
-    _init_worker,
-)
+from repro.engine.grid import GridChunk, check_algorithms, \
+    evaluate_chunk
 from repro.engine.runner import RunRecord, StageRunner
-from repro.engine.store import default_store
-from repro.errors import InjectedFault, PointTimeoutError
+from repro.engine.store import ArtifactStore, default_store, \
+    set_default_store
+from repro.errors import ConfigurationError, InjectedFault, \
+    PointTimeoutError
 from repro.obs import metrics
-from repro.obs.events import active_recorder
+from repro.obs.events import EventRecorder, active_recorder, \
+    set_recorder
 from repro.obs.live import note_total, note_unit_finished, \
-    note_unit_started
-from repro.obs.logging import active_log_spec, active_run_id, log_event
-from repro.obs.metrics import active_registry
-from repro.obs.trace import get_collector
-from repro.resilience.faults import maybe_inject, set_fault_attempt
+    note_unit_started, set_progress_sink
+from repro.obs.logging import active_log_spec, active_run_id, \
+    install_from_spec, log_event
+from repro.obs.metrics import MetricsRegistry, active_registry, \
+    set_registry
+from repro.obs.trace import TraceCollector, get_collector, \
+    set_collector
+from repro.resilience.faults import FaultPlan, active_fault_plan, \
+    maybe_inject, set_fault_attempt, set_fault_plan
 
 if TYPE_CHECKING:
     from repro.core.pipeline import ExperimentResult
@@ -79,6 +91,14 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     timeout_s: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ConfigurationError(
+                f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ConfigurationError(
+                f"timeout_s must be > 0 or None, got {self.timeout_s}")
+
     def backoff_for(self, attempt: int) -> float:
         """Backoff before retrying after failed attempt *attempt*."""
         return self.backoff_s * (self.backoff_factor ** attempt)
@@ -107,6 +127,9 @@ class PointOutcome:
             after the first entry is retry cost).
         run_id: correlation id of the structured run log active when
             the outcome was built, or ``None`` when logging was off.
+        exception: the last failure itself (``error`` is its
+            structured record), which
+            :func:`~repro.engine.parallel.map_points` re-raises.
     """
 
     index: int
@@ -118,6 +141,8 @@ class PointOutcome:
     wall_s: float = 0.0
     attempt_seconds: list[float] = field(default_factory=list)
     run_id: str | None = None
+    exception: BaseException | None = field(default=None, repr=False,
+                                            compare=False)
 
     @property
     def retry_s(self) -> float:
@@ -241,7 +266,96 @@ def _failed_outcome(index: int, point: GridChunk, attempts: int,
         index=index, point=point, status="failed", attempts=attempts,
         error=_error_record(error), result=None, wall_s=wall,
         attempt_seconds=durations, run_id=active_run_id(),
+        exception=error,
     )
+
+
+def _evaluate_unit(chunk: GridChunk,
+                   runner: StageRunner) -> "list[ExperimentResult]":
+    """Evaluate one work unit, timing it when metrics are on.
+
+    The per-unit wall time lands in the ``chunk.evaluate.seconds``
+    percentile histogram; with no registry installed this is a plain
+    :func:`~repro.engine.grid.evaluate_chunk` call.  Progress notes
+    are the parent's job.
+    """
+    registry = active_registry()
+    if registry is None:
+        return evaluate_chunk(chunk, runner=runner)
+    start = time.perf_counter()
+    try:
+        return evaluate_chunk(chunk, runner=runner)
+    finally:
+        registry.histogram("chunk.evaluate.seconds").observe(
+            time.perf_counter() - start)
+
+
+def _init_worker(cache_dir: str | None,
+                 fault_spec: str | None = None,
+                 log_spec: tuple[str, str] | None = None) -> None:
+    """Process-pool initializer: point the worker at the shared cache.
+
+    When a fault plan is active in the parent, its spec rides along so
+    workers replay the same rules even under the ``spawn`` start
+    method (``fork`` would inherit the plan, but the spec makes the
+    behaviour start-method independent — with fresh per-process rule
+    state either way).  The run-log spec rides along the same way, so
+    the worker reopens the parent's structured log under the same
+    ``run_id``.  Workers report no progress: the parent counts units,
+    so a bus inherited through ``fork`` is dropped.
+    """
+    set_default_store(ArtifactStore(cache_dir=cache_dir))
+    if fault_spec:
+        set_fault_plan(FaultPlan.from_spec(fault_spec))
+    set_progress_sink(None)
+    install_from_spec(log_spec)
+
+
+def _evaluate_in_worker(task: tuple[GridChunk, bool, bool, bool, int]):
+    """Worker-side evaluation of one work unit.
+
+    *task* is ``(chunk, trace, metrics, events, attempt)`` — the flags
+    mirror whether the parent had a collector/registry/event recorder
+    installed, and *attempt* is the retry attempt the unit is on.
+    Returns ``(result, record_dict, span_events, metrics_snapshot,
+    event_snapshot)`` where the middle three are ``None`` unless the
+    matching flag was set; the parent merges them back in input order,
+    exactly like the record counters.
+    """
+    chunk, trace_enabled, metrics_enabled, events_enabled, attempt = task
+    set_fault_attempt(attempt)
+    collector = TraceCollector() if trace_enabled else None
+    registry = MetricsRegistry() if metrics_enabled else None
+    recorder = EventRecorder() if events_enabled else None
+    previous_collector = set_collector(collector) \
+        if trace_enabled else None
+    previous_registry = set_registry(registry) \
+        if metrics_enabled else None
+    previous_recorder = set_recorder(recorder) \
+        if events_enabled else None
+    try:
+        record = RunRecord()
+        runner = StageRunner(record=record)
+        result = _evaluate_unit(chunk, runner=runner)
+    finally:
+        if trace_enabled:
+            set_collector(previous_collector)
+        if metrics_enabled:
+            set_registry(previous_registry)
+        if events_enabled:
+            set_recorder(previous_recorder)
+    events = [event.as_json() for event in collector.events()] \
+        if collector is not None else None
+    snapshot = registry.snapshot() if registry is not None else None
+    event_snapshot = recorder.snapshot() \
+        if recorder is not None else None
+    return result, record.as_dict(), events, snapshot, event_snapshot
+
+
+def _active_fault_spec() -> str | None:
+    """Spec of the parent's fault plan, for worker initializers."""
+    plan = active_fault_plan()
+    return plan.spec() if plan is not None and plan.rules else None
 
 
 def _evaluate_with_timeout(point: GridChunk, runner: StageRunner,
@@ -338,7 +452,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
     loop provably terminates.  When no pool can be created — at the
     start or on a restart (restricted sandbox, unpicklable payload,
     injected ``worker.spawn`` fault) — the unfinished units heal
-    serially instead, same results, mirroring plain ``map_points``.
+    serially instead, same results.
 
     The parent is the only progress reporter: the unit it waits on is
     the current one, and each unit is marked finished once, when its
@@ -478,6 +592,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
     except (OSError, pickle.PicklingError, InjectedFault):
         # No usable pool: heal what is left in-process.  A unit that
         # already used an attempt continues as a counted retry.
+        log_event("map.fallback", mode="serial", units=len(pending))
         runner = StageRunner(record=record)
         for index in sorted(pending):
             if attempts[index]:
@@ -486,11 +601,15 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
                 index, points[index], policy, runner, attempts[index],
                 durations[index], last_errors[index])
     finally:
+        # Join an idle pool's workers; never wait on one left busy by
+        # an error, whose worker may be wedged.
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=not pending, cancel_futures=True)
 
-    # Fold worker observability back in input order, exactly like
-    # plain map_points (failed points contribute nothing).
+    # Worker observability folds back in input order, mirroring the
+    # record merge: the merged span/metric stream is deterministic no
+    # matter which worker finished first (failed units contribute
+    # nothing).
     for payload in payloads:
         if payload is None:
             continue
@@ -508,6 +627,27 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
     return HealedRun(final)
 
 
+def _run(points: list[GridChunk] | tuple[GridChunk, ...], jobs: int,
+         policy: RetryPolicy, record: RunRecord | None,
+         cache_dir: str | os.PathLike | None) -> HealedRun:
+    """Evaluate *points* under *policy*, serially or pooled.
+
+    The one loop behind :func:`map_points_healed` and
+    :func:`~repro.engine.parallel.map_points`.
+    """
+    points = list(points)
+    check_algorithms(points)
+    note_total(len(points))
+    log_event("map.start", units=len(points), jobs=jobs,
+              max_attempts=policy.max_attempts)
+    if jobs > 1 and len(points) > 1:
+        run = _heal_pooled(points, jobs, policy, record, cache_dir)
+    else:
+        run = _heal_serial(points, policy, record)
+    log_event("map.done", units=len(points), jobs=jobs)
+    return run
+
+
 def map_points_healed(
     points: list[GridChunk] | tuple[GridChunk, ...],
     jobs: int = 1,
@@ -517,12 +657,11 @@ def map_points_healed(
 ) -> HealedRun:
     """Evaluate *points* with self-healing; never raises per unit.
 
-    The resilient counterpart of
-    :func:`repro.engine.parallel.map_points`: failures are retried
-    under *policy* (with backoff), worker crashes restart the pool,
-    per-unit timeouts are enforced, and the sweep always completes,
-    returning a :class:`HealedRun` whose outcomes (and results) are in
-    input order.  Units that still fail after ``policy.max_attempts``
+    Failures are retried under *policy* (with backoff), worker crashes
+    restart the pool, per-unit timeouts are enforced, and the sweep
+    always completes, returning a :class:`HealedRun` whose outcomes
+    (and results) are in input order — byte-for-byte identical to a
+    serial run.  Units that still fail after ``policy.max_attempts``
     tries are reported as ``failed`` outcomes with a structured error
     instead of aborting the sweep.
 
@@ -542,12 +681,6 @@ def map_points_healed(
         ConfigurationError: for an unknown algorithm (checked up
             front — a misconfigured sweep is a bug, not a fault).
     """
-    points = list(points)
-    policy = policy if policy is not None else RetryPolicy()
-    check_algorithms(points)
-    note_total(len(points))
-    log_event("heal.start", units=len(points), jobs=jobs,
-              max_attempts=policy.max_attempts)
-    if jobs > 1 and len(points) > 1:
-        return _heal_pooled(points, jobs, policy, record, cache_dir)
-    return _heal_serial(points, policy, record)
+    return _run(points, jobs,
+                policy if policy is not None else RetryPolicy(),
+                record, cache_dir)

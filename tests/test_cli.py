@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import _build_parser, main
 from repro.obs.live import DEFAULT_STALL_TIMEOUT
+from repro.resilience.faults import FAULTS_ENV, FaultPlan, \
+    set_fault_plan
 
 
 class TestCli:
@@ -225,3 +227,51 @@ class TestLiveTelemetryCli:
         assert args.stall_timeout == 60.0
         default = parser.parse_args(["serve"]).stall_timeout
         assert default == DEFAULT_STALL_TIMEOUT
+
+
+class TestCliErrors:
+    """A ReproError ends the command with one line, not a traceback."""
+
+    SWEEP = ["sweep", "--workload", "tiny", "--scale", "0.2",
+             "--no-cache"]
+
+    def test_configuration_error_exits_2(self, capsys):
+        assert main(self.SWEEP + ["--sizes", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert "casa: error: negative spm size: -5" in err
+        assert "Traceback" not in err
+
+    def test_invalid_retry_budget_exits_2(self, capsys):
+        assert main(["chaos", "--workload", "tiny", "--scale", "0.2",
+                     "--max-attempts", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "casa: error: max_attempts must be >= 1" in err
+        assert "Traceback" not in err
+
+    def test_other_repro_error_exits_1(self, capsys):
+        previous = set_fault_plan(FaultPlan.from_spec(
+            "worker.exec:error@nth=1,limit=3,retries"))
+        try:
+            code = main(self.SWEEP + ["--sizes", "64",
+                                      "--algorithms", "casa"])
+        finally:
+            set_fault_plan(previous)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "casa: error: injected fault at worker.exec" in err
+        assert "Traceback" not in err
+
+    def test_sweep_heals_a_first_attempt_fault(self, capsys,
+                                               monkeypatch):
+        assert main(self.SWEEP) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.setenv(FAULTS_ENV, "worker.exec:error@nth=1")
+        previous = set_fault_plan(FaultPlan.from_env())
+        try:
+            assert main(self.SWEEP) == 0
+        finally:
+            set_fault_plan(previous)
+        healed = capsys.readouterr().out
+        # Retries change the stage counts, never the result table.
+        assert healed.split("engine stages")[0] \
+            == clean.split("engine stages")[0]

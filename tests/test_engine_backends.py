@@ -8,18 +8,14 @@ import time
 
 import pytest
 
-import repro.engine.store as store_module
 from repro.engine.store import (
     SWEEP_MARKER,
     ArtifactStore,
     DiskBackend,
-    KeyValueBackend,
     MemoryBackend,
     StorageBackend,
-    available_backends,
     default_store,
     make_backend,
-    register_backend,
     set_default_store,
 )
 from repro.errors import ConfigurationError, UnknownBackendError
@@ -28,7 +24,6 @@ from repro.obs.metrics import MetricsRegistry, set_registry
 BACKEND_FACTORIES = {
     "memory": lambda tmp: MemoryBackend(),
     "disk": lambda tmp: DiskBackend(tmp / "cache"),
-    "kv": lambda tmp: KeyValueBackend(),
 }
 
 
@@ -216,14 +211,11 @@ class TestBackendSpecs:
         assert isinstance(backend, DiskBackend)
         assert backend.cache_dir == tmp_path
 
-    def test_kv_spec(self):
-        assert isinstance(make_backend("kv"), KeyValueBackend)
-
     def test_unknown_backend_error(self):
         with pytest.raises(UnknownBackendError) as excinfo:
             make_backend("s3:bucket")
         assert excinfo.value.name == "s3"
-        assert "memory" in excinfo.value.choices
+        assert excinfo.value.choices == ("disk", "memory")
         assert "s3" in str(excinfo.value)
 
     def test_unknown_backend_error_pickles(self):
@@ -232,16 +224,6 @@ class TestBackendSpecs:
         assert clone.name == "s3"
         assert clone.choices == ("disk", "memory")
 
-    def test_register_backend_hook(self):
-        register_backend(
-            "contract-test",
-            lambda arg: KeyValueBackend(name="contract-test"))
-        try:
-            assert "contract-test" in available_backends()
-            backend = make_backend("contract-test")
-            assert backend.name == "contract-test"
-        finally:
-            store_module._BACKENDS.pop("contract-test", None)
 
 
 class TestArtifactStoreBackends:
@@ -252,17 +234,6 @@ class TestArtifactStoreBackends:
         store.put("trace", "d1", "x")
         assert store.get("trace", "d1") == "x"
         assert store.cache_dir is None
-
-    def test_kv_spec_store_promotes_to_memory(self):
-        store = ArtifactStore(backend="kv")
-        store.put("trace", "d1", ["v"])
-        assert store.persistent_backend is not None
-        assert store.persistent_backend.entries() == [("trace", "d1")]
-        fresh = ArtifactStore(backend=store.persistent_backend)
-        assert fresh.get("trace", "d1") == ["v"]
-        assert fresh.stats.disk_hits == 1
-        assert fresh.get("trace", "d1") == ["v"]
-        assert fresh.stats.memory_hits == 1
 
     def test_disk_spec_store_is_legacy_compatible(self, tmp_path):
         spec_store = ArtifactStore(backend=f"disk:{tmp_path}")

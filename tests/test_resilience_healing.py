@@ -9,7 +9,7 @@ import pytest
 from repro.engine.grid import GridChunk
 from repro.engine.parallel import map_points
 from repro.engine.store import ArtifactStore, set_default_store
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InjectedFault
 from repro.obs.events import EventRecorder, set_recorder
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience.faults import (
@@ -130,6 +130,33 @@ def test_spawn_fault_degrades_plain_map_points_to_serial(
     fallen_back = map_points(POINTS, jobs=2)
     assert signatures(fallen_back) == signatures(clean)
     assert registry.value("faults.injected.worker.spawn") == 1
+
+
+def test_map_points_heals_a_worker_crash(shared_cache):
+    clean = map_points(POINTS, jobs=1)
+    set_fault_plan(FaultPlan.from_spec("worker.exec:crash@nth=1"))
+    assert signatures(map_points(POINTS, jobs=2)) == signatures(clean)
+
+
+def test_map_points_raises_a_persistent_fault_after_retries(registry):
+    set_fault_plan(FaultPlan.from_spec(
+        "worker.exec:error@nth=1,limit=3,retries"))
+    with pytest.raises(InjectedFault):
+        map_points(POINTS[:2], jobs=1)
+    assert registry.value("resilience.retries") == 2
+    assert registry.value("resilience.failed_points") == 1
+
+
+def test_retry_policy_needs_at_least_one_attempt():
+    with pytest.raises(ConfigurationError):
+        RetryPolicy(max_attempts=0)
+
+
+@pytest.mark.parametrize("timeout_s", [0, -1.0])
+def test_retry_policy_needs_a_positive_timeout(timeout_s):
+    with pytest.raises(ConfigurationError):
+        RetryPolicy(timeout_s=timeout_s)
+    assert RetryPolicy(timeout_s=0.001).timeout_s == 0.001
 
 
 def test_spawn_fault_degrades_healed_pool_to_serial(
