@@ -6,13 +6,15 @@ PYTHON ?= python
 # install step is needed.
 export PYTHONPATH := src
 
-.PHONY: install test bench bench-smoke chaos-smoke serve-smoke \
-	serve-chaos-smoke exhibits report examples docs docs-regen clean
+.PHONY: install test bench bench-smoke startup-smoke chaos-smoke \
+	serve-smoke serve-chaos-smoke exhibits report examples docs \
+	docs-regen clean
 
 install:
 	$(PYTHON) setup.py develop
 
-test: bench-smoke chaos-smoke serve-smoke serve-chaos-smoke docs
+test: bench-smoke startup-smoke chaos-smoke serve-smoke \
+	serve-chaos-smoke docs
 	$(PYTHON) -m pytest tests/
 
 test-output:
@@ -33,6 +35,12 @@ bench-smoke:
 		--trials 10 --scale 0.5 --no-cache
 	$(PYTHON) -m repro verify-grid --workloads tiny adpcm \
 		--scale 0.5 --no-cache
+
+# Start-up gate: `repro --help` and `repro workloads` compute nothing,
+# so neither may import numpy or scipy.  On failure the import chain
+# that pulled one in is printed.
+startup-smoke:
+	$(PYTHON) scripts/startup_smoke.py
 
 # Chaos differential gate: a small sweep under a canned fault plan
 # (store corruption on read and write, one worker fault, one solver

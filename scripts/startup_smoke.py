@@ -1,0 +1,78 @@
+#!/usr/bin/env python
+"""Start-up gate of the CLI (``make startup-smoke``).
+
+Runs ``repro --help`` and ``repro workloads`` under ``python -X
+importtime`` and fails if either imports numpy or scipy: neither
+command computes anything, so neither may load the compute stack.  On
+failure it prints the import chain that pulled the library in, from
+the top-level import down, so a regression names its culprit.
+
+Usage: ``PYTHONPATH=src python scripts/startup_smoke.py``.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+
+#: Commands that must start without the compute stack.
+COMMANDS = (("--help",), ("workloads",))
+
+#: Libraries none of them may import.
+FORBIDDEN = ("numpy", "scipy")
+
+
+def import_tree(argv: tuple[str, ...]) -> list[tuple[int, str]]:
+    """``(depth, module)`` of every import ``repro ARGV`` made, in the
+    order ``-X importtime`` reports them (a module after its own
+    imports; top-level imports have depth 0)."""
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+        capture_output=True, text=True, check=True,
+    )
+    tree = []
+    for line in child.stderr.splitlines():
+        if not line.startswith("import time:") or line.endswith("package"):
+            continue
+        name = line.rsplit("|", 1)[1]
+        tree.append(((len(name) - len(name.lstrip()) - 1) // 2,
+                     name.strip()))
+    return tree
+
+
+def chain(tree: list[tuple[int, str]], index: int) -> list[str]:
+    """The modules from a top-level import down to ``tree[index]``.
+
+    A module's importer is the next entry one level up: ``-X
+    importtime`` reports each module after everything it imported.
+    """
+    depth, name = tree[index]
+    modules = [name]
+    for parent_depth, parent in tree[index + 1:]:
+        if parent_depth == depth - 1:
+            modules.append(parent)
+            depth = parent_depth
+    return modules[::-1]
+
+
+def main() -> int:
+    failed = False
+    for argv in COMMANDS:
+        command = " ".join(("repro",) + argv)
+        tree = import_tree(argv)
+        culprits = [index for index, (_, name) in enumerate(tree)
+                    if name in FORBIDDEN]
+        if not culprits:
+            print(f"startup-smoke: {command}: {len(tree)} imports, "
+                  f"no {' or '.join(FORBIDDEN)}")
+            continue
+        failed = True
+        for index in culprits:
+            print(f"startup-smoke: FAIL — {command} imports "
+                  f"{tree[index][1]}:")
+            print("  " + " -> ".join(chain(tree, index)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

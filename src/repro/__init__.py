@@ -22,29 +22,7 @@ allocator classes, :func:`~repro.core.make_allocator`) stay public
 for fine-grained control.
 """
 
-from repro.api import Session
-from repro.core import (
-    ALLOCATOR_NAMES,
-    Allocation,
-    Allocator,
-    CasaAllocator,
-    make_allocator,
-    CasaConfig,
-    ConflictGraph,
-    ExperimentResult,
-    GreedyCasaAllocator,
-    MultiScratchpadAllocator,
-    RossLoopCacheAllocator,
-    ScratchpadSpec,
-    SteinkeAllocator,
-    Workbench,
-    WorkbenchConfig,
-)
-from repro.energy import EnergyModel, build_energy_model, compute_energy
-from repro.memory import CacheConfig, HierarchyConfig, LoopCacheConfig
-from repro.program import Program, execute_program
-from repro.traces import TraceGenConfig, generate_traces
-from repro.workloads import available_workloads, get_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -79,3 +57,29 @@ __all__ = [
     "get_workload",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api": ("Session",),
+    "repro.core": (
+        "ALLOCATOR_NAMES",
+        "Allocation",
+        "Allocator",
+        "make_allocator",
+        "CasaAllocator",
+        "CasaConfig",
+        "ConflictGraph",
+        "ExperimentResult",
+        "GreedyCasaAllocator",
+        "MultiScratchpadAllocator",
+        "RossLoopCacheAllocator",
+        "ScratchpadSpec",
+        "SteinkeAllocator",
+        "Workbench",
+        "WorkbenchConfig",
+    ),
+    "repro.energy": ("EnergyModel", "build_energy_model", "compute_energy"),
+    "repro.memory": ("CacheConfig", "HierarchyConfig", "LoopCacheConfig"),
+    "repro.program": ("Program", "execute_program"),
+    "repro.traces": ("TraceGenConfig", "generate_traces"),
+    "repro.workloads": ("available_workloads", "get_workload"),
+})

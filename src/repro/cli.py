@@ -49,6 +49,11 @@ its set-pressure summary), and the live flags — ``--watch``
 process), ``--log FILE`` (run_id-correlated structured JSON log) and
 ``--profile-sample FILE`` (collapsed-stack sampling profile) — see
 ``docs/OBSERVABILITY.md``.
+
+Only what builds the parser is imported at the top of this module;
+each command imports the modules it runs when it is dispatched, so
+``--help``, ``workloads`` and ``cache`` start without numpy or the
+allocators.
 """
 
 from __future__ import annotations
@@ -56,28 +61,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.api import Session
-from repro.engine.runner import RunRecord
 from repro.engine.store import ArtifactStore, CACHE_DIR_ENV, \
     set_default_store
 from repro.errors import ConfigurationError, ReproError
 from repro.memory.replacement import available_policies
-from repro.evaluation.fig4 import run_fig4
-from repro.evaluation.fig5 import run_fig5
-from repro.evaluation.sweep import run_sweep
-from repro.evaluation.table1 import run_table1
-from repro.evaluation.reporting import microjoules, percent
-from repro.obs.events import EventRecorder, set_recorder
-from repro.obs.live import DEFAULT_STALL_TIMEOUT, ProgressBus, \
-    WatchRenderer, set_progress_sink
-from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.obs.report import build_run_payload, load_run, \
-    render_run_report, summarise_run, write_run_file
-from repro.obs.trace import TraceCollector, set_collector
-from repro.utils.tables import format_table
-from repro.workloads.registry import available_workloads
+from repro.obs.live import DEFAULT_STALL_TIMEOUT
+from repro.workloads.registry import available_workloads, check_scale
+
+if TYPE_CHECKING:
+    from repro.api import Session
+    from repro.engine.runner import RunRecord
 
 
 def _default_cache_dir() -> str:
@@ -86,6 +81,8 @@ def _default_cache_dir() -> str:
 
 def _session(args: argparse.Namespace) -> Session:
     """The command's workload/scale/seed/backend as one Session."""
+    from repro.api import Session
+
     return Session(args.workload, scale=args.scale, seed=args.seed,
                    backend=args.backend)
 
@@ -583,8 +580,15 @@ def _run_observed(args: argparse.Namespace,
     whole command.  None of this changes the run's deterministic
     outputs — live consumers only *read* snapshots.
     """
+    from repro.engine.runner import RunRecord
+    from repro.obs.events import EventRecorder, set_recorder
+    from repro.obs.live import ProgressBus, WatchRenderer, \
+        set_progress_sink
     from repro.obs.logging import RunLog, log_event, new_run_id, \
         set_run_log
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.obs.report import build_run_payload, write_run_file
+    from repro.obs.trace import TraceCollector, set_collector
 
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
@@ -792,6 +796,9 @@ def _run_serve_chaos_command(args: argparse.Namespace) -> int:
 
 def _run_trace_report(args: argparse.Namespace) -> int:
     """``casa report RUNFILE`` — render a recorded run."""
+    from repro.obs.report import load_run, render_run_report, \
+        summarise_run
+
     run = load_run(args.run)
     if args.json:
         import json
@@ -821,10 +828,24 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:
+        _check_args(args)
         return _run_command(args)
     except ReproError as error:
         print(f"casa: error: {error}", file=sys.stderr)
         return 2 if isinstance(error, ConfigurationError) else 1
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject the values of ``--scale`` and ``--jobs`` no run can use.
+
+    ``--scale`` follows the serve schema's rule (a finite number > 0);
+    ``--jobs`` counts worker processes, so it is at least 1.
+    """
+    if getattr(args, "scale", None) is not None:
+        check_scale(args.scale)
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
 
 
 def _run_command(args: argparse.Namespace) -> int:
@@ -849,9 +870,13 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "report" and args.run:
         return _run_trace_report(args)
 
+    from repro.evaluation.reporting import microjoules, percent
+
     _configure_store(args)
 
     if args.command == "fig4":
+        from repro.evaluation.fig4 import run_fig4
+
         def run_fig4_command(record: RunRecord) -> int:
             result = run_fig4(args.workload, scale=args.scale,
                               seed=args.seed, jobs=args.jobs,
@@ -864,6 +889,8 @@ def _run_command(args: argparse.Namespace) -> int:
         return _run_observed(args, run_fig4_command)
 
     if args.command == "fig5":
+        from repro.evaluation.fig5 import run_fig5
+
         def run_fig5_command(record: RunRecord) -> int:
             result = run_fig5(args.workload, scale=args.scale,
                               seed=args.seed, jobs=args.jobs,
@@ -876,6 +903,8 @@ def _run_command(args: argparse.Namespace) -> int:
         return _run_observed(args, run_fig5_command)
 
     if args.command == "table1":
+        from repro.evaluation.table1 import run_table1
+
         def run_table1_command(record: RunRecord) -> int:
             result = run_table1(scale=args.scale, seed=args.seed,
                                 jobs=args.jobs, record=record,
@@ -889,6 +918,9 @@ def _run_command(args: argparse.Namespace) -> int:
         return _run_observed(args, run_table1_command)
 
     if args.command == "sweep":
+        from repro.evaluation.sweep import run_sweep
+        from repro.utils.tables import format_table
+
         def run_sweep_command(record: RunRecord) -> int:
             points = run_sweep(
                 args.workload,

@@ -19,37 +19,17 @@ by name through :func:`make_allocator`, which is what the
 :class:`repro.api.Session` facade and the CLI use.
 """
 
-from typing import Any, Protocol, runtime_checkable
+from __future__ import annotations
 
-from repro.core.allocation import Allocation, AllocationContext
-from repro.core.annealing import AnnealingAllocator, AnnealingConfig
-from repro.core.casa import CasaAllocator, CasaConfig
-from repro.core.conflict_graph import ConflictGraph, ConflictNode
-from repro.core.greedy_allocator import GreedyCasaAllocator
-from repro.core.multi_spm import MultiScratchpadAllocator, ScratchpadSpec
-from repro.core.overlay import (
-    OverlayAllocation,
-    OverlayAllocator,
-    OverlayConfig,
-    PhasedConflictData,
-)
-from repro.core.phases import Phase, PhasePartition, detect_phases
-from repro.core.placement import ConflictAwarePlacer, PlacementResult
-from repro.core.pipeline import (
-    ExperimentResult,
-    Workbench,
-    WorkbenchConfig,
-)
-from repro.core.ross import RossLoopCacheAllocator
-from repro.core.steinke import SteinkeAllocator
-from repro.core.unified import (
-    UnifiedAllocation,
-    UnifiedCasaAllocator,
-    unified_steinke,
-)
-from repro.energy.model import EnergyModel
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+
+from repro._lazy import lazy_exports
 from repro.errors import ConfigurationError
-from repro.memory.loopcache import LoopCacheConfig
+
+if TYPE_CHECKING:
+    from repro.core.allocation import AllocationContext
+    from repro.core.conflict_graph import ConflictGraph
+    from repro.energy.model import EnergyModel
 
 
 @runtime_checkable
@@ -85,24 +65,24 @@ class Allocator(Protocol):
         ...
 
 
-#: Allocator factories keyed by canonical (lower-case, dash) name.
-_ALLOCATOR_FACTORIES = {
-    "casa": lambda cfg: CasaAllocator(CasaConfig(**cfg))
-    if cfg else CasaAllocator(),
-    "steinke": lambda cfg: SteinkeAllocator(**cfg),
-    "greedy": lambda cfg: GreedyCasaAllocator(**cfg),
-    "greedy-casa": lambda cfg: GreedyCasaAllocator(**cfg),
-    "anneal": lambda cfg: AnnealingAllocator(AnnealingConfig(**cfg))
-    if cfg else AnnealingAllocator(),
-    "annealing": lambda cfg: AnnealingAllocator(AnnealingConfig(**cfg))
-    if cfg else AnnealingAllocator(),
-    "ross": lambda cfg: RossLoopCacheAllocator(LoopCacheConfig(**cfg)),
-    "multi-spm": lambda cfg: MultiScratchpadAllocator(**cfg),
-    "casa-multi-spm": lambda cfg: MultiScratchpadAllocator(**cfg),
+#: The allocator class and, for allocators configured through one, the
+#: config class its options build, keyed by canonical (lower-case,
+#: dash) name.  Both resolve through this package's lazy exports, so
+#: :func:`make_allocator` imports only the allocator it builds.
+_ALLOCATOR_CLASSES = {
+    "casa": ("CasaAllocator", "CasaConfig"),
+    "steinke": ("SteinkeAllocator", None),
+    "greedy": ("GreedyCasaAllocator", None),
+    "greedy-casa": ("GreedyCasaAllocator", None),
+    "anneal": ("AnnealingAllocator", "AnnealingConfig"),
+    "annealing": ("AnnealingAllocator", "AnnealingConfig"),
+    "ross": ("RossLoopCacheAllocator", "LoopCacheConfig"),
+    "multi-spm": ("MultiScratchpadAllocator", None),
+    "casa-multi-spm": ("MultiScratchpadAllocator", None),
 }
 
 #: Canonical names :func:`make_allocator` accepts.
-ALLOCATOR_NAMES = tuple(sorted(_ALLOCATOR_FACTORIES))
+ALLOCATOR_NAMES = tuple(sorted(_ALLOCATOR_CLASSES))
 
 
 def make_allocator(name: str, **cfg: Any) -> Allocator:
@@ -121,14 +101,16 @@ def make_allocator(name: str, **cfg: Any) -> Allocator:
             allocator does not accept.
     """
     key = name.strip().lower().replace("_", "-")
-    factory = _ALLOCATOR_FACTORIES.get(key)
-    if factory is None:
+    if key not in _ALLOCATOR_CLASSES:
         raise ConfigurationError(
             f"unknown allocator {name!r}; choose from "
             f"{', '.join(ALLOCATOR_NAMES)}"
         )
+    allocator, config = _ALLOCATOR_CLASSES[key]
     try:
-        return factory(dict(cfg))
+        if config is None:
+            return __getattr__(allocator)(**cfg)
+        return __getattr__(allocator)(__getattr__(config)(**cfg))
     except TypeError as exc:
         raise ConfigurationError(
             f"bad options for allocator {name!r}: {exc}"
@@ -168,3 +150,33 @@ __all__ = [
     "UnifiedCasaAllocator",
     "unified_steinke",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.allocation": ("Allocation", "AllocationContext"),
+    "repro.core.annealing": ("AnnealingAllocator", "AnnealingConfig"),
+    "repro.core.casa": ("CasaAllocator", "CasaConfig"),
+    "repro.core.conflict_graph": ("ConflictGraph", "ConflictNode"),
+    "repro.core.greedy_allocator": ("GreedyCasaAllocator",),
+    "repro.core.multi_spm": ("MultiScratchpadAllocator", "ScratchpadSpec"),
+    "repro.core.overlay": (
+        "OverlayAllocation",
+        "OverlayAllocator",
+        "OverlayConfig",
+        "PhasedConflictData",
+    ),
+    "repro.core.phases": ("Phase", "PhasePartition", "detect_phases"),
+    "repro.core.placement": ("ConflictAwarePlacer", "PlacementResult"),
+    "repro.core.pipeline": (
+        "ExperimentResult",
+        "Workbench",
+        "WorkbenchConfig",
+    ),
+    "repro.core.ross": ("RossLoopCacheAllocator",),
+    "repro.core.steinke": ("SteinkeAllocator",),
+    "repro.core.unified": (
+        "UnifiedAllocation",
+        "UnifiedCasaAllocator",
+        "unified_steinke",
+    ),
+    "repro.memory.loopcache": ("LoopCacheConfig",),
+})

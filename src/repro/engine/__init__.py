@@ -24,50 +24,7 @@ eliminates all redundant profiling and simulation work, within a
 process and across processes.
 """
 
-from repro.engine.artifacts import (
-    SCHEMA_VERSION,
-    AllocationArtifact,
-    BaselineSimArtifact,
-    ConflictGraphArtifact,
-    ExecutionArtifact,
-    StreamArtifact,
-    TraceArtifact,
-    baseline_digest,
-    canonical,
-    digest_inputs,
-    execution_digest,
-    fingerprint_program,
-    graph_digest,
-    result_digest,
-    stream_digest,
-    trace_digest,
-    workbench_digest,
-)
-from repro.engine.grid import (
-    CHUNK_ALGORITHMS,
-    GridChunk,
-    evaluate_chunk,
-)
-from repro.engine.parallel import map_points
-from repro.engine.runner import (
-    STAGES,
-    RunRecord,
-    StageCount,
-    StageRunner,
-    make_workbench,
-)
-from repro.engine.store import (
-    CACHE_DIR_ENV,
-    ArtifactStore,
-    BackendStats,
-    DiskBackend,
-    MemoryBackend,
-    StorageBackend,
-    StoreStats,
-    default_store,
-    make_backend,
-    set_default_store,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -107,3 +64,46 @@ __all__ = [
     "make_backend",
     "set_default_store",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.artifacts": (
+        "SCHEMA_VERSION",
+        "AllocationArtifact",
+        "BaselineSimArtifact",
+        "ConflictGraphArtifact",
+        "ExecutionArtifact",
+        "StreamArtifact",
+        "TraceArtifact",
+        "baseline_digest",
+        "canonical",
+        "digest_inputs",
+        "execution_digest",
+        "fingerprint_program",
+        "graph_digest",
+        "result_digest",
+        "stream_digest",
+        "trace_digest",
+        "workbench_digest",
+    ),
+    "repro.engine.grid": ("CHUNK_ALGORITHMS", "GridChunk", "evaluate_chunk"),
+    "repro.engine.parallel": ("map_points",),
+    "repro.engine.runner": (
+        "STAGES",
+        "RunRecord",
+        "StageCount",
+        "StageRunner",
+        "make_workbench",
+    ),
+    "repro.engine.store": (
+        "CACHE_DIR_ENV",
+        "ArtifactStore",
+        "BackendStats",
+        "DiskBackend",
+        "MemoryBackend",
+        "StorageBackend",
+        "StoreStats",
+        "default_store",
+        "make_backend",
+        "set_default_store",
+    ),
+})

@@ -22,16 +22,17 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar
 
-from repro.core.conflict_graph import ConflictGraph
-from repro.memory.cache import CacheConfig
-from repro.memory.kernel.stream import FetchStream
-from repro.memory.stats import SimulationReport
-from repro.program.profile import ProfileData
-from repro.program.program import Program
-from repro.traces.memory_object import MemoryObject
-from repro.traces.tracegen import TraceGenConfig
+if TYPE_CHECKING:
+    from repro.core.conflict_graph import ConflictGraph
+    from repro.memory.cache import CacheConfig
+    from repro.memory.kernel.stream import FetchStream
+    from repro.memory.stats import SimulationReport
+    from repro.program.profile import ProfileData
+    from repro.program.program import Program
+    from repro.traces.memory_object import MemoryObject
+    from repro.traces.tracegen import TraceGenConfig
 
 #: Bump whenever the *meaning* of a stage's output changes (e.g. a
 #: simulator fix): every digest embeds it, so old cached artifacts are

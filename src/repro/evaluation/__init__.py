@@ -14,22 +14,7 @@ One module per exhibit:
 build on, and :mod:`repro.evaluation.reporting` the text rendering.
 """
 
-from repro.evaluation.dse import DesignPoint, explore, render_design_points
-from repro.evaluation.explain import (
-    ObjectExplanation,
-    explain_allocation,
-    render_explanation,
-)
-from repro.evaluation.fig4 import Fig4Result, Fig4Row, run_fig4
-from repro.evaluation.reportgen import generate_report
-from repro.evaluation.fig5 import Fig5Result, Fig5Row, run_fig5
-from repro.evaluation.sweep import SweepPoint, make_workbench, run_sweep
-from repro.evaluation.table1 import (
-    Table1Benchmark,
-    Table1Result,
-    Table1Row,
-    run_table1,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DesignPoint",
@@ -53,3 +38,26 @@ __all__ = [
     "Table1Row",
     "run_table1",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.evaluation.dse": (
+        "DesignPoint",
+        "explore",
+        "render_design_points",
+    ),
+    "repro.evaluation.explain": (
+        "ObjectExplanation",
+        "explain_allocation",
+        "render_explanation",
+    ),
+    "repro.evaluation.fig4": ("Fig4Result", "Fig4Row", "run_fig4"),
+    "repro.evaluation.reportgen": ("generate_report",),
+    "repro.evaluation.fig5": ("Fig5Result", "Fig5Row", "run_fig5"),
+    "repro.evaluation.sweep": ("SweepPoint", "make_workbench", "run_sweep"),
+    "repro.evaluation.table1": (
+        "Table1Benchmark",
+        "Table1Result",
+        "Table1Row",
+        "run_table1",
+    ),
+})

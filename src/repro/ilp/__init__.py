@@ -12,15 +12,7 @@ them exactly with HiGHS's MIP solver (:func:`scipy.optimize.milp`):
   used by the Steinke baseline.
 """
 
-from repro.ilp.expr import LinExpr, Variable
-from repro.ilp.model import (
-    Constraint,
-    Model,
-    Sense,
-    SolveResult,
-    SolveStatus,
-)
-from repro.ilp.knapsack import knapsack_01
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LinExpr",
@@ -32,3 +24,15 @@ __all__ = [
     "SolveStatus",
     "knapsack_01",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ilp.expr": ("LinExpr", "Variable"),
+    "repro.ilp.model": (
+        "Constraint",
+        "Model",
+        "Sense",
+        "SolveResult",
+        "SolveStatus",
+    ),
+    "repro.ilp.knapsack": ("knapsack_01",),
+})

@@ -8,30 +8,7 @@ executed basic-block sequence through the fetch plans of a
 :class:`~repro.traces.layout.LinkedImage`.
 """
 
-from repro.memory.cache import Cache, CacheConfig
-from repro.memory.hierarchy import (
-    HierarchyConfig,
-    InstructionMemorySimulator,
-    simulate,
-)
-from repro.memory.loopcache import LoopCache, LoopCacheConfig, LoopRegion
-from repro.memory.mainmem import MainMemory
-from repro.memory.replacement import (
-    POLICIES,
-    ArcPolicy,
-    FifoPolicy,
-    LfuPolicy,
-    LruPolicy,
-    OptOracle,
-    OptPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TwoQPolicy,
-    available_policies,
-    make_policy,
-)
-from repro.memory.scratchpad import Scratchpad
-from repro.memory.stats import MemoryObjectStats, SimulationReport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Cache",
@@ -59,3 +36,30 @@ __all__ = [
     "MemoryObjectStats",
     "SimulationReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.memory.cache": ("Cache", "CacheConfig"),
+    "repro.memory.hierarchy": (
+        "HierarchyConfig",
+        "InstructionMemorySimulator",
+        "simulate",
+    ),
+    "repro.memory.loopcache": ("LoopCache", "LoopCacheConfig", "LoopRegion"),
+    "repro.memory.mainmem": ("MainMemory",),
+    "repro.memory.replacement": (
+        "POLICIES",
+        "ArcPolicy",
+        "FifoPolicy",
+        "LfuPolicy",
+        "LruPolicy",
+        "OptOracle",
+        "OptPolicy",
+        "RandomPolicy",
+        "ReplacementPolicy",
+        "TwoQPolicy",
+        "available_policies",
+        "make_policy",
+    ),
+    "repro.memory.scratchpad": ("Scratchpad",),
+    "repro.memory.stats": ("MemoryObjectStats", "SimulationReport"),
+})

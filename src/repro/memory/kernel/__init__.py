@@ -26,23 +26,7 @@ The differential harnesses in :mod:`repro.memory.kernel.verify` back the
 ``repro verify-kernel`` and ``repro verify-grid`` commands.
 """
 
-from repro.memory.kernel.grid import SweepGrid, simulate_grid
-from repro.memory.kernel.stream import (
-    FetchStream,
-    ProbeStream,
-    compile_stream,
-)
-from repro.memory.kernel.vector import (
-    KernelUnsupported,
-    simulate_stream,
-    unsupported_reason,
-)
-from repro.memory.kernel.verify import (
-    VerifyCase,
-    VerifyReport,
-    report_differences,
-    verify_kernel,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FetchStream",
@@ -58,3 +42,23 @@ __all__ = [
     "unsupported_reason",
     "verify_kernel",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.memory.kernel.grid": ("SweepGrid", "simulate_grid"),
+    "repro.memory.kernel.stream": (
+        "FetchStream",
+        "ProbeStream",
+        "compile_stream",
+    ),
+    "repro.memory.kernel.vector": (
+        "KernelUnsupported",
+        "simulate_stream",
+        "unsupported_reason",
+    ),
+    "repro.memory.kernel.verify": (
+        "VerifyCase",
+        "VerifyReport",
+        "report_differences",
+        "verify_kernel",
+    ),
+})

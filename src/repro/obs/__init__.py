@@ -41,94 +41,7 @@ when nothing is installed.  The CLI's ``--trace FILE``, ``--metrics``,
 ``docs/OBSERVABILITY.md`` for the full guide.
 """
 
-from repro.obs.events import (
-    EVENT_KINDS,
-    AuditMismatch,
-    AuditResult,
-    CacheEvent,
-    EventRecorder,
-    ReplayedAttribution,
-    active_recorder,
-    audit_conflict_graph,
-    audit_workload,
-    recording_enabled,
-    replay_attribution,
-    set_recorder,
-)
-from repro.obs.history import (
-    ComparePolicy,
-    CompareResult,
-    Regression,
-    Snapshot,
-    append_snapshot,
-    collect_suite_metrics,
-    compare_snapshots,
-    load_history,
-    machine_fingerprint,
-    record_suite,
-)
-from repro.obs.live import (
-    DEFAULT_STALL_TIMEOUT,
-    ProgressBus,
-    ProgressSnapshot,
-    WatchRenderer,
-    WorkerHealth,
-    active_sink,
-    format_watch_line,
-    note_phase,
-    note_total,
-    note_unit_finished,
-    note_unit_started,
-    render_prometheus,
-    set_progress_sink,
-)
-from repro.obs.logging import (
-    RunLog,
-    active_log_spec,
-    active_run_id,
-    active_run_log,
-    install_from_spec,
-    log_event,
-    new_run_id,
-    set_run_log,
-)
-from repro.obs.metrics import (
-    METRIC_TYPES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    active_registry,
-    inc,
-    metrics_enabled,
-    observe,
-    set_gauge,
-    set_registry,
-)
-from repro.obs.profiler import (
-    DEFAULT_INTERVAL,
-    SamplingProfiler,
-)
-from repro.obs.report import (
-    POINT_SPAN,
-    RUN_SCHEMA,
-    RunData,
-    build_run_payload,
-    load_run,
-    render_run_report,
-    summarise_run,
-    write_run_file,
-)
-from repro.obs.trace import (
-    NULL_SPAN,
-    TRACE_CATEGORY,
-    SpanEvent,
-    TraceCollector,
-    get_collector,
-    set_collector,
-    span,
-    tracing_enabled,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EVENT_KINDS",
@@ -204,3 +117,91 @@ __all__ = [
     "span",
     "tracing_enabled",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.events": (
+        "EVENT_KINDS",
+        "AuditMismatch",
+        "AuditResult",
+        "CacheEvent",
+        "EventRecorder",
+        "ReplayedAttribution",
+        "active_recorder",
+        "audit_conflict_graph",
+        "audit_workload",
+        "recording_enabled",
+        "replay_attribution",
+        "set_recorder",
+    ),
+    "repro.obs.history": (
+        "ComparePolicy",
+        "CompareResult",
+        "Regression",
+        "Snapshot",
+        "append_snapshot",
+        "collect_suite_metrics",
+        "compare_snapshots",
+        "load_history",
+        "machine_fingerprint",
+        "record_suite",
+    ),
+    "repro.obs.live": (
+        "DEFAULT_STALL_TIMEOUT",
+        "ProgressBus",
+        "ProgressSnapshot",
+        "WatchRenderer",
+        "WorkerHealth",
+        "active_sink",
+        "format_watch_line",
+        "note_phase",
+        "note_total",
+        "note_unit_finished",
+        "note_unit_started",
+        "render_prometheus",
+        "set_progress_sink",
+    ),
+    "repro.obs.logging": (
+        "RunLog",
+        "active_log_spec",
+        "active_run_id",
+        "active_run_log",
+        "install_from_spec",
+        "log_event",
+        "new_run_id",
+        "set_run_log",
+    ),
+    "repro.obs.metrics": (
+        "METRIC_TYPES",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "active_registry",
+        "inc",
+        "metrics_enabled",
+        "observe",
+        "set_gauge",
+        "set_registry",
+    ),
+    "repro.obs.profiler": ("DEFAULT_INTERVAL", "SamplingProfiler"),
+    "repro.obs.report": (
+        "POINT_SPAN",
+        "RUN_SCHEMA",
+        "RunData",
+        "build_run_payload",
+        "load_run",
+        "render_run_report",
+        "summarise_run",
+        "write_run_file",
+    ),
+    "repro.obs.trace": (
+        "NULL_SPAN",
+        "TRACE_CATEGORY",
+        "SpanEvent",
+        "TraceCollector",
+        "get_collector",
+        "set_collector",
+        "span",
+        "tracing_enabled",
+    ),
+})

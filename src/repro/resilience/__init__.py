@@ -16,10 +16,11 @@ Three layers, bottom up:
 
 Only the fault layer is imported eagerly: the engine's hot paths
 import :func:`~repro.resilience.faults.maybe_inject` from here, while
-the healing and chaos layers import the engine — the names below are
-resolved lazily to keep that cycle open.
+the healing and chaos layers import the engine — their names below
+resolve lazily, which keeps that cycle open.
 """
 
+from repro._lazy import lazy_exports
 from repro.resilience.faults import (
     FAULTS_ENV,
     FaultPlan,
@@ -31,10 +32,6 @@ from repro.resilience.faults import (
     set_fault_plan,
 )
 
-_HEALING_NAMES = ("HealedRun", "PointOutcome", "RetryPolicy",
-                  "map_points_healed")
-_CHAOS_NAMES = ("ChaosResult", "run_chaos")
-
 __all__ = [
     "FAULTS_ENV",
     "FaultPlan",
@@ -44,19 +41,20 @@ __all__ = [
     "maybe_inject",
     "set_fault_attempt",
     "set_fault_plan",
-    *_HEALING_NAMES,
-    *_CHAOS_NAMES,
+    "HealedRun",
+    "PointOutcome",
+    "RetryPolicy",
+    "map_points_healed",
+    "ChaosResult",
+    "run_chaos",
 ]
 
-
-def __getattr__(name: str):
-    """Resolve healing/chaos exports lazily (they import the engine)."""
-    if name in _HEALING_NAMES:
-        import repro.resilience.healing as healing
-        return getattr(healing, name)
-    if name in _CHAOS_NAMES:
-        import repro.resilience.chaos as chaos
-        return getattr(chaos, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.healing": (
+        "HealedRun",
+        "PointOutcome",
+        "RetryPolicy",
+        "map_points_healed",
+    ),
+    "repro.resilience.chaos": ("ChaosResult", "run_chaos"),
+})

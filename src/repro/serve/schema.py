@@ -20,7 +20,6 @@ then fails loudly at the edge instead of deep in a solve.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Any
@@ -29,7 +28,7 @@ from repro.engine.grid import CHUNK_ALGORITHMS
 from repro.errors import ConfigurationError, WorkloadError
 from repro.memory.cache import CacheConfig
 from repro.traces.tracegen import TraceGenConfig
-from repro.workloads.registry import available_workloads
+from repro.workloads.registry import available_workloads, check_scale
 
 #: Wire format version this build emits.  v2 added the optional
 #: ``deadline_ms`` request field plus the ``shed`` and
@@ -193,12 +192,7 @@ def _common_kwargs(data: dict[str, Any]) -> dict[str, Any]:
                 f"deadline_ms must be a positive integer, "
                 f"got {deadline_ms!r}"
             )
-    scale = data.get("scale", 1.0)
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)) \
-            or not math.isfinite(scale) or scale <= 0:
-        raise ConfigurationError(
-            f"scale must be a finite number > 0, got {scale!r}"
-        )
+    scale = check_scale(data.get("scale", 1.0))
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigurationError(f"seed must be an integer, got {seed!r}")

@@ -10,17 +10,7 @@ for property-based testing; :mod:`repro.workloads.registry` maps names
 to workloads.
 """
 
-from repro.workloads.builder import (
-    Call,
-    If,
-    Loop,
-    ProgramBuilder,
-    Seq,
-    Straight,
-    WhileProb,
-)
-from repro.workloads.registry import available_workloads, get_workload
-from repro.workloads.synthetic import random_program
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Call",
@@ -34,3 +24,17 @@ __all__ = [
     "get_workload",
     "random_program",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.builder": (
+        "Call",
+        "If",
+        "Loop",
+        "ProgramBuilder",
+        "Seq",
+        "Straight",
+        "WhileProb",
+    ),
+    "repro.workloads.registry": ("available_workloads", "get_workload"),
+    "repro.workloads.synthetic": ("random_program",),
+})

@@ -12,11 +12,12 @@ cache or the scratchpad sizes never pay for a program build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.memory.cache import CacheConfig
 from repro.program.program import Program
 from repro.workloads import mediabench
@@ -77,6 +78,21 @@ class Workload:
     def program(self) -> Program:
         """The compiled program at :attr:`scale`."""
         return _BUILDERS[self.name](self.scale)
+
+
+def check_scale(scale: object) -> float:
+    """*scale* if it is a valid trip-count multiplier, a finite number
+    > 0 (a bool is not a number here).
+
+    Raises:
+        ConfigurationError: for any other value.
+    """
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)) \
+            or not math.isfinite(scale) or scale <= 0:
+        raise ConfigurationError(
+            f"scale must be a finite number > 0, got {scale!r}"
+        )
+    return scale
 
 
 def get_workload(name: str, scale: float = 1.0) -> Workload:

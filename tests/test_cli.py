@@ -241,6 +241,26 @@ class TestCliErrors:
         assert "casa: error: negative spm size: -5" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--scale", "-1"], "scale must be a finite number > 0, got -1.0"),
+        (["--scale", "0"], "scale must be a finite number > 0, got 0.0"),
+        (["--scale", "nan"], "scale must be a finite number > 0, got nan"),
+        (["--scale", "inf"], "scale must be a finite number > 0, got inf"),
+        (["--jobs", "-3"], "--jobs must be >= 1, got -3"),
+        (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    ])
+    def test_bad_scale_or_jobs_exits_2(self, capsys, flags, message):
+        assert main(["sweep", "--workload", "tiny", "--no-cache"]
+                    + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"casa: error: {message}\n"
+        assert captured.out == ""
+
+    def test_serve_rejects_bad_jobs(self, capsys):
+        assert main(["serve", "--port", "0", "--jobs", "0"]) == 2
+        assert "casa: error: --jobs must be >= 1" in \
+            capsys.readouterr().err
+
     def test_invalid_retry_budget_exits_2(self, capsys):
         assert main(["chaos", "--workload", "tiny", "--scale", "0.2",
                      "--max-attempts", "0"]) == 2

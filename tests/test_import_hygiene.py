@@ -1,7 +1,9 @@
-"""Start-up import hygiene: scipy loads only when a model is solved.
+"""Start-up import hygiene: a command loads only what it runs.
 
-Each case runs in a fresh interpreter, since ``sys.modules`` of the
-test process already holds whatever other tests imported.
+numpy and the allocators load only when a command computes, scipy only
+when a model is solved, and every package export still resolves
+lazily.  Each case runs in a fresh interpreter, since ``sys.modules``
+of the test process already holds whatever other tests imported.
 """
 
 import json
@@ -9,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -28,15 +32,15 @@ def run_fresh(tmp_path, code):
     return child
 
 
-def loaded_after(tmp_path, statement):
-    """Run *statement* fresh; return the set of scipy/networkx found in
+def loaded_after(tmp_path, statement, watch=("scipy", "networkx")):
+    """Run *statement* fresh; return the modules of *watch* found in
     ``sys.modules`` after it (reported on stderr, so stdout stays the
     program's) and the program's stdout."""
     code = (
         "import json, sys\n"
         f"{statement}\n"
-        "sys.stderr.write(json.dumps(sorted({m.split('.')[0] for m in "
-        "sys.modules} & {'scipy', 'networkx'})))\n"
+        f"sys.stderr.write(json.dumps([m for m in {list(watch)!r} "
+        "if m in sys.modules]))\n"
     )
     child = run_fresh(tmp_path, code)
     loaded = json.loads(child.stderr.decode().splitlines()[-1])
@@ -45,6 +49,65 @@ def loaded_after(tmp_path, statement):
 
 def cli_main(argv):
     return f"import repro.cli\nassert repro.cli.main({argv!r}) == 0"
+
+
+#: Commands that compute nothing, as fresh-interpreter statements.
+#: ``--help`` exits through argparse's ``SystemExit(0)``.
+IDLE_COMMANDS = {
+    "import": "import repro.cli",
+    "help": "import repro.cli\ntry:\n    repro.cli.main(['--help'])\n"
+            "except SystemExit as exit:\n    assert exit.code == 0\n"
+            "else:\n    raise AssertionError('--help did not exit')",
+    "workloads": cli_main(["workloads"]),
+    "cache-stats": cli_main(["cache", "stats", "--cache-dir", "cache"]),
+}
+
+COMPUTE_STACK = ("numpy", "scipy", "repro.core", "repro.evaluation")
+
+
+@pytest.mark.parametrize("command", sorted(IDLE_COMMANDS))
+def test_idle_command_loads_no_compute_stack(tmp_path, command):
+    loaded, _ = loaded_after(tmp_path, IDLE_COMMANDS[command],
+                             watch=COMPUTE_STACK)
+    assert loaded == set()
+
+
+def test_warm_exhibit_loads_no_scipy(tmp_path):
+    fig4 = ["fig4", "--workload", "tiny", "--scale", "0.2",
+            "--cache-dir", "cache"]
+    cold, cold_out = loaded_after(tmp_path, cli_main(fig4))
+    assert cold == {"scipy"}
+    warm, warm_out = loaded_after(tmp_path, cli_main(fig4))
+    assert warm == set()
+    assert warm_out == cold_out
+
+
+#: Every package whose exports resolve lazily.
+LAZY_PACKAGES = ("repro", "repro.core", "repro.engine", "repro.evaluation",
+                 "repro.ilp", "repro.memory", "repro.memory.kernel",
+                 "repro.obs", "repro.resilience", "repro.workloads")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_export_resolves_and_is_listed(tmp_path, package):
+    run_fresh(tmp_path, (
+        "import importlib\n"
+        f"package = importlib.import_module({package!r})\n"
+        "listed = dir(package)\n"
+        "for name in package.__all__:\n"
+        "    assert name in listed, name\n"
+        "    getattr(package, name)\n"
+    ))
+
+
+def test_unknown_export_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'Sesion'"):
+        getattr(repro, "Sesion")
+
+
+def test_session_import_still_works(tmp_path):
+    run_fresh(tmp_path, "from repro import Session\n"
+                        "assert Session.__module__ == 'repro.api'")
 
 
 def test_cli_import_loads_neither_scipy_nor_networkx(tmp_path):
