@@ -17,7 +17,7 @@ cache) any earlier one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.allocation import Allocation, AllocationContext
 from repro.engine.artifacts import (
@@ -118,6 +118,17 @@ class ExperimentResult:
     report: SimulationReport
     energy: EnergyBreakdown
     model: EnergyModel
+    #: Memo of :func:`repro.io.serde.experiment_result_payload`: lives
+    #: and dies with this object, never pickled.
+    _payload: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        """Pickle without the memoised wire payload."""
+        state = self.__dict__.copy()
+        state.pop("_payload", None)
+        return state
 
     @property
     def total_energy(self) -> float:
@@ -190,6 +201,7 @@ class Workbench:
             ),
         )
         self._graph = graph_artifact.graph
+        self._baseline_result: ExperimentResult | None = None
 
     def attach_runner(self, runner: StageRunner) -> None:
         """Route subsequent result resolutions through *runner*.
@@ -234,14 +246,20 @@ class Workbench:
         return self._block_sequence
 
     def baseline_result(self) -> ExperimentResult:
-        """The cache-only hierarchy as an :class:`ExperimentResult`."""
-        model = build_energy_model(self._baseline_config)
-        return ExperimentResult(
-            allocation=Allocation(algorithm="cache-only"),
-            report=self._baseline_report,
-            energy=compute_energy(self._baseline_report, model),
-            model=model,
-        )
+        """The cache-only hierarchy as an :class:`ExperimentResult`.
+
+        Built once per workbench, like the other results a workbench
+        hands out: shared, so read-only.
+        """
+        if self._baseline_result is None:
+            model = build_energy_model(self._baseline_config)
+            self._baseline_result = ExperimentResult(
+                allocation=Allocation(algorithm="cache-only"),
+                report=self._baseline_report,
+                energy=compute_energy(self._baseline_report, model),
+                model=model,
+            )
+        return self._baseline_result
 
     # -- evaluation ----------------------------------------------------------
 

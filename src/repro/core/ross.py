@@ -70,6 +70,12 @@ class RossLoopCacheAllocator:
         for mo in memory_objects:
             for fragment in mo.fragments:
                 block_home.setdefault(fragment.block, set()).add(mo.name)
+        # Each object's [start, end) span in the image, computed once:
+        # every candidate scans all of them.
+        extents: dict[str, tuple[int, int]] = {}
+        for mo in memory_objects:
+            base = image.base_address(mo.name)
+            extents[mo.name] = (base, base + mo.padded_size)
 
         candidates: list[_Candidate] = []
         seen_spans: set[tuple[int, int]] = set()
@@ -80,22 +86,17 @@ class RossLoopCacheAllocator:
                 mo_names |= block_home.get(block_name, set())
             if not mo_names:
                 return
-            start = min(image.base_address(n) for n in mo_names)
-            end = max(
-                image.base_address(n)
-                + image.memory_object(n).padded_size
-                for n in mo_names
-            )
+            start = min(extents[n][0] for n in mo_names)
+            end = max(extents[n][1] for n in mo_names)
             span = (start, end)
             if span in seen_spans or end - start > config.size:
                 return
             seen_spans.add(span)
-            covered = [
-                mo for mo in memory_objects
-                if start <= image.base_address(mo.name)
-                and image.base_address(mo.name) + mo.padded_size <= end
-            ]
-            fetches = sum(graph.node(mo.name).fetches for mo in covered)
+            fetches = sum(
+                graph.node(mo_name).fetches
+                for mo_name, (mo_start, mo_end) in extents.items()
+                if start <= mo_start and mo_end <= end
+            )
             if fetches == 0:
                 return
             candidates.append(

@@ -19,6 +19,7 @@ of the pipeline that depends on it.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
@@ -42,6 +43,10 @@ SCHEMA_VERSION = 1
 #: Hex digits kept from the sha256 digest (128 bits — collision-safe
 #: for any realistic design-space size, short enough for filenames).
 _DIGEST_LENGTH = 32
+
+#: Entries kept by each digest memo: one per distinct configuration
+#: (workbench) or design point (result) a process asks about.
+DIGEST_MEMO_SIZE = 4096
 
 
 def canonical(value: Any) -> Any:
@@ -183,9 +188,25 @@ def graph_digest(baseline: str) -> str:
     return digest_inputs("graph", baseline=baseline)
 
 
+def _field_types(config: Any) -> tuple[type, ...]:
+    """The types of a flat configuration dataclass's field values.
+
+    Part of every digest memo key: dataclass equality ignores type, so
+    ``TraceGenConfig(max_trace_size=64)`` equals the ``64.0`` spelling
+    that :func:`canonical` digests differently.
+    """
+    if config is None:
+        return ()
+    return tuple(type(getattr(config, field.name))
+                 for field in fields(config))
+
+
 def result_digest(graph: str, algorithm: str, spm_size: int,
                   options: dict[str, Any] | None = None) -> str:
     """Digest of one allocation decision's evaluated result.
+
+    Memoised in a bounded LRU keyed by value and type (options in
+    sorted order): a warm design point hashes nothing.
 
     Args:
         graph: the conflict-graph digest (which chains every upstream
@@ -193,21 +214,39 @@ def result_digest(graph: str, algorithm: str, spm_size: int,
         algorithm: allocator identifier (``casa``, ``steinke``, ...).
         spm_size: scratchpad / loop-cache capacity in bytes.
         options: extra allocator parameters (e.g. Ross's
-            ``max_regions``) that change the decision.
+            ``max_regions``) that change the decision; their values
+            must be hashable.
     """
+    return _result_digest(
+        graph, algorithm, spm_size,
+        tuple(sorted((name, type(value), value)
+                     for name, value in (options or {}).items())),
+    )
+
+
+@functools.lru_cache(maxsize=DIGEST_MEMO_SIZE, typed=True)
+def _result_digest(graph: str, algorithm: str, spm_size: int,
+                   options: tuple[tuple[str, type, Any], ...]) -> str:
+    """:func:`result_digest` over a sorted, type-tagged options key."""
     return digest_inputs(
         "result",
         graph=graph,
         algorithm=algorithm,
         spm_size=spm_size,
-        options=options or {},
+        options={name: value for name, _, value in options},
     )
 
 
 def workbench_digest(workload: str, scale: float, seed: int,
-                     cache: CacheConfig, tracegen: TraceGenConfig,
+                     cache: CacheConfig | None,
+                     tracegen: TraceGenConfig | None,
                      backend: str | None = None) -> str:
     """Digest identifying one profiled workbench (in-memory memo key).
+
+    It covers the configuration as requested: ``None`` for *cache* or
+    *tracegen* stands for the workload's defaults, so a memo lookup
+    needs no workload metadata.  Memoised in a bounded LRU keyed by
+    value and type: a warm request hashes nothing.
 
     The *backend* knob participates here — the memoised workbench
     carries its backend in its configuration, so requests for
@@ -215,14 +254,33 @@ def workbench_digest(workload: str, scale: float, seed: int,
     in any stage digest: both backends produce bit-identical
     artifacts, which therefore stay shared across backends.
     """
+    return _workbench_digest(
+        workload, float(scale), seed, cache, tracegen, backend or "",
+        (_field_types(cache), _field_types(tracegen)),
+    )
+
+
+@functools.lru_cache(maxsize=DIGEST_MEMO_SIZE, typed=True)
+def _workbench_digest(workload: str, scale: float, seed: int,
+                      cache: CacheConfig | None,
+                      tracegen: TraceGenConfig | None, backend: str,
+                      field_types: tuple[tuple[type, ...], ...]) -> str:
+    """:func:`workbench_digest` keyed by value *and* type.
+
+    ``typed=True`` keeps ``seed=True`` and ``seed=1`` apart, and
+    *field_types* does the same inside the configuration dataclasses:
+    keys that compare equal but :func:`canonical` spells differently
+    never share an entry.
+    """
+    del field_types
     return digest_inputs(
         "workbench",
         workload=workload,
-        scale=float(scale),
+        scale=scale,
         seed=seed,
         cache=cache,
         tracegen=tracegen,
-        backend=backend or "",
+        backend=backend,
     )
 
 

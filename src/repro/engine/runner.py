@@ -13,7 +13,7 @@ the tests assert that re-runs do no redundant profiling work.
 ``functools.lru_cache`` in ``repro.evaluation.sweep``: the profiled
 workbench is memoised in the store's memory tier under a digest that
 covers the workload name, the (float-normalised) scale, the seed and
-the full cache/trace-formation configuration — so sweeping many
+the requested cache/trace-formation configuration — so sweeping many
 workloads or scales can no longer thrash a tiny fixed-size cache, and
 ``scale=1`` and ``scale=1.0`` share one entry.
 """
@@ -237,10 +237,11 @@ def make_workbench(
     Workbench construction — execution, trace generation, baseline
     cache simulation, conflict-graph construction — is the expensive,
     allocation-independent part of every experiment.  The workbench
-    object itself is memoised in the store's memory tier; its stage
-    artifacts additionally land in the disk tier (when enabled), so a
-    fresh process rebuilds the workbench from cached artifacts without
-    re-running any stage.
+    object itself is memoised in the store's memory tier, keyed by the
+    requested configuration alone, so a memo hit looks up no workload
+    metadata; its stage artifacts additionally land in the disk tier
+    (when enabled), so a fresh process rebuilds the workbench from
+    cached artifacts without re-running any stage.
 
     Args:
         workload_name: registered benchmark name.
@@ -261,24 +262,23 @@ def make_workbench(
         ``(workload, workbench)`` — the workload metadata and the
         profiled workbench.
     """
-    from repro.core.pipeline import Workbench, WorkbenchConfig
-
     runner = runner if runner is not None else StageRunner()
-    workload = get_workload(workload_name, scale=scale)
-    cache_config = cache if cache is not None else workload.cache
-    tracegen_config = tracegen if tracegen is not None else TraceGenConfig(
-        line_size=cache_config.line_size,
-        max_trace_size=min(workload.spm_sizes),
-    )
     digest = workbench_digest(
-        workload_name, scale, seed, cache_config, tracegen_config,
-        backend=backend,
+        workload_name, scale, seed, cache, tracegen, backend=backend,
     )
 
     def build() -> WorkbenchMemo:
+        from repro.core.pipeline import Workbench, WorkbenchConfig
+
+        workload = get_workload(workload_name, scale=scale)
+        cache_config = cache if cache is not None else workload.cache
         config = WorkbenchConfig(
-            cache=cache_config, tracegen=tracegen_config, seed=seed,
-            backend=backend,
+            cache=cache_config,
+            tracegen=tracegen if tracegen is not None else TraceGenConfig(
+                line_size=cache_config.line_size,
+                max_trace_size=min(workload.spm_sizes),
+            ),
+            seed=seed, backend=backend,
         )
         bench = Workbench(workload.program, config, runner=runner)
         return WorkbenchMemo(

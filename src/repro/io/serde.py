@@ -319,6 +319,21 @@ def experiment_result_to_dict(result: ExperimentResult) -> dict[str, Any]:
     }
 
 
+def experiment_result_payload(result: ExperimentResult) -> dict[str, Any]:
+    """:func:`experiment_result_to_dict` of *result*, built once per object.
+
+    The payload is memoised on *result* itself, so it lives exactly as
+    long as the result (a store entry's result is freed, payload and
+    all, when the store evicts it) and is never pickled with it.  It is
+    shared by every caller: read it, never mutate it — a caller that
+    needs its own copy calls :func:`experiment_result_to_dict`.
+    """
+    payload = result._payload
+    if payload is None:
+        payload = result._payload = experiment_result_to_dict(result)
+    return payload
+
+
 def experiment_result_from_dict(data: dict[str, Any]) -> ExperimentResult:
     """Rebuild an experiment result serialised by
     :func:`experiment_result_to_dict`."""

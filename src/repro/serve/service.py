@@ -56,12 +56,7 @@ from typing import Any, Hashable
 from repro.api import Session
 from repro.engine.grid import GridChunk
 from repro.engine.store import ArtifactStore, set_default_store
-from repro.io.serde import (
-    allocation_to_dict,
-    conflict_graph_to_dict,
-    experiment_result_to_dict,
-    report_to_dict,
-)
+from repro.io.serde import conflict_graph_to_dict, experiment_result_payload
 from repro.obs.live import (
     DEFAULT_STALL_TIMEOUT,
     ProgressBus,
@@ -99,6 +94,7 @@ from repro.serve.schema import (
     SweepRequest,
     SweepResponse,
 )
+from repro.workloads.registry import get_workload
 
 #: Placeholder capacity carried by pure-simulate chunks (the baseline
 #: algorithm returns one result per axis entry and ignores the value).
@@ -114,10 +110,14 @@ class _Pending:
         deadline: absolute :func:`time.monotonic` expiry derived from
             the request's ``deadline_ms`` at admission (``None`` = no
             deadline).
+        sizes: the capacities the request needs out of its group's
+            chunk, fixed at admission (see
+            :meth:`AllocationService._request_sizes`).
     """
 
     request: Any
     deadline: float | None = None
+    sizes: tuple[int, ...] = ()
 
     def expired(self, now: float | None = None) -> bool:
         """Whether the deadline has passed."""
@@ -301,13 +301,15 @@ class AllocationService:
 
     async def _dispatch(self, request) -> Any:
         """Route one admitted request to its execution path."""
-        pending = _Pending(request, self._deadline_of(request))
+        deadline = self._deadline_of(request)
         if isinstance(request, ConflictGraphRequest):
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(
-                self._executor, self._run_conflict_graph, pending)
+                self._executor, self._run_conflict_graph,
+                _Pending(request, deadline))
         return await self.batcher.submit(
-            self._compat_key(request), pending)
+            self._compat_key(request),
+            _Pending(request, deadline, self._request_sizes(request)))
 
     @staticmethod
     def _deadline_of(request) -> float | None:
@@ -391,8 +393,7 @@ class AllocationService:
                         for m in members
                     ]
                     continue
-                chunk, axis = self._build_chunk(
-                    key, [m.request for m in live])
+                chunk, axis = self._build_chunk(key, live)
                 chunks.append(chunk)
                 axes.append(axis)
                 live_indexes.append(index)
@@ -444,17 +445,17 @@ class AllocationService:
         if (outcome.status == "failed" or outcome.result is None) \
                 and member.expired():
             return self._deadline_response(member, queued=False)
-        return self._respond(member.request, outcome, axis)
+        return self._respond(member, outcome, axis)
 
     def _build_chunk(self, key: Hashable,
-                     requests: list[Any]
+                     members: list[_Pending]
                      ) -> tuple[GridChunk, tuple[int, ...]]:
-        """One grid chunk covering every size the group's requests want."""
+        """One grid chunk covering every size the group's members want."""
         (_, workload, scale, seed, cache, tracegen, backend,
          algorithm, max_regions) = key
         sizes: set[int] = set()
-        for request in requests:
-            sizes.update(self._request_sizes(request))
+        for member in members:
+            sizes.update(member.sizes)
         axis = tuple(sorted(sizes))
         return GridChunk(
             workload=workload, spm_sizes=axis, algorithm=algorithm,
@@ -462,38 +463,40 @@ class AllocationService:
             max_regions=max_regions, backend=backend,
         ), axis
 
-    def _request_sizes(self, request) -> tuple[int, ...]:
-        """The capacities one request needs out of its group's chunk."""
+    @staticmethod
+    def _request_sizes(request) -> tuple[int, ...]:
+        """The capacities one request needs out of its group's chunk.
+
+        Called once per request, at admission.  A request that names
+        no size takes its workload's table-1 axis (or that axis's
+        smallest entry), which does not depend on ``scale``.
+        """
         if isinstance(request, SimulateRequest):
             return (BASELINE_SIZE,)
         if isinstance(request, SweepRequest):
             if request.spm_sizes is not None:
                 return tuple(request.spm_sizes)
-            return self._default_axis(request)
-        size = request.spm_size
-        if size is None:
-            size = min(self._default_axis(request))
-        return (size,)
+            return get_workload(request.workload).spm_sizes
+        if request.spm_size is not None:
+            return (request.spm_size,)
+        return (min(get_workload(request.workload).spm_sizes),)
 
-    @staticmethod
-    def _default_axis(request) -> tuple[int, ...]:
-        """A request's workload-default capacity axis (table 1)."""
-        from repro.workloads.registry import get_workload
-
-        return get_workload(request.workload,
-                            scale=request.scale).spm_sizes
-
-    def _respond(self, request, outcome: PointOutcome,
+    def _respond(self, member: _Pending, outcome: PointOutcome,
                  axis: tuple[int, ...]):
-        """Map one healed chunk outcome back onto one member request."""
+        """Map one healed chunk outcome back onto one member request.
+
+        Result payloads come from :func:`experiment_result_payload`:
+        serialised once per result object and shared, read-only, by
+        every response that carries it.
+        """
         if outcome.status == "failed" or outcome.result is None:
             return ErrorResponse(error=outcome.error,
                                  attempts=outcome.attempts,
                                  run_id=outcome.run_id or self.run_id)
+        request = member.request
         results = outcome.result
         run_id = outcome.run_id or self.run_id
-        steps = [results[axis.index(size)]
-                 for size in self._request_sizes(request)]
+        steps = [results[axis.index(size)] for size in member.sizes]
         degraded = any(
             getattr(getattr(step, "allocation", None),
                     "solver_status", "") == "degraded"
@@ -503,22 +506,18 @@ class AllocationService:
             "retried" if outcome.attempts > 1 else "ok")
         envelope = {"status": status, "attempts": outcome.attempts,
                     "error": outcome.error, "run_id": run_id}
+        payloads = [experiment_result_payload(step) for step in steps]
         if isinstance(request, SimulateRequest):
-            return SimulateResponse(
-                report=report_to_dict(steps[0].report), **envelope)
+            return SimulateResponse(report=payloads[0]["report"],
+                                    **envelope)
         if isinstance(request, AllocateRequest):
             return AllocateResponse(
-                allocation=allocation_to_dict(steps[0].allocation),
-                **envelope)
+                allocation=payloads[0]["allocation"], **envelope)
         if isinstance(request, EvaluateRequest):
-            return EvaluateResponse(
-                result=experiment_result_to_dict(steps[0]), **envelope)
+            return EvaluateResponse(result=payloads[0], **envelope)
         assert isinstance(request, SweepRequest)
-        return SweepResponse(
-            spm_sizes=self._request_sizes(request),
-            results=tuple(experiment_result_to_dict(step)
-                          for step in steps),
-            **envelope)
+        return SweepResponse(spm_sizes=member.sizes,
+                             results=tuple(payloads), **envelope)
 
     def _run_conflict_graph(self, pending: _Pending):
         """Profile one conflict graph directly (unbatched verb)."""

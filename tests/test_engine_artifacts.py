@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from repro.engine import artifacts
 from repro.engine.artifacts import (
+    DIGEST_MEMO_SIZE,
     baseline_digest,
     canonical,
+    digest_inputs,
     execution_digest,
     fingerprint_program,
     graph_digest,
@@ -79,3 +82,60 @@ def test_canonical_handles_compound_values():
     assert reduced["cache"]["__class__"] == "CacheConfig"
     assert reduced["sizes"] == [64, 128]
     assert reduced["scale"] == "1.0"
+
+
+def _fresh_workbench_digest(workload, scale, seed, cache, tracegen):
+    return digest_inputs("workbench", workload=workload,
+                         scale=float(scale), seed=seed, cache=cache,
+                         tracegen=tracegen, backend="")
+
+
+def _fresh_result_digest(graph, algorithm, spm_size, options):
+    return digest_inputs("result", graph=graph, algorithm=algorithm,
+                         spm_size=spm_size, options=options)
+
+
+def test_memoised_workbench_digest_equals_a_fresh_computation():
+    float_tracegen = TraceGenConfig(line_size=16, max_trace_size=64.0)
+    assert float_tracegen == TRACEGEN
+    seen = {}
+    for seed in (1, True):
+        for scale in (1, 1.0, 2.0):
+            for tracegen in (TRACEGEN, float_tracegen):
+                expected = _fresh_workbench_digest(
+                    "tiny", scale, seed, CACHE, tracegen)
+                for _ in range(2):  # a miss, then a memo hit
+                    assert workbench_digest(
+                        "tiny", scale, seed, CACHE, tracegen
+                    ) == expected
+                seen[(type(seed), float(scale), type(tracegen
+                      .max_trace_size))] = expected
+    # Equal-comparing keys that canonicalise differently (seed True vs
+    # 1, max_trace_size 64.0 vs 64) keep apart; 1 vs 1.0 share a digest.
+    assert len(set(seen.values())) == len(seen) == 8
+
+
+def test_memoised_result_digest_equals_a_fresh_computation():
+    graph = graph_digest("b")
+    ordered = {"max_regions": 2, "alpha": 1}
+    reordered = {"alpha": 1, "max_regions": 2}
+    as_bool = {"max_regions": 2, "alpha": True}
+    cases = [(None, {}), ({}, {}), (ordered, ordered),
+             (reordered, ordered), (as_bool, as_bool)]
+    for options, canonical_options in cases:
+        for spm_size in (128, 128.0):
+            expected = _fresh_result_digest(graph, "ross", spm_size,
+                                            canonical_options)
+            for _ in range(2):
+                assert result_digest(graph, "ross", spm_size,
+                                     options) == expected
+    assert result_digest(graph, "ross", 128, ordered) \
+        != result_digest(graph, "ross", 128, as_bool)
+    assert result_digest(graph, "ross", 128) \
+        != result_digest(graph, "ross", 128.0)
+
+
+def test_digest_memos_are_bounded():
+    for memo in (artifacts._workbench_digest, artifacts._result_digest):
+        assert memo.cache_info().maxsize == DIGEST_MEMO_SIZE
+    assert 0 < DIGEST_MEMO_SIZE < 100_000

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from repro.api import Session
 from repro.energy.model import EnergyModel
+from repro.engine.artifacts import AllocationArtifact
+from repro.engine.store import ArtifactStore
 from repro.errors import ConfigurationError
 from repro.io.serde import (
     allocation_from_dict,
@@ -15,6 +21,7 @@ from repro.io.serde import (
     energy_model_from_dict,
     energy_model_to_dict,
     experiment_result_from_dict,
+    experiment_result_payload,
     experiment_result_to_dict,
     report_from_dict,
     report_to_dict,
@@ -82,6 +89,43 @@ def test_experiment_result_roundtrip(tiny_result):
     assert rebuilt.allocation.spm_resident == \
         tiny_result.allocation.spm_resident
     assert experiment_result_to_dict(rebuilt) == data
+
+
+def test_experiment_result_payload_is_built_once(tiny_result):
+    result = experiment_result_from_dict(
+        experiment_result_to_dict(tiny_result))
+    payload = experiment_result_payload(result)
+    assert payload == experiment_result_to_dict(result)
+    assert experiment_result_payload(result) is payload
+
+
+def test_payload_memo_is_never_pickled(tiny_result, tmp_path):
+    result = experiment_result_from_dict(
+        experiment_result_to_dict(tiny_result))
+    unmemoised = pickle.dumps(result)
+    experiment_result_payload(result)
+    assert pickle.dumps(result) == unmemoised
+    store = ArtifactStore(cache_dir=tmp_path)
+    store.put("result", "d1", AllocationArtifact("d1", result))
+    reloaded = ArtifactStore(cache_dir=tmp_path).get("result", "d1")
+    assert reloaded.result._payload is None
+    assert experiment_result_payload(reloaded.result) \
+        == experiment_result_payload(result)
+
+
+def test_payload_memo_is_released_with_its_store_entry(tiny_result):
+    store = ArtifactStore(memory_items=1)
+    result = experiment_result_from_dict(
+        experiment_result_to_dict(tiny_result))
+    store.put("result", "d1", AllocationArtifact("d1", result))
+    experiment_result_payload(store.get("result", "d1").result)
+    alive = weakref.ref(result)
+    del result
+    gc.collect()
+    assert alive() is not None
+    store.put("result", "d2", AllocationArtifact("d2", None))
+    gc.collect()
+    assert alive() is None
 
 
 def test_kind_mismatch_is_rejected(tiny_result):
