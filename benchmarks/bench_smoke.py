@@ -525,90 +525,6 @@ def test_bench_compare_fails_on_deviation(tmp_path):
     assert code == 1
 
 
-class _CountingSink:
-    """Progress sink that counts how many notes reach it."""
-
-    def __init__(self) -> None:
-        self.notes = 0
-
-    def add_total(self, count):
-        """Count the call."""
-        self.notes += 1
-
-    def unit_started(self, label):
-        """Count the call."""
-        self.notes += 1
-
-    def unit_finished(self, label):
-        """Count the call."""
-        self.notes += 1
-
-    def phase(self, name):
-        """Count the call."""
-        self.notes += 1
-
-    def stage(self, name):
-        """Count the call."""
-        self.notes += 1
-
-
-def _disabled_note_cost(iterations: int = 100_000) -> float:
-    """Per-call seconds of the progress-note helpers with no sink."""
-    from repro.obs.live import note_phase, note_unit_finished, \
-        note_unit_started
-
-    started = time.perf_counter()
-    for _ in range(iterations):
-        note_unit_started("probe")
-        note_phase("probe")
-        note_unit_finished("probe")
-    return (time.perf_counter() - started) / (3 * iterations)
-
-
-def test_disabled_live_telemetry_overhead_below_two_percent(tmp_path):
-    """Acceptance: disabled live-telemetry hooks cost < 2%.
-
-    A run under a counting sink measures how many progress notes the
-    bench workload emits; the measured per-call cost of the disabled
-    fast path (one global read + one ``None`` comparison) then bounds
-    the overhead a plain run (no ``--watch``) pays.
-    The duration-histogram observations ride the already-bounded
-    metrics fast path, so the note count is the live layer's entire
-    disabled surface.
-    """
-    from repro.obs.live import set_progress_sink
-
-    points = EXHIBIT_POINTS["table1"]
-    cache_dir = tmp_path / "cache"
-    _observed_run(points, cache_dir)  # cold: populate the disk cache
-
-    sink = _CountingSink()
-    previous_sink = set_progress_sink(sink)
-    previous_store = set_default_store(ArtifactStore(cache_dir=cache_dir))
-    try:
-        map_points(points, record=RunRecord())
-    finally:
-        set_default_store(previous_store)
-        set_progress_sink(previous_sink)
-    notes = sink.notes
-    assert notes > 0
-
-    previous_store = set_default_store(ArtifactStore(cache_dir=cache_dir))
-    try:
-        started = time.perf_counter()
-        map_points(points, record=RunRecord())
-        wall = time.perf_counter() - started
-    finally:
-        set_default_store(previous_store)
-
-    overhead = notes * _disabled_note_cost()
-    assert overhead < 0.02 * wall, (
-        f"disabled live-telemetry overhead {overhead * 1e6:.0f} us "
-        f"({notes} progress notes) is not < 2% of the "
-        f"{wall * 1e3:.1f} ms warm run"
-    )
-
-
 def _deterministic_metrics(registry):
     """A registry snapshot with the timing histograms removed."""
     return {
@@ -617,18 +533,14 @@ def _deterministic_metrics(registry):
     }
 
 
-def test_watch_instrumented_run_metrics_bit_identical(tmp_path):
-    """Acceptance: live consumers never change deterministic metrics.
+def test_profiled_run_metrics_bit_identical(tmp_path):
+    """Acceptance: the sampling profiler never changes deterministic metrics.
 
-    The same warm sweep runs once plain and once under the full live
-    pipeline (progress bus, watch renderer into a sink stream,
-    sampling profiler); every non-timing metric must match bit for
-    bit, because live consumers only *read* snapshots.
+    The same warm sweep runs once plain and once under
+    ``--profile-sample``'s :class:`SamplingProfiler`; every non-timing
+    metric must match bit for bit, because the profiler only *reads*
+    the main thread's stacks.
     """
-    import io
-
-    from repro.obs.live import ProgressBus, WatchRenderer, \
-        set_progress_sink
     from repro.obs.profiler import SamplingProfiler
 
     points = EXHIBIT_POINTS["table1"]
@@ -637,26 +549,18 @@ def test_watch_instrumented_run_metrics_bit_identical(tmp_path):
 
     _, _, plain_registry = _observed_run(points, cache_dir)
 
-    live_registry = MetricsRegistry()
-    bus = ProgressBus(run_id="bench")
-    stream = io.StringIO()
-    watcher = WatchRenderer(bus, live_registry, stream=stream,
-                            interval=0.01)
+    profiled_registry = MetricsRegistry()
     profiler = SamplingProfiler(interval=0.001)
     previous_store = set_default_store(ArtifactStore(cache_dir=cache_dir))
-    previous_registry = set_registry(live_registry)
-    previous_sink = set_progress_sink(bus)
-    watcher.start()
+    previous_registry = set_registry(profiled_registry)
     profiler.start()
     try:
         map_points(points, record=RunRecord())
     finally:
         profiler.stop()
-        watcher.stop()
-        set_progress_sink(previous_sink)
         set_registry(previous_registry)
         set_default_store(previous_store)
 
-    assert stream.getvalue().count("\r") >= 2, "watch painted < 2 lines"
-    assert _deterministic_metrics(live_registry) \
+    assert profiler.sample_count >= 1, "profiler took no sample"
+    assert _deterministic_metrics(profiled_registry) \
         == _deterministic_metrics(plain_registry)

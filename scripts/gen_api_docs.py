@@ -49,7 +49,6 @@ MODULES = (
     "repro.obs.events",
     "repro.obs.report",
     "repro.obs.history",
-    "repro.obs.live",
     "repro.obs.logging",
     "repro.obs.profiler",
     "repro.resilience.faults",

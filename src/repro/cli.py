@@ -44,11 +44,9 @@ accept ``--trace FILE`` (record a Chrome-trace
 run file, viewable in ``chrome://tracing`` / Perfetto and readable by
 ``report``), ``--metrics`` (print the run's metric counters),
 ``--events`` (record the cache eviction/miss event stream and print
-its set-pressure summary), and the live flags — ``--watch``
-(in-terminal progress + ETA + stall flag, counted by the parent
-process), ``--log FILE`` (run_id-correlated structured JSON log) and
-``--profile-sample FILE`` (collapsed-stack sampling profile) — see
-``docs/OBSERVABILITY.md``.
+its set-pressure summary), ``--log FILE`` (run_id-correlated
+structured JSON log) and ``--profile-sample FILE`` (collapsed-stack
+sampling profile) — see ``docs/OBSERVABILITY.md``.
 
 Only what builds the parser is imported at the top of this module;
 each command imports the modules it runs when it is dispatched, so
@@ -67,12 +65,12 @@ from repro.engine.store import ArtifactStore, CACHE_DIR_ENV, \
     set_default_store
 from repro.errors import ConfigurationError, ReproError
 from repro.memory.replacement import available_policies
-from repro.obs.live import DEFAULT_STALL_TIMEOUT
 from repro.workloads.registry import available_workloads, check_scale
 
 if TYPE_CHECKING:
     from repro.api import Session
     from repro.engine.runner import RunRecord
+    from repro.serve.service import ServiceConfig
 
 
 def _default_cache_dir() -> str:
@@ -137,12 +135,6 @@ def _add_scale(parser: argparse.ArgumentParser,
                  "print its totals and set-pressure histogram (only "
                  "simulations actually run emit events; a warm "
                  "artifact cache serves results without simulating)",
-        )
-        parser.add_argument(
-            "--watch", action="store_true",
-            help="paint a live single-line progress display (units "
-                 "done, ETA, worker liveness, latency percentiles) "
-                 "on stderr while the command runs",
         )
         parser.add_argument(
             "--log", metavar="FILE", default=None,
@@ -438,9 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "'disk[:root]' (default memory)",
     )
     serve.add_argument(
-        "--stall-timeout", type=float, default=DEFAULT_STALL_TIMEOUT,
-        help="seconds before /healthz flags a stalled solve "
-             f"(default {DEFAULT_STALL_TIMEOUT:g})",
+        "--stall-timeout", type=float, default=None,
+        help="seconds the executor may spend on one unit before "
+             "/healthz reports 503 (default: the service's, 30)",
     )
     serve.add_argument(
         "--max-attempts", type=int, default=3,
@@ -572,18 +564,12 @@ def _run_observed(args: argparse.Namespace,
     previous observability state, then prints the metric table /
     event summary and/or writes the run file.
 
-    The live flags layer on the same scaffolding: ``--log`` opens a
-    run_id-correlated structured log; ``--watch`` installs a
-    :class:`~repro.obs.live.ProgressBus` (which implies a metrics
-    registry, so percentiles have a source) and starts the renderer
-    thread; ``--profile-sample`` runs the sampling profiler around the
-    whole command.  None of this changes the run's deterministic
-    outputs — live consumers only *read* snapshots.
+    ``--log`` opens a run_id-correlated structured log and
+    ``--profile-sample`` runs the sampling profiler around the whole
+    command.  None of this changes the run's deterministic outputs.
     """
     from repro.engine.runner import RunRecord
     from repro.obs.events import EventRecorder, set_recorder
-    from repro.obs.live import ProgressBus, WatchRenderer, \
-        set_progress_sink
     from repro.obs.logging import RunLog, log_event, new_run_id, \
         set_run_log
     from repro.obs.metrics import MetricsRegistry, set_registry
@@ -593,22 +579,18 @@ def _run_observed(args: argparse.Namespace,
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
     want_events = getattr(args, "events", False)
-    want_watch = getattr(args, "watch", False)
     log_path = getattr(args, "log", None)
     profile_path = getattr(args, "profile_sample", None)
 
     collector = TraceCollector() if trace_path else None
     registry = MetricsRegistry() \
-        if (want_metrics or collector is not None or want_watch) \
-        else None
+        if (want_metrics or collector is not None) else None
     recorder = EventRecorder() if want_events else None
     record = RunRecord()
 
     run_id = new_run_id() \
-        if (want_watch or log_path or profile_path or trace_path) else None
+        if (log_path or profile_path or trace_path) else None
     run_log = RunLog(log_path, run_id=run_id) if log_path else None
-    bus = ProgressBus(run_id=run_id) if want_watch else None
-    watcher = WatchRenderer(bus, registry) if bus is not None else None
     profiler = None
     if profile_path:
         from repro.obs.profiler import SamplingProfiler
@@ -621,11 +603,8 @@ def _run_observed(args: argparse.Namespace,
     previous_recorder = set_recorder(recorder) \
         if recorder is not None else None
     previous_log = set_run_log(run_log) if run_log is not None else None
-    previous_sink = set_progress_sink(bus) if bus is not None else None
     log_event("run.start", command=args.command,
               argv=getattr(args, "_argv", None))
-    if watcher is not None:
-        watcher.start()
     if profiler is not None:
         profiler.start()
     try:
@@ -633,11 +612,7 @@ def _run_observed(args: argparse.Namespace,
     finally:
         if profiler is not None:
             profiler.stop()
-        if watcher is not None:
-            watcher.stop()
         log_event("run.done", command=args.command)
-        if bus is not None:
-            set_progress_sink(previous_sink)
         if run_log is not None:
             set_run_log(previous_log)
             run_log.close()
@@ -741,6 +716,28 @@ def _run_bench_command(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
+def _serve_config(args: argparse.Namespace) -> ServiceConfig:
+    """The :class:`~repro.serve.service.ServiceConfig` of ``casa serve``.
+
+    An option left unset keeps the config's own default.
+    """
+    from repro.resilience.healing import RetryPolicy
+    from repro.serve import ServiceConfig
+
+    config = ServiceConfig(
+        jobs=args.jobs,
+        store_backend=args.store_backend,
+        retry=RetryPolicy(max_attempts=args.max_attempts,
+                          timeout_s=args.timeout),
+        fault_spec=args.faults or os.environ.get("CASA_FAULTS"),
+        log_path=args.log,
+        max_inflight=args.max_inflight,
+    )
+    if args.stall_timeout is not None:
+        config.stall_timeout = args.stall_timeout
+    return config
+
+
 def _run_serve_command(args: argparse.Namespace) -> int:
     """``casa serve`` — run the allocation daemon in the foreground.
 
@@ -748,21 +745,10 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     harness parses that line to learn an ephemeral port) and serves
     until interrupted.
     """
-    from repro.resilience.healing import RetryPolicy
-    from repro.serve import AllocationService, ServiceConfig
+    from repro.serve import AllocationService
     from repro.serve.daemon import run_daemon
 
-    config = ServiceConfig(
-        jobs=args.jobs,
-        store_backend=args.store_backend,
-        retry=RetryPolicy(max_attempts=args.max_attempts,
-                          timeout_s=args.timeout),
-        stall_timeout=args.stall_timeout,
-        fault_spec=args.faults or os.environ.get("CASA_FAULTS"),
-        log_path=args.log,
-        max_inflight=args.max_inflight,
-    )
-    service = AllocationService(config)
+    service = AllocationService(_serve_config(args))
 
     def announce(url: str) -> None:
         print(f"serving on {url}", flush=True)

@@ -479,7 +479,7 @@ class Workbench:
         by_size: dict[int, ExperimentResult] = {}
         for size in sorted(set(sizes)):
             # Each capacity step is one logical design point: its own
-            # span, and its wall time feeds the live point.evaluate
+            # span, and its wall time feeds the point.evaluate
             # percentile sketch.
             started = time.perf_counter()
             with span("point.evaluate", workload=self._program.name,

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.artifacts import workbench_digest
 from repro.engine.store import ArtifactStore, default_store
-from repro.obs.live import note_phase
 from repro.obs.logging import log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
@@ -192,12 +191,10 @@ class StageRunner:
         When tracing is enabled, every resolution emits an
         ``engine.resolve.<stage>`` span whose ``outcome`` attribute
         says whether the store served it (``hit``) or *compute* ran
-        (``computed``).  Under live telemetry the stage also lands on
-        the progress bus (current-activity display) and computed
-        resolutions emit a ``stage.computed`` structured-log event.
+        (``computed``).  Under a structured run log, computed
+        resolutions emit a ``stage.computed`` event.
         """
         with span(f"engine.resolve.{stage}") as resolve_span:
-            note_phase(stage)
             artifact = self.store.get(stage, digest, disk=disk)
             if artifact is not None:
                 self.record.note(stage, hit=True)

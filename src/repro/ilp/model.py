@@ -16,7 +16,6 @@ import numpy as np
 from repro.errors import SolverError
 from repro.ilp.expr import LinExpr, Variable
 from repro.obs import metrics
-from repro.obs.live import note_phase
 from repro.obs.trace import span
 from repro.resilience.faults import maybe_inject
 
@@ -294,7 +293,6 @@ class Model:
         with span("ilp.solve", variables=len(self.variables),
                   constraints=len(self.constraints)) as solve_span:
             maybe_inject("ilp.solve", variables=len(self.variables))
-            note_phase("ilp.solve")
             started = time.perf_counter()
             if max_nodes is not None and max_nodes <= 0:
                 result = SolveResult(SolveStatus.NODE_LIMIT, None, {})

@@ -1,6 +1,6 @@
-"""Observability: tracing, metrics, events, reports and live telemetry.
+"""Observability: tracing, metrics, events, reports, logs and profiles.
 
-Eight small modules turn the experiment engine from a black box into a
+Seven small modules turn the experiment engine from a black box into a
 design-space-exploration tool you can see inside:
 
 * :mod:`repro.obs.trace` — nestable spans with wall/CPU time and
@@ -8,8 +8,9 @@ design-space-exploration tool you can see inside:
   JSON (``chrome://tracing`` / Perfetto) or JSONL event logs;
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
   histograms (simulated cache hits, ILP solves, branch-and-bound
-  nodes...) with mergeable log-bucket percentile sketches and
-  snapshot/merge for worker processes;
+  nodes...) with mergeable log-bucket percentile sketches,
+  snapshot/merge for worker processes, and the Prometheus text
+  rendering behind ``repro serve``'s ``/metrics``;
 * :mod:`repro.obs.events` — structured cache eviction/miss event
   streams (bounded ring + reservoir sample) and the replay oracle that
   cross-checks the conflict graph's ``m_ij`` (``repro audit``);
@@ -18,27 +19,21 @@ design-space-exploration tool you can see inside:
   rendered from a ``--trace`` run file;
 * :mod:`repro.obs.history` — JSONL benchmark snapshots and baseline
   comparison (``repro bench record`` / ``repro bench compare``);
-* :mod:`repro.obs.live` — live progress: a thread-safe
-  :class:`~repro.obs.live.ProgressBus` that the parent process feeds
-  (units done, the current unit, stall detection), the ``--watch``
-  single-line renderer, and the Prometheus text rendering behind
-  ``repro serve``'s ``/metrics``;
 * :mod:`repro.obs.logging` — structured JSONL logs with a per-run
   ``run_id`` threaded through the engine, workers and resilience
   retries (``--log FILE``);
 * :mod:`repro.obs.profiler` — a sampling wall-clock profiler emitting
   collapsed-stack output (``--profile-sample FILE``).
 
-Tracing, metrics, event recording and live telemetry are all
-**disabled by default**: instrumented call sites go through
+Tracing, metrics, event recording and logging are all **disabled by
+default**: instrumented call sites go through
 :func:`~repro.obs.trace.span`, :func:`~repro.obs.metrics.inc`-style
-helpers, :func:`~repro.obs.live.note_unit_finished`-style hooks and
-the cache's bound recorder, costing one global read and one comparison
-when nothing is installed.  The CLI's ``--trace FILE``, ``--metrics``,
-``--events``, ``--watch``, ``--log FILE`` and
-``--profile-sample FILE`` flags (on ``sweep``, ``fig4``, ``fig5``,
-``table1`` and ``dse``) install them for one run; see
-``docs/OBSERVABILITY.md`` for the full guide.
+helpers, :func:`~repro.obs.logging.log_event` and the cache's bound
+recorder, costing one global read and one comparison when nothing is
+installed.  The CLI's ``--trace FILE``, ``--metrics``, ``--events``,
+``--log FILE`` and ``--profile-sample FILE`` flags (on ``sweep``,
+``fig4``, ``fig5``, ``table1`` and ``dse``) install them for one run;
+see ``docs/OBSERVABILITY.md`` for the full guide.
 """
 
 from repro._lazy import lazy_exports
@@ -66,19 +61,6 @@ __all__ = [
     "load_history",
     "machine_fingerprint",
     "record_suite",
-    "DEFAULT_STALL_TIMEOUT",
-    "ProgressBus",
-    "ProgressSnapshot",
-    "WatchRenderer",
-    "WorkerHealth",
-    "active_sink",
-    "format_watch_line",
-    "note_phase",
-    "note_total",
-    "note_unit_finished",
-    "note_unit_started",
-    "render_prometheus",
-    "set_progress_sink",
     "RunLog",
     "active_log_spec",
     "active_run_id",
@@ -98,6 +80,7 @@ __all__ = [
     "inc",
     "metrics_enabled",
     "observe",
+    "render_prometheus",
     "set_gauge",
     "set_registry",
     "POINT_SPAN",
@@ -145,21 +128,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "machine_fingerprint",
         "record_suite",
     ),
-    "repro.obs.live": (
-        "DEFAULT_STALL_TIMEOUT",
-        "ProgressBus",
-        "ProgressSnapshot",
-        "WatchRenderer",
-        "WorkerHealth",
-        "active_sink",
-        "format_watch_line",
-        "note_phase",
-        "note_total",
-        "note_unit_finished",
-        "note_unit_started",
-        "render_prometheus",
-        "set_progress_sink",
-    ),
     "repro.obs.logging": (
         "RunLog",
         "active_log_spec",
@@ -180,6 +148,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "inc",
         "metrics_enabled",
         "observe",
+        "render_prometheus",
         "set_gauge",
         "set_registry",
     ),

@@ -15,6 +15,9 @@ them as a plain JSON-able dict (:meth:`MetricsRegistry.snapshot`), and
 merges snapshots from worker processes (:meth:`MetricsRegistry.merge`)
 — counters and histograms accumulate, gauges take the incoming value.
 
+:func:`render_prometheus` renders a registry in Prometheus text
+exposition format (the body of ``repro serve``'s ``/metrics``).
+
 Like tracing, metrics are disabled by default: the module-level
 helpers :func:`inc`, :func:`set_gauge` and :func:`observe` write to
 the *active* registry installed via :func:`set_registry` and cost one
@@ -32,6 +35,9 @@ from typing import Any
 
 #: Snapshot ``type`` tags, one per metric class.
 METRIC_TYPES = ("counter", "gauge", "histogram")
+
+#: Suffix of the duration histograms :func:`render_prometheus` exposes.
+SECONDS_SUFFIX = ".seconds"
 
 
 class Counter:
@@ -348,3 +354,40 @@ def observe(name: str, value: float) -> None:
     registry = _ACTIVE
     if registry is not None:
         registry.histogram(name).observe(value)
+
+
+# -- Prometheus text exposition ------------------------------------------------
+
+def _prom_name(name: str) -> str:
+    return "repro_" + "".join(c if c.isalnum() else "_" for c in name)
+
+
+def render_prometheus(registry: MetricsRegistry) -> str:
+    """Render *registry* in Prometheus text exposition format.
+
+    Counters become ``repro_<name>_total`` counters, gauges
+    ``repro_<name>`` gauges, and non-empty ``*.seconds`` histograms
+    summaries with p50/p90/p99 quantile samples plus ``_sum`` and
+    ``_count``; dots in names become underscores.  Other histograms
+    are left out.  Reads one consistent :meth:`MetricsRegistry.snapshot`,
+    so the registry may keep observing meanwhile.
+    """
+    lines: list[str] = []
+    for name, data in registry.snapshot().items():
+        base = _prom_name(name)
+        kind = data["type"]
+        if kind == "counter":
+            lines += [f"# TYPE {base}_total counter",
+                      f"{base}_total {data['value']:g}"]
+        elif kind == "gauge":
+            lines += [f"# TYPE {base} gauge", f"{base} {data['value']:g}"]
+        elif name.endswith(SECONDS_SUFFIX) and data["count"]:
+            histogram = Histogram()
+            histogram.merge(data)
+            lines.append(f"# TYPE {base} summary")
+            for quantile in (0.5, 0.9, 0.99):
+                lines.append(f'{base}{{quantile="{quantile:g}"}} '
+                             f"{histogram.percentile(quantile):.6g}")
+            lines += [f"{base}_sum {histogram.total:.6g}",
+                      f"{base}_count {histogram.count}"]
+    return "\n".join(lines) + "\n"

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.engine.grid import GridChunk
 from repro.engine.store import ArtifactStore, set_default_store
-from repro.obs.live import note_phase
 from repro.obs.logging import log_event
 from repro.obs.metrics import MetricsRegistry, active_registry, \
     set_registry
@@ -235,7 +234,6 @@ def run_chaos(
     total_points = sum(len(group) for group in labels)
 
     # Reference pass: serial, memory-only store, injection disabled.
-    note_phase("chaos.clean")
     log_event("chaos.pass", phase="clean", units=len(units))
     previous_plan = set_fault_plan(None)
     previous_store = set_default_store(ArtifactStore())
@@ -254,7 +252,6 @@ def run_chaos(
     # stage is evicted from the warm cache so every point re-runs its
     # allocation and simulation — otherwise the ilp.solve and
     # kernel.replay sites would sit behind a cache hit and never fire.
-    note_phase("chaos.faulty")
     log_event("chaos.pass", phase="faulty", units=len(units),
               jobs=jobs)
     registry = MetricsRegistry()

@@ -11,8 +11,9 @@ process-pool restart — and returns a :class:`HealedRun` of per-unit
 :class:`PointOutcome` records in input order instead of raising on
 the first failure.  :func:`repro.engine.parallel.map_points`, which
 the CLI exhibits use, runs the same loop under the default policy
-and raises the first unit that still failed.  The parent process
-alone reports progress to the live bus.
+and raises the first unit that still failed.  A caller that watches
+the executor's liveness (the serve daemon) passes an ``on_unit``
+callback; the parent process alone calls it.
 
 Workers share the parent's on-disk artifact cache (when one is
 configured), so the expensive allocation-independent stages are
@@ -28,7 +29,9 @@ which is exactly what the chaos gate (:mod:`repro.resilience.chaos`)
 asserts.
 
 Healing metrics: ``resilience.retries``, ``resilience.failed_points``,
-``resilience.degraded_points``, ``resilience.pool_restarts``.
+``resilience.degraded_points``, ``resilience.pool_restarts`` and the
+``resilience.retry.seconds`` histogram (wall time of each retry
+attempt).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.grid import GridChunk, check_algorithms, \
     evaluate_chunk
@@ -52,8 +55,6 @@ from repro.errors import ConfigurationError, InjectedFault, \
 from repro.obs import metrics
 from repro.obs.events import EventRecorder, active_recorder, \
     set_recorder
-from repro.obs.live import note_total, note_unit_finished, \
-    note_unit_started, set_progress_sink
 from repro.obs.logging import active_log_spec, active_run_id, \
     install_from_spec, log_event
 from repro.obs.metrics import MetricsRegistry, active_registry, \
@@ -68,6 +69,11 @@ if TYPE_CHECKING:
 
 #: The statuses a :class:`PointOutcome` may carry.
 OUTCOME_STATUSES = ("ok", "retried", "degraded", "failed")
+
+#: Liveness callback ``on_unit(unit, final)``: called with
+#: ``final=False`` when the parent starts running or waiting on *unit*,
+#: and with ``final=True`` once, when the unit's outcome is final.
+UnitCallback = Callable[[GridChunk, bool], None]
 
 
 @dataclass(frozen=True)
@@ -120,11 +126,6 @@ class PointOutcome:
             ``{"type", "message", "site"}`` — or ``None``.
         result: the chunk's per-capacity result list, or ``None`` when
             failed.
-        wall_s: total wall time spent on this unit across all
-            attempts, in seconds.
-        attempt_seconds: per-attempt wall times in attempt order, so
-            the report can show where retry time went (everything
-            after the first entry is retry cost).
         run_id: correlation id of the structured run log active when
             the outcome was built, or ``None`` when logging was off.
         exception: the last failure itself (``error`` is its
@@ -138,16 +139,9 @@ class PointOutcome:
     attempts: int
     error: dict[str, str] | None = None
     result: "list[ExperimentResult] | None" = None
-    wall_s: float = 0.0
-    attempt_seconds: list[float] = field(default_factory=list)
     run_id: str | None = None
     exception: BaseException | None = field(default=None, repr=False,
                                             compare=False)
-
-    @property
-    def retry_s(self) -> float:
-        """Wall seconds spent on attempts after the first."""
-        return sum(self.attempt_seconds[1:])
 
     def describe(self) -> str:
         """One-line human-readable summary of this outcome."""
@@ -191,16 +185,6 @@ class HealedRun:
                  if outcome.status != "ok"]
         return "\n".join(lines)
 
-    @property
-    def wall_s(self) -> float:
-        """Total wall seconds across all points and attempts."""
-        return sum(outcome.wall_s for outcome in self.outcomes)
-
-    @property
-    def retry_wall_s(self) -> float:
-        """Wall seconds spent on retry attempts (after each first try)."""
-        return sum(outcome.retry_s for outcome in self.outcomes)
-
 
 def _error_record(error: BaseException) -> dict[str, str]:
     """The structured ``PointOutcome.error`` form of an exception."""
@@ -211,20 +195,16 @@ def _error_record(error: BaseException) -> dict[str, str]:
     }
 
 
-def _note_attempt_times(attempt_seconds: list[float] | None
-                        ) -> tuple[float, list[float]]:
-    """Total wall time and the retry-seconds metric for an outcome."""
-    durations = list(attempt_seconds or ())
-    for seconds in durations[1:]:
-        metrics.observe("resilience.retry.seconds", seconds)
-    return sum(durations), durations
+def _attempt_ended(attempt: int, started: float) -> None:
+    """Observe the wall time of attempt *attempt* if it was a retry."""
+    if attempt:
+        metrics.observe("resilience.retry.seconds",
+                        time.perf_counter() - started)
 
 
 def _finish_outcome(index: int, point: GridChunk, attempts: int,
                     result: "list[ExperimentResult]",
-                    error: BaseException | None,
-                    attempt_seconds: list[float] | None = None
-                    ) -> PointOutcome:
+                    error: BaseException | None) -> PointOutcome:
     """Build the outcome of a successful evaluation.
 
     Distinguishes ``ok`` / ``retried`` / ``degraded`` and counts
@@ -244,28 +224,22 @@ def _finish_outcome(index: int, point: GridChunk, attempts: int,
         status = "retried"
     else:
         status = "ok"
-    wall, durations = _note_attempt_times(attempt_seconds)
     return PointOutcome(
         index=index, point=point, status=status, attempts=attempts,
         error=_error_record(error) if error is not None else None,
-        result=result, wall_s=wall, attempt_seconds=durations,
-        run_id=active_run_id(),
+        result=result, run_id=active_run_id(),
     )
 
 
 def _failed_outcome(index: int, point: GridChunk, attempts: int,
-                    error: BaseException,
-                    attempt_seconds: list[float] | None = None
-                    ) -> PointOutcome:
+                    error: BaseException) -> PointOutcome:
     """Build (and count) the outcome of an exhausted point."""
     metrics.inc("resilience.failed_points")
     log_event("point.failed", point=point.label,
               attempts=attempts, error=type(error).__name__)
-    wall, durations = _note_attempt_times(attempt_seconds)
     return PointOutcome(
         index=index, point=point, status="failed", attempts=attempts,
-        error=_error_record(error), result=None, wall_s=wall,
-        attempt_seconds=durations, run_id=active_run_id(),
+        error=_error_record(error), result=None, run_id=active_run_id(),
         exception=error,
     )
 
@@ -276,8 +250,7 @@ def _evaluate_unit(chunk: GridChunk,
 
     The per-unit wall time lands in the ``chunk.evaluate.seconds``
     percentile histogram; with no registry installed this is a plain
-    :func:`~repro.engine.grid.evaluate_chunk` call.  Progress notes
-    are the parent's job.
+    :func:`~repro.engine.grid.evaluate_chunk` call.
     """
     registry = active_registry()
     if registry is None:
@@ -301,13 +274,11 @@ def _init_worker(cache_dir: str | None,
     behaviour start-method independent — with fresh per-process rule
     state either way).  The run-log spec rides along the same way, so
     the worker reopens the parent's structured log under the same
-    ``run_id``.  Workers report no progress: the parent counts units,
-    so a bus inherited through ``fork`` is dropped.
+    ``run_id``.
     """
     set_default_store(ArtifactStore(cache_dir=cache_dir))
     if fault_spec:
         set_fault_plan(FaultPlan.from_spec(fault_spec))
-    set_progress_sink(None)
     install_from_spec(log_spec)
 
 
@@ -391,17 +362,20 @@ def _evaluate_with_timeout(point: GridChunk, runner: StageRunner,
     return box["result"]
 
 
+def _unwatched(unit: GridChunk, final: bool) -> None:
+    """The :data:`UnitCallback` of a caller that watches no liveness."""
+
+
 def _heal_unit(index: int, point: GridChunk, policy: RetryPolicy,
-               runner: StageRunner, attempt: int = 0,
-               durations: list[float] | None = None,
+               runner: StageRunner, on_unit: UnitCallback,
+               attempt: int = 0,
                last_error: BaseException | None = None) -> PointOutcome:
     """Heal one unit in-process, from retry attempt *attempt* on.
 
     A pool that could not be restarted hands its unfinished units here
-    with their attempt count, durations and last error so far.
+    with their attempt count and last error so far.
     """
-    durations = [] if durations is None else durations
-    note_unit_started(point.label)
+    on_unit(point, False)
     outcome = None
     while attempt < policy.max_attempts:
         set_fault_attempt(attempt)
@@ -410,7 +384,7 @@ def _heal_unit(index: int, point: GridChunk, policy: RetryPolicy,
             result = _evaluate_with_timeout(
                 point, runner, policy.timeout_s)
         except Exception as error:  # contained: reported per unit
-            durations.append(time.perf_counter() - started)
+            _attempt_ended(attempt, started)
             last_error = error
             attempt += 1
             if attempt < policy.max_attempts:
@@ -421,29 +395,31 @@ def _heal_unit(index: int, point: GridChunk, policy: RetryPolicy,
             continue
         finally:
             set_fault_attempt(0)
-        durations.append(time.perf_counter() - started)
+        _attempt_ended(attempt, started)
         outcome = _finish_outcome(index, point, attempt + 1, result,
-                                  last_error, durations)
+                                  last_error)
         break
     if outcome is None:
         assert last_error is not None
         outcome = _failed_outcome(index, point, policy.max_attempts,
-                                  last_error, durations)
-    note_unit_finished(point.label)
+                                  last_error)
+    on_unit(point, True)
     return outcome
 
 
 def _heal_serial(points: list[GridChunk], policy: RetryPolicy,
-                 record: RunRecord | None) -> HealedRun:
+                 record: RunRecord | None,
+                 on_unit: UnitCallback) -> HealedRun:
     """Serial healing loop: retry each point in-process."""
     runner = StageRunner(record=record)
-    return HealedRun([_heal_unit(index, point, policy, runner)
+    return HealedRun([_heal_unit(index, point, policy, runner, on_unit)
                       for index, point in enumerate(points)])
 
 
 def _heal_pooled(points: list[GridChunk], jobs: int,
                  policy: RetryPolicy, record: RunRecord | None,
-                 cache_dir: str | os.PathLike | None) -> HealedRun:
+                 cache_dir: str | os.PathLike | None,
+                 on_unit: UnitCallback) -> HealedRun:
     """Pool healing loop: per-unit retries plus pool restarts.
 
     A broken pool (worker crash) or a unit timeout restarts the pool
@@ -454,9 +430,9 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
     injected ``worker.spawn`` fault) — the unfinished units heal
     serially instead, same results.
 
-    The parent is the only progress reporter: the unit it waits on is
-    the current one, and each unit is marked finished once, when its
-    outcome is final.
+    The parent alone calls *on_unit*: the unit it waits on is the
+    current one, and each unit is marked final once, when its outcome
+    is.
     """
     n = len(points)
     if cache_dir is None:
@@ -477,7 +453,6 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
         )
 
     started = [0.0] * n
-    durations: list[list[float]] = [[] for _ in range(n)]
 
     def submit(pool, index: int, attempt: int):
         task = (points[index], *flags, attempt)
@@ -494,7 +469,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
     def finish(index: int, outcome: PointOutcome) -> None:
         outcomes[index] = outcome
         pending.discard(index)
-        note_unit_finished(points[index].label)
+        on_unit(points[index], True)
 
     try:
         pool = make_pool()
@@ -507,17 +482,15 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
             log_event("pool.restart", pending=len(pending))
             pool.shutdown(wait=False, cancel_futures=True)
             for index in bump:
+                _attempt_ended(attempts[index], started[index])
                 attempts[index] += 1
-                durations[index].append(
-                    time.perf_counter() - started[index])
             exhausted = {index for index in pending
                          if attempts[index] >= policy.max_attempts}
             for index in exhausted:
                 error = last_errors[index]
                 assert error is not None
                 finish(index, _failed_outcome(
-                    index, points[index], attempts[index], error,
-                    durations[index]))
+                    index, points[index], attempts[index], error))
             pool = make_pool()
             for index in pending:
                 if attempts[index] > 0:
@@ -526,7 +499,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
 
         while pending:
             index = min(pending)
-            note_unit_started(points[index].label)
+            on_unit(points[index], False)
             future = futures[index]
             try:
                 payload = future.result(timeout=policy.timeout_s)
@@ -556,8 +529,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
                 restart(set(pending))
                 continue
             except Exception as error:  # worker raised for this point
-                durations[index].append(
-                    time.perf_counter() - started[index])
+                _attempt_ended(attempts[index], started[index])
                 last_errors[index] = error
                 attempts[index] += 1
                 if attempts[index] < policy.max_attempts:
@@ -580,15 +552,13 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
                         restart(set(pending) - {index})
                 else:
                     finish(index, _failed_outcome(
-                        index, points[index], attempts[index], error,
-                        durations[index]))
+                        index, points[index], attempts[index], error))
                 continue
-            durations[index].append(
-                time.perf_counter() - started[index])
+            _attempt_ended(attempts[index], started[index])
             payloads[index] = payload
             finish(index, _finish_outcome(
                 index, points[index], attempts[index] + 1, payload[0],
-                last_errors[index], durations[index]))
+                last_errors[index]))
     except (OSError, pickle.PicklingError, InjectedFault):
         # No usable pool: heal what is left in-process.  A unit that
         # already used an attempt continues as a counted retry.
@@ -598,8 +568,8 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
             if attempts[index]:
                 metrics.inc("resilience.retries")
             outcomes[index] = _heal_unit(
-                index, points[index], policy, runner, attempts[index],
-                durations[index], last_errors[index])
+                index, points[index], policy, runner, on_unit,
+                attempts[index], last_errors[index])
     finally:
         # Join an idle pool's workers; never wait on one left busy by
         # an error, whose worker may be wedged.
@@ -629,7 +599,8 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
 
 def _run(points: list[GridChunk] | tuple[GridChunk, ...], jobs: int,
          policy: RetryPolicy, record: RunRecord | None,
-         cache_dir: str | os.PathLike | None) -> HealedRun:
+         cache_dir: str | os.PathLike | None,
+         on_unit: UnitCallback | None = None) -> HealedRun:
     """Evaluate *points* under *policy*, serially or pooled.
 
     The one loop behind :func:`map_points_healed` and
@@ -637,13 +608,14 @@ def _run(points: list[GridChunk] | tuple[GridChunk, ...], jobs: int,
     """
     points = list(points)
     check_algorithms(points)
-    note_total(len(points))
+    on_unit = on_unit if on_unit is not None else _unwatched
     log_event("map.start", units=len(points), jobs=jobs,
               max_attempts=policy.max_attempts)
     if jobs > 1 and len(points) > 1:
-        run = _heal_pooled(points, jobs, policy, record, cache_dir)
+        run = _heal_pooled(points, jobs, policy, record, cache_dir,
+                           on_unit)
     else:
-        run = _heal_serial(points, policy, record)
+        run = _heal_serial(points, policy, record, on_unit)
     log_event("map.done", units=len(points), jobs=jobs)
     return run
 
@@ -654,6 +626,7 @@ def map_points_healed(
     policy: RetryPolicy | None = None,
     record: RunRecord | None = None,
     cache_dir: str | os.PathLike | None = None,
+    on_unit: UnitCallback | None = None,
 ) -> HealedRun:
     """Evaluate *points* with self-healing; never raises per unit.
 
@@ -676,6 +649,9 @@ def map_points_healed(
             successful evaluations.
         cache_dir: on-disk cache directory shared with workers;
             defaults to the process-wide store's directory.
+        on_unit: optional :data:`UnitCallback`, called by the parent
+            process when it starts running or waiting on a unit and
+            once more when that unit's outcome is final.
 
     Raises:
         ConfigurationError: for an unknown algorithm (checked up
@@ -683,4 +659,4 @@ def map_points_healed(
     """
     return _run(points, jobs,
                 policy if policy is not None else RetryPolicy(),
-                record, cache_dir)
+                record, cache_dir, on_unit)

@@ -11,12 +11,13 @@ body in, JSON out, keep-alive connections.  Routes:
   shed requests get 503 + ``Retry-After``, malformed payloads a
   *schema-shaped* 400 (an ``error.response`` body, never a bare HTTP
   error or a 500) and unknown routes 404.
-* ``GET /healthz`` — liveness: 200 while no worker is stalled and the
-  daemon is not draining (body: the JSON progress snapshot).
+* ``GET /healthz`` — liveness: 200 while the executor is not stalled
+  on one unit (any verb's) and the daemon is not draining; the JSON
+  body is ``{healthy, draining, run_id, current, busy_s}``.
 * ``GET /readyz`` — readiness: 200 while new requests would be
   admitted; flips to 503 the instant a drain begins.
 * ``GET /metrics`` — Prometheus text exposition of the service's
-  progress, percentiles, counters and gauges.
+  counters, gauges and latency summaries.
 
 Hardening at this layer (the service handles admission/deadlines):
 
@@ -356,10 +357,7 @@ class ServeDaemon:
             if method != "GET":
                 return _http_response(
                     405, _error_body("MethodNotAllowed", "GET only"))
-            healthy, snapshot = self.service.healthz()
-            payload = snapshot.to_json()
-            payload["healthy"] = healthy
-            payload["draining"] = self.service.draining
+            healthy, payload = self.service.healthz()
             return _http_response(200 if healthy else 503,
                                   _json_body(payload))
         if path == "/readyz":

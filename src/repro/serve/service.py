@@ -18,10 +18,10 @@ directly).  It owns:
   :func:`~repro.engine.store.make_backend`) and swapped in as the
   process default around each tenant's batch, so tenants never share
   cache entries;
-* a :class:`~repro.obs.live.ProgressBus` and a private
-  :class:`~repro.obs.metrics.MetricsRegistry` feeding the daemon's
-  ``/healthz`` and ``/metrics`` endpoints, correlated by one
-  ``run_id`` in the structured run log.
+* the liveness of its executor — the unit it runs or waits on, and
+  since when — behind the daemon's ``/healthz``, and a private
+  :class:`~repro.obs.metrics.MetricsRegistry` behind ``/metrics``,
+  correlated by one ``run_id`` in the structured run log.
 
 The hardening layer sits in front of all of that: every request first
 passes the :class:`~repro.serve.admission.AdmissionController` (drain,
@@ -57,15 +57,9 @@ from repro.api import Session
 from repro.engine.grid import GridChunk
 from repro.engine.store import ArtifactStore, set_default_store
 from repro.io.serde import conflict_graph_to_dict, experiment_result_payload
-from repro.obs.live import (
-    DEFAULT_STALL_TIMEOUT,
-    ProgressBus,
-    ProgressSnapshot,
-    render_prometheus,
-    set_progress_sink,
-)
 from repro.obs.logging import RunLog, log_event, new_run_id, set_run_log
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry, render_prometheus, \
+    set_registry
 from repro.resilience.faults import FaultPlan, set_fault_plan
 from repro.resilience.healing import (
     HealedRun,
@@ -147,8 +141,9 @@ class ServiceConfig:
         store_root: root directory for ``disk`` tenant stores when
             the spec names none.
         retry: per-work-unit retry/timeout policy.
-        stall_timeout: seconds a solve may run before ``/healthz``
-            reports the worker as stalled.
+        stall_timeout: seconds the executor may spend on one unit — a
+            batch's grid chunk or a conflict-graph profile — before
+            ``/healthz`` reports it stalled.
         fault_spec: optional fault-injection plan installed for the
             service's lifetime (chaos tests).
         log_path: optional structured-log (JSONL) path; events carry
@@ -161,7 +156,7 @@ class ServiceConfig:
     store_backend: str | None = None
     store_root: str | os.PathLike | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    stall_timeout: float = DEFAULT_STALL_TIMEOUT
+    stall_timeout: float = 30.0
     fault_spec: str | None = None
     log_path: str | None = None
     max_inflight: int = DEFAULT_MAX_INFLIGHT
@@ -170,9 +165,9 @@ class ServiceConfig:
 class AllocationService:
     """Session verbs as a long-running, batching, multi-tenant service.
 
-    Lifecycle: :meth:`start` installs the service's registry, progress
-    bus, optional fault plan and optional run log as the process-wide
-    active instruments (returning the previous ones to :meth:`stop`);
+    Lifecycle: :meth:`start` installs the service's registry, optional
+    fault plan and optional run log as the process-wide active
+    instruments (returning the previous ones to :meth:`stop`);
     the HTTP daemon (:mod:`repro.serve.daemon`) then feeds
     :meth:`handle` from its event loop.
     """
@@ -181,8 +176,9 @@ class AllocationService:
         self.config = config if config is not None else ServiceConfig()
         self.run_id = new_run_id()
         self.registry = MetricsRegistry()
-        self.bus = ProgressBus(self.run_id,
-                               stall_timeout=self.config.stall_timeout)
+        # (unit, monotonic start) of what the executor runs or waits
+        # on; written by the executor thread only, read by /healthz.
+        self._current: tuple[Any, float] | None = None
         self.batcher = MicroBatcher(self._execute_groups_async,
                                     registry=self.registry)
         self.admission = AdmissionController(
@@ -201,7 +197,6 @@ class AllocationService:
         if self._started:
             return
         self._previous["registry"] = set_registry(self.registry)
-        self._previous["sink"] = set_progress_sink(self.bus)
         if self.config.fault_spec:
             self._previous["plan"] = set_fault_plan(
                 FaultPlan.from_spec(self.config.fault_spec))
@@ -220,7 +215,6 @@ class AllocationService:
         log_event("serve.stop")
         self._executor.shutdown(wait=True)
         set_registry(self._previous.get("registry"))
-        set_progress_sink(self._previous.get("sink"))
         if "plan" in self._previous:
             set_fault_plan(self._previous["plan"])
         if "log" in self._previous:
@@ -404,7 +398,7 @@ class AllocationService:
             with self._using_store(tenant):
                 run: HealedRun = map_points_healed(
                     chunks, jobs=self.config.jobs,
-                    policy=policy,
+                    policy=policy, on_unit=self._mark_unit,
                 )
             for outcome, index, axis in zip(run.outcomes,
                                             live_indexes, axes):
@@ -524,13 +518,17 @@ class AllocationService:
         if pending.expired():
             return self._deadline_response(pending, queued=True)
         request: ConflictGraphRequest = pending.request
-        with self._using_store(request.tenant):
-            session = Session(
-                request.workload, cache=request.cache,
-                scale=request.scale, seed=request.seed,
-                backend=request.backend, tracegen=request.tracegen,
-            )
-            graph = session.conflict_graph()
+        self._mark_unit(request, False)
+        try:
+            with self._using_store(request.tenant):
+                session = Session(
+                    request.workload, cache=request.cache,
+                    scale=request.scale, seed=request.seed,
+                    backend=request.backend, tracegen=request.tracegen,
+                )
+                graph = session.conflict_graph()
+        finally:
+            self._mark_unit(request, True)
         return ConflictGraphResponse(
             graph=conflict_graph_to_dict(graph), run_id=self.run_id)
 
@@ -577,14 +575,46 @@ class AllocationService:
 
     # -- health and metrics ---------------------------------------------------
 
-    def snapshot(self) -> ProgressSnapshot:
-        """Progress/health snapshot over the service registry."""
-        return self.bus.snapshot(self.registry)
+    def _mark_unit(self, unit: Any, final: bool) -> None:
+        """Record the unit the executor runs or waits on (liveness).
 
-    def healthz(self) -> tuple[bool, ProgressSnapshot]:
-        """``(healthy, snapshot)`` — stalled workers or drain = 503."""
-        snapshot = self.snapshot()
-        return not snapshot.stalled and not self.draining, snapshot
+        The healing loop's ``on_unit`` callback, also called around a
+        conflict-graph profile: *unit* is current from the call with
+        ``final=False`` until the one with ``final=True``.
+        """
+        if not final:
+            self._current = (unit, time.monotonic())
+        elif self._current is not None and self._current[0] is unit:
+            self._current = None
+
+    @staticmethod
+    def _unit_label(unit: Any) -> str:
+        """Display label of a marked unit."""
+        if isinstance(unit, GridChunk):
+            return unit.label
+        return f"{unit.workload}/conflict_graph"
+
+    def healthz(self) -> tuple[bool, dict[str, Any]]:
+        """``(healthy, body)`` of ``/healthz``.
+
+        Unhealthy (503) while draining, or once the executor has spent
+        more than ``stall_timeout`` seconds on its current unit.  The
+        body is ``{healthy, draining, run_id, current, busy_s}``:
+        *current* labels the unit (``None`` when idle) and *busy_s*
+        is how long the executor has been on it.
+        """
+        current = self._current
+        busy = 0.0 if current is None else time.monotonic() - current[1]
+        draining = self.draining
+        healthy = busy <= self.config.stall_timeout and not draining
+        return healthy, {
+            "healthy": healthy,
+            "draining": draining,
+            "run_id": self.run_id,
+            "current": None if current is None
+            else self._unit_label(current[0]),
+            "busy_s": round(busy, 6),
+        }
 
     def readyz(self) -> bool:
         """Readiness: whether new requests would be admitted at all.
@@ -598,19 +628,5 @@ class AllocationService:
         return not self.draining
 
     def metrics_text(self) -> str:
-        """The ``/metrics`` body (Prometheus text exposition format).
-
-        :func:`~repro.obs.live.render_prometheus` covers counters and
-        histogram percentiles; the service appends its gauges
-        (``serve.inflight``), which have no place in the progress
-        snapshot.
-        """
-        text = render_prometheus(self.snapshot())
-        lines = [text.rstrip("\n")] if text.strip() else []
-        for name, data in self.registry.snapshot().items():
-            if data.get("type") != "gauge":
-                continue
-            metric = f"repro_{name.replace('.', '_')}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {data['value']:g}")
-        return "\n".join(lines) + "\n"
+        """The ``/metrics`` body (Prometheus text exposition format)."""
+        return render_prometheus(self.registry)

@@ -5,8 +5,7 @@ import re
 
 import pytest
 
-from repro.cli import _build_parser, main
-from repro.obs.live import DEFAULT_STALL_TIMEOUT
+from repro.cli import _build_parser, _serve_config, main
 from repro.resilience.faults import FAULTS_ENV, FaultPlan, \
     set_fault_plan
 
@@ -156,22 +155,15 @@ class TestLiveTelemetryCli:
         profile = tmp_path / "profile.txt"
         log = tmp_path / "run.log"
         code = main(self.BASE + [
-            "--jobs", "2", "--watch",
+            "--jobs", "2",
             "--profile-sample", str(profile), "--log", str(log),
         ])
         assert code == 0
         captured = capsys.readouterr()
         assert "casa (uJ)" in captured.out, "results still render"
-        # --watch paints on stderr; its final line reports completion
-        # (the grid pipeline may bundle several sizes into one chunk
-        # unit, so assert N/N rather than a unit count), percentiles
-        # and the run id.
-        final = captured.err.rsplit("\r", 1)[-1].strip()
-        progress = re.search(r"(\d+)/(\d+) \(100%\)", final)
-        assert progress and progress.group(1) == progress.group(2)
-        assert "eta" in final
-        assert "p50" in final
-        run_id = re.search(r"run (\w+)", final).group(1)
+        # The run id the command announces is the log's.
+        run_id = re.search(r"log written to .* \(run id (\w+)\)",
+                           captured.out).group(1)
         assert len(run_id) == 12
         # Collapsed-stack profile is non-empty and well-formed.
         assert f"profile written to {profile}" in captured.out
@@ -189,7 +181,7 @@ class TestLiveTelemetryCli:
 
     def test_live_flags_leave_metrics_bit_identical(self, capsys,
                                                     tmp_path):
-        """--watch/--profile-sample must not change deterministic metrics."""
+        """--profile-sample/--log must not change deterministic metrics."""
 
         def deterministic(text):
             # Drop timing histograms and live-artifact notices, and
@@ -207,26 +199,29 @@ class TestLiveTelemetryCli:
         assert main(self.BASE + ["--metrics"]) == 0
         plain = capsys.readouterr().out
         assert main(self.BASE + [
-            "--metrics", "--watch",
+            "--metrics",
             "--profile-sample", str(tmp_path / "p.txt"),
+            "--log", str(tmp_path / "run.log"),
         ]) == 0
         live = capsys.readouterr().out
         assert deterministic(live) == deterministic(plain)
 
     @pytest.mark.parametrize("flag", ["--telemetry", "--prom",
                                       "--telemetry-interval",
-                                      "--stall-timeout"])
+                                      "--stall-timeout", "--watch"])
     def test_removed_live_flags_are_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE + [flag, "1"])
         assert excinfo.value.code == 2
 
     def test_serve_keeps_its_stall_timeout(self):
+        from repro.serve.service import ServiceConfig
+
         parser = _build_parser()
         args = parser.parse_args(["serve", "--stall-timeout", "60"])
-        assert args.stall_timeout == 60.0
-        default = parser.parse_args(["serve"]).stall_timeout
-        assert default == DEFAULT_STALL_TIMEOUT
+        assert _serve_config(args).stall_timeout == 60.0
+        default = _serve_config(parser.parse_args(["serve"]))
+        assert default.stall_timeout == ServiceConfig().stall_timeout
 
 
 class TestCliErrors:

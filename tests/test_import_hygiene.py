@@ -114,6 +114,13 @@ def test_cli_import_loads_neither_scipy_nor_networkx(tmp_path):
     assert loaded_after(tmp_path, "import repro.cli")[0] == set()
 
 
+def test_cli_import_loads_no_serve_layer(tmp_path):
+    # The ``serve`` parser needs none of the daemon stack; its
+    # defaults stay in ``ServiceConfig`` and load on dispatch.
+    assert loaded_after(tmp_path, "import repro.cli",
+                        watch=("repro.serve",))[0] == set()
+
+
 def test_steinke_ross_sweep_never_loads_scipy(tmp_path):
     statement = cli_main(SWEEP + ["steinke", "ross"])
     assert loaded_after(tmp_path, statement)[0] == set()

@@ -1,4 +1,5 @@
-"""Metrics: counters, gauges, histograms, the registry and merging."""
+"""Metrics: counters, gauges, histograms, the registry, merging and
+the Prometheus rendering."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from repro.obs.metrics import (
     inc,
     metrics_enabled,
     observe,
+    render_prometheus,
     set_gauge,
     set_registry,
 )
@@ -298,3 +300,31 @@ class TestModuleHelpers:
             assert set_registry(None) is first
         finally:
             set_registry(previous)
+
+
+class TestPrometheusRender:
+    def test_summaries_and_counters(self):
+        registry = MetricsRegistry()
+        registry.histogram("point.evaluate.seconds").observe(0.5)
+        registry.counter("engine.cache.hits").inc(3)
+        text = render_prometheus(registry)
+        assert "# TYPE repro_point_evaluate_seconds summary" in text
+        assert 'repro_point_evaluate_seconds{quantile="0.99"} 0.5' in text
+        assert "repro_point_evaluate_seconds_sum 0.5" in text
+        assert "repro_point_evaluate_seconds_count 1" in text
+        assert "# TYPE repro_engine_cache_hits_total counter" in text
+        assert "repro_engine_cache_hits_total 3" in text
+
+    def test_gauges_render_and_other_histograms_do_not(self):
+        registry = MetricsRegistry()
+        registry.gauge("serve.inflight").set(2)
+        registry.histogram("ilp.nodes").observe(7)
+        registry.histogram("idle.seconds")  # empty: no summary
+        text = render_prometheus(registry)
+        assert "# TYPE repro_serve_inflight gauge" in text
+        assert "repro_serve_inflight 2" in text
+        assert "ilp_nodes" not in text
+        assert "idle" not in text
+
+    def test_empty_registry_renders_no_samples(self):
+        assert render_prometheus(MetricsRegistry()).strip() == ""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import threading
 import time
 
 import pytest
@@ -214,36 +215,75 @@ class TestResilience:
 
 
 class TestHealth:
-    """``/healthz`` flips to 503 while a worker is stalled."""
+    """``/healthz`` flips to 503 while the executor is wedged on a unit."""
 
-    def test_healthz_flips_on_stalled_worker(self):
-        service = _service(stall_timeout=0.05)
-        handle = start_in_thread(service)
+    @staticmethod
+    def _wedged_probe(monkeypatch, owner, name, verb, payload):
+        """Block *owner.name* on an event while *verb* runs; return the
+        ``/healthz`` replies seen while wedged and after the release."""
+        release = threading.Event()
+        original = getattr(owner, name)
+
+        def blocking(*args, **kwargs):
+            release.wait(timeout=30.0)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, blocking)
+        handle = start_in_thread(_service(stall_timeout=0.05))
+        replies: dict[str, tuple[int, dict]] = {}
+        caller = threading.Thread(
+            target=lambda: replies.setdefault(
+                "verb", _post(handle.port, f"/v1/{verb}", payload)))
         try:
             status, body = _get(handle.port, "/healthz")
             assert status == 200
-            assert json.loads(body)["healthy"] is True
-
-            service.bus.unit_started("wedged-solve")
-            time.sleep(0.12)
-            # Probe briefly: a straggler thread from an earlier test
-            # can momentarily clear the wedged unit via the global
-            # progress sink before the stall becomes visible.
-            deadline = time.monotonic() + 2.0
-            while True:
+            assert json.loads(body)["current"] is None
+            caller.start()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
                 status, body = _get(handle.port, "/healthz")
-                if status == 503 or time.monotonic() >= deadline:
+                if status == 503:
                     break
-                service.bus.unit_started("wedged-solve")
-                time.sleep(0.12)
-            assert status == 503
-            assert json.loads(body)["healthy"] is False
-
-            service.bus.unit_finished("wedged-solve")
-            status, _ = _get(handle.port, "/healthz")
-            assert status == 200
+                time.sleep(0.02)
+            replies["wedged"] = (status, json.loads(body))
+            release.set()
+            caller.join(timeout=60.0)
+            status, body = _get(handle.port, "/healthz")
+            replies["released"] = (status, json.loads(body))
         finally:
+            release.set()
             handle.stop()
+        assert replies["verb"][0] == 200
+        return replies["wedged"], replies["released"]
+
+    def _assert_flips(self, wedged, released, label):
+        status, body = wedged
+        assert status == 503
+        assert body["healthy"] is False and body["draining"] is False
+        assert body["current"] == label
+        assert body["busy_s"] >= 0.05
+        assert body["run_id"]
+        status, body = released
+        assert status == 200
+        assert body["healthy"] is True
+        assert body["current"] is None
+
+    def test_healthz_flips_on_stalled_worker(self, monkeypatch):
+        """A wedged batched verb (``evaluate``) stalls the executor."""
+        from repro.resilience import healing
+
+        wedged, released = self._wedged_probe(
+            monkeypatch, healing, "evaluate_chunk", "evaluate",
+            {"schema_version": 1, "workload": "tiny", "scale": 0.2,
+             "spm_size": 64})
+        self._assert_flips(wedged, released, "tiny/casa@64")
+
+    def test_healthz_flips_on_stalled_conflict_graph(self, monkeypatch):
+        """The unbatched ``conflict_graph`` verb is watched too."""
+        wedged, released = self._wedged_probe(
+            monkeypatch, Session, "conflict_graph", "conflict_graph",
+            {"schema_version": 1, "workload": "tiny", "scale": 0.2})
+        self._assert_flips(wedged, released, "tiny/conflict_graph")
 
 
 class TestTenantSharding:
