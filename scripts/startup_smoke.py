@@ -3,9 +3,12 @@
 
 Runs ``repro --help`` and ``repro workloads`` under ``python -X
 importtime`` and fails if either imports numpy or scipy: neither
-command computes anything, so neither may load the compute stack.  On
-failure it prints the import chain that pulled the library in, from
-the top-level import down, so a regression names its culprit.
+command computes anything, so neither may load the compute stack.  It
+also runs one small CASA sweep, which solves ILPs, and fails if that
+imports ``scipy.optimize``, ``scipy.sparse`` or ``scipy.linalg``: a
+solve reaches HiGHS through its own binding.  On failure it prints the
+import chain that pulled the library in, from the top-level import
+down, so a regression names its culprit.
 
 Usage: ``PYTHONPATH=src python scripts/startup_smoke.py``.
 """
@@ -15,11 +18,19 @@ from __future__ import annotations
 import subprocess
 import sys
 
-#: Commands that must start without the compute stack.
-COMMANDS = (("--help",), ("workloads",))
+#: Libraries a command that computes nothing may not import.
+COMPUTE_STACK = ("numpy", "scipy")
 
-#: Libraries none of them may import.
-FORBIDDEN = ("numpy", "scipy")
+#: What importing HiGHS through ``scipy.optimize`` would load.
+SCIPY_OPTIMIZE = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
+
+#: Each command with the libraries it may not import.
+COMMANDS = (
+    (("--help",), COMPUTE_STACK),
+    (("workloads",), COMPUTE_STACK),
+    (("sweep", "--workload", "tiny", "--scale", "0.2", "--algorithms",
+      "casa", "--no-cache"), SCIPY_OPTIMIZE),
+)
 
 
 def import_tree(argv: tuple[str, ...]) -> list[tuple[int, str]]:
@@ -57,14 +68,14 @@ def chain(tree: list[tuple[int, str]], index: int) -> list[str]:
 
 def main() -> int:
     failed = False
-    for argv in COMMANDS:
+    for argv, forbidden in COMMANDS:
         command = " ".join(("repro",) + argv)
         tree = import_tree(argv)
         culprits = [index for index, (_, name) in enumerate(tree)
-                    if name in FORBIDDEN]
+                    if name in forbidden]
         if not culprits:
             print(f"startup-smoke: {command}: {len(tree)} imports, "
-                  f"no {' or '.join(FORBIDDEN)}")
+                  f"no {' or '.join(forbidden)}")
             continue
         failed = True
         for index in culprits:

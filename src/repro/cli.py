@@ -70,6 +70,7 @@ from repro.workloads.registry import available_workloads, check_scale
 if TYPE_CHECKING:
     from repro.api import Session
     from repro.engine.runner import RunRecord
+    from repro.resilience.healing import RetryPolicy
     from repro.serve.service import ServiceConfig
 
 
@@ -394,9 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "worker.exec:crash@nth=2' (default: $CASA_FAULTS)",
     )
     chaos.add_argument(
-        "--max-attempts", type=int, default=3,
+        "--max-attempts", type=int, default=None,
         help="retry budget per work unit, i.e. per allocator's "
-             "whole capacity axis (default 3)",
+             "whole capacity axis (default: the retry policy's, 3)",
     )
     chaos.add_argument(
         "--timeout", type=float, default=None,
@@ -435,8 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "/healthz reports 503 (default: the service's, 30)",
     )
     serve.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="retry budget per work unit (default 3)",
+        "--max-attempts", type=int, default=None,
+        help="retry budget per work unit (default: the service's, 3)",
     )
     serve.add_argument(
         "--timeout", type=float, default=None,
@@ -452,10 +453,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append run_id-correlated structured JSON events to FILE",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=64,
+        "--max-inflight", type=int, default=None,
         help="admission bound on concurrently admitted requests; "
-             "excess sheds with a structured 503 (default 64, "
-             "<= 0 unbounded)",
+             "excess sheds with a structured 503, <= 0 unbounded "
+             "(default: the service's, 64)",
     )
     serve.add_argument(
         "--max-body-bytes", type=int, default=1 << 20,
@@ -721,21 +722,33 @@ def _serve_config(args: argparse.Namespace) -> ServiceConfig:
 
     An option left unset keeps the config's own default.
     """
-    from repro.resilience.healing import RetryPolicy
     from repro.serve import ServiceConfig
 
-    config = ServiceConfig(
+    return ServiceConfig(
         jobs=args.jobs,
         store_backend=args.store_backend,
-        retry=RetryPolicy(max_attempts=args.max_attempts,
-                          timeout_s=args.timeout),
+        retry=_retry_policy(args),
         fault_spec=args.faults or os.environ.get("CASA_FAULTS"),
         log_path=args.log,
-        max_inflight=args.max_inflight,
+        **_given(stall_timeout=args.stall_timeout,
+                 max_inflight=args.max_inflight),
     )
-    if args.stall_timeout is not None:
-        config.stall_timeout = args.stall_timeout
-    return config
+
+
+def _retry_policy(args: argparse.Namespace) -> "RetryPolicy":
+    """The :class:`~repro.resilience.healing.RetryPolicy` of
+    ``--max-attempts`` / ``--timeout``; an option left unset keeps the
+    policy's own default."""
+    from repro.resilience.healing import RetryPolicy
+
+    return RetryPolicy(**_given(max_attempts=args.max_attempts,
+                                timeout_s=args.timeout))
+
+
+def _given(**options: object) -> dict[str, object]:
+    """The *options* the command line set (those not ``None``)."""
+    return {name: value for name, value in options.items()
+            if value is not None}
 
 
 def _run_serve_command(args: argparse.Namespace) -> int:
@@ -1027,15 +1040,13 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "chaos":
         from repro.resilience.chaos import run_chaos
         from repro.resilience.faults import FAULTS_ENV, FaultPlan
-        from repro.resilience.healing import RetryPolicy
 
         def run_chaos_command(record: RunRecord) -> int:
             del record  # chaos runs its own instrumented passes
             spec = args.faults if args.faults is not None \
                 else os.environ.get(FAULTS_ENV, "")
             plan = FaultPlan.from_spec(spec) if spec else FaultPlan()
-            policy = RetryPolicy(max_attempts=args.max_attempts,
-                                 timeout_s=args.timeout)
+            policy = _retry_policy(args)
             result = run_chaos(
                 args.workload,
                 sizes=tuple(args.sizes) if args.sizes else None,

@@ -2,12 +2,14 @@
 
 The paper solves its allocation problem with a commercial ILP solver
 (CPLEX [5]).  The reproduction models the same ILPs here and solves
-them exactly with HiGHS's MIP solver (:func:`scipy.optimize.milp`):
+them exactly with HiGHS's MIP solver, the copy bundled with scipy,
+driven through HiGHS's own binding (:mod:`repro.ilp._highs` loads it
+without :mod:`scipy.optimize`):
 
 * :mod:`repro.ilp.expr` / :mod:`repro.ilp.model` — a PuLP-like modelling
   layer (variables, linear expressions, constraints, a model) whose
   :meth:`~repro.ilp.model.Model.solve` hands the model to HiGHS as one
-  sparse constraint matrix;
+  column-wise sparse constraint matrix;
 * :mod:`repro.ilp.knapsack` — an exact dynamic-programming 0/1 knapsack
   used by the Steinke baseline.
 """

@@ -40,17 +40,8 @@ class SolveStatus(enum.Enum):
     ERROR = "error"
 
 
-#: scipy ``milp`` status codes with a direct :class:`SolveStatus`;
-#: code 4 ("other") covers HiGHS's node limit and genuine failures.
-_STATUS_BY_CODE = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.TIME_LIMIT,
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-}
-
-# HiGHS (scipy 1.17) printf()s a debug line from its MIP solver straight
-# to C stdout on some models, which ``disp=False`` does not suppress.
+# HiGHS printf()s a debug line from its MIP solver straight to C stdout
+# on some models, which ``log_to_console=False`` does not suppress.
 # Solves therefore run with fd 1 pointed at /dev/null; the lock keeps
 # concurrent solves from restoring each other's descriptors.
 _STDOUT_LOCK = threading.Lock()
@@ -63,24 +54,21 @@ except (OSError, TypeError, AttributeError):  # no C runtime to flush
     _LIBC = None
 
 
-def _milp_quietly(cost: np.ndarray, **kwargs):
-    """Run :func:`scipy.optimize.milp` with C-level stdout discarded."""
-    # Import before taking the lock: no import runs while fd 1 points
-    # at /dev/null.
-    from scipy.optimize import milp
-
+def _run_quietly(highs):
+    """Run ``highs.run()`` with C-level stdout discarded; return its
+    ``HighsStatus``."""
     with _STDOUT_LOCK:
         if sys.stdout is not None:
             sys.stdout.flush()
         try:
             saved = os.dup(1)
         except OSError:  # no fd 1 to protect
-            return milp(cost, **kwargs)
+            return highs.run()
         devnull = os.open(os.devnull, os.O_WRONLY)
         try:
             os.dup2(devnull, 1)
             try:
-                return milp(cost, **kwargs)
+                return highs.run()
             finally:
                 # Drain C stdio's buffer while it still reaches
                 # /dev/null, then put the real stdout back.
@@ -90,6 +78,32 @@ def _milp_quietly(cost: np.ndarray, **kwargs):
         finally:
             os.close(devnull)
             os.close(saved)
+
+
+#: ``HighsModelStatus`` names with a :class:`SolveStatus`; any other
+#: status (a HiGHS error, an interrupt, ...) raises.
+_STATUS_BY_HIGHS = {
+    "kOptimal": SolveStatus.OPTIMAL,
+    "kTimeLimit": SolveStatus.TIME_LIMIT,
+    "kIterationLimit": SolveStatus.TIME_LIMIT,
+    "kInfeasible": SolveStatus.INFEASIBLE,
+    "kUnbounded": SolveStatus.UNBOUNDED,
+    "kSolutionLimit": SolveStatus.NODE_LIMIT,
+}
+
+
+def _run(core, lp, options: dict):
+    """A fresh HiGHS instance that has solved *lp* under *options*."""
+    highs = core._Highs()
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) == core.HighsStatus.kError:
+            raise SolverError(f"HiGHS rejected option {name}={value!r}")
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+    if _run_quietly(highs) == core.HighsStatus.kError:
+        raise SolverError("HiGHS failed: " + highs.modelStatusToString(
+            highs.getModelStatus()))
+    return highs
 
 
 class Constraint:
@@ -273,11 +287,16 @@ class Model:
 
     def solve(self, max_nodes: int | None = None,
               max_seconds: float | None = None) -> SolveResult:
-        """Solve the model exactly with HiGHS (:func:`scipy.optimize.milp`).
+        """Solve the model exactly with HiGHS.
 
-        A model without integer variables is solved as a pure LP.  The
-        relative MIP gap is 0, so an ``OPTIMAL`` result is proven
-        optimal, not merely within HiGHS's default 1e-4.
+        HiGHS is the copy bundled with scipy, driven through its own
+        binding (:mod:`repro.ilp._highs`), so a solve loads no
+        :mod:`scipy.optimize`.  A model without integer variables is
+        solved as a pure LP.  The relative MIP gap is 0, so an
+        ``OPTIMAL`` result is proven optimal, not merely within HiGHS's
+        default 1e-4.  A model without variables never reaches HiGHS:
+        it is ``OPTIMAL`` at its constant objective when its
+        constant-only constraints hold, and ``INFEASIBLE`` otherwise.
 
         Args:
             max_nodes: branch & bound node budget (``None`` =
@@ -285,6 +304,12 @@ class Model:
                 solving: HiGHS itself would still solve the root.
             max_seconds: wall-clock budget (``None`` = unlimited;
                 negative values count as 0).
+
+        Raises:
+            SolverError: an objective, constraint or bound coefficient
+                is not finite (a NaN anywhere, or an infinite
+                coefficient other than an open variable bound), or
+                HiGHS fails.
 
         Emits an ``ilp.solve`` span (status, nodes, objective, bound,
         gap) plus the ``ilp.solves`` / ``ilp.nodes`` counters and the
@@ -311,78 +336,143 @@ class Model:
 
     def _solve_highs(self, max_nodes: int | None,
                      max_seconds: float | None) -> SolveResult:
-        # scipy costs ~0.4 s to import, so only solving pays for it.
-        from scipy.optimize import Bounds, LinearConstraint
-        from scipy.sparse import csr_matrix
-
+        num_cols, num_rows = len(self.variables), len(self.constraints)
         index = {var: i for i, var in enumerate(self.variables)}
         sign = 1.0 if self.sense is Sense.MINIMIZE else -1.0
-        cost = np.zeros(len(self.variables))
+        cost = np.zeros(num_cols)
         for var, coef in self.objective.terms.items():
             cost[index[var]] += sign * coef
 
         rows, cols, data = [], [], []
-        lower = np.full(len(self.constraints), -np.inf)
-        upper = np.full(len(self.constraints), np.inf)
+        lower = np.full(num_rows, -np.inf)
+        upper = np.full(num_rows, np.inf)
+        rhs = np.empty(num_rows)
         for row, constraint in enumerate(self.constraints):
             for var, coef in constraint.expr.terms.items():
                 rows.append(row)
                 cols.append(index[var])
                 data.append(coef)
-            rhs = -constraint.expr.constant
+            rhs[row] = -constraint.expr.constant
             if constraint.sense in ("<=", "=="):
-                upper[row] = rhs
+                upper[row] = rhs[row]
             if constraint.sense in (">=", "=="):
-                lower[row] = rhs
-        constraints = None
-        if self.constraints:
-            matrix = csr_matrix(
-                (data, (rows, cols)),
-                shape=(len(self.constraints), len(self.variables)),
-            )
-            constraints = LinearConstraint(matrix, lower, upper)
+                lower[row] = rhs[row]
+        rows = np.array(rows, dtype=np.int32)
+        cols = np.array(cols, dtype=np.int32)
+        data = np.array(data, dtype=np.float64)
+        col_lower = np.array([var.lower for var in self.variables])
+        col_upper = np.array([var.upper for var in self.variables])
+        self._check_finite(cost, rows, data, rhs, col_lower, col_upper)
 
-        options: dict = {"disp": False, "mip_rel_gap": 0.0}
+        if not self.variables:
+            if not all(c.satisfied_by({}) for c in self.constraints):
+                return SolveResult(SolveStatus.INFEASIBLE, None, {})
+            objective = self.objective.evaluate({})
+            return SolveResult(SolveStatus.OPTIMAL, objective, {},
+                               best_bound=objective, gap=0.0)
+
+        from repro.ilp._highs import core  # loads the binding once
+
+        # Column-wise, rows ascending within each column: the order
+        # scipy's sparse CSC conversion handed HiGHS.  Explicit zero
+        # coefficients stay in the matrix.
+        order = np.lexsort((rows, cols))
+        lp = core.HighsLp()
+        lp.num_col_ = num_cols
+        lp.num_row_ = num_rows
+        lp.col_cost_ = cost
+        lp.col_lower_ = col_lower
+        lp.col_upper_ = col_upper
+        lp.row_lower_ = lower
+        lp.row_upper_ = upper
+        matrix = lp.a_matrix_
+        matrix.num_col_ = num_cols
+        matrix.num_row_ = num_rows
+        matrix.format_ = core.MatrixFormat.kColwise
+        matrix.start_ = np.concatenate((
+            [0], np.cumsum(np.bincount(cols, minlength=num_cols)),
+        ))
+        matrix.index_ = rows[order]
+        matrix.value_ = data[order]
+        lp.integrality_ = [
+            core.HighsVarType.kInteger if var.is_integer
+            else core.HighsVarType.kContinuous
+            for var in self.variables
+        ]
+
+        options: dict = {"log_to_console": False, "mip_rel_gap": 0.0}
         if max_nodes is not None:
-            options["node_limit"] = max_nodes
+            options["mip_max_nodes"] = int(max_nodes)
         if max_seconds is not None:
-            options["time_limit"] = max(0.0, max_seconds)
-        kwargs = dict(
-            integrality=[int(var.is_integer) for var in self.variables],
-            bounds=Bounds([var.lower for var in self.variables],
-                          [var.upper for var in self.variables]),
-            constraints=constraints,
-        )
-        outcome = _milp_quietly(cost, options=options, **kwargs)
-        if outcome.status == 4 and "infeasible or unbounded" in \
-                outcome.message:
+            options["time_limit"] = max(0.0, float(max_seconds))
+        highs = _run(core, lp, options)
+        if highs.getModelStatus() == \
+                core.HighsModelStatus.kUnboundedOrInfeasible:
             # Presolve could not tell which; the full solve can.
-            options["presolve"] = False
-            outcome = _milp_quietly(cost, options=options, **kwargs)
+            highs = _run(core, lp, {**options, "presolve": "off"})
 
-        status = _STATUS_BY_CODE.get(outcome.status)
+        model_status = highs.getModelStatus()
+        status = _STATUS_BY_HIGHS.get(model_status.name)
         if status is None:
-            if "Solution limit" not in outcome.message:
-                raise SolverError(f"HiGHS failed: {outcome.message}")
-            status = SolveStatus.NODE_LIMIT
-        nodes = int(outcome.mip_node_count or 0)
-        if outcome.x is None or status is SolveStatus.UNBOUNDED:
+            raise SolverError(
+                f"HiGHS failed: {highs.modelStatusToString(model_status)}"
+            )
+        info = highs.getInfo()
+        is_mip = any(var.is_integer for var in self.variables)
+        nodes = max(0, int(info.mip_node_count)) if is_mip else 0
+        # A stopped MIP may still hold an incumbent; an LP has a
+        # solution only at its optimum.
+        has_solution = status is SolveStatus.OPTIMAL or (
+            is_mip and status in (SolveStatus.TIME_LIMIT,
+                                  SolveStatus.NODE_LIMIT)
+            and info.objective_function_value != core.kHighsInf
+        )
+        if not has_solution:
             return SolveResult(status, None, {}, nodes_explored=nodes)
         values = {
             var: (round(value) if var.is_integer else float(value))
-            for var, value in zip(self.variables, outcome.x)
+            for var, value in zip(self.variables,
+                                  highs.getSolution().col_value)
         }
         objective = self.objective.evaluate(values)
-        if outcome.mip_dual_bound is None:
+        if is_mip:
+            best_bound = (sign * info.mip_dual_bound
+                          + self.objective.constant)
+            gap = info.mip_gap
+        else:
             # Pure LP: the optimum is its own bound.
             best_bound, gap = objective, 0.0
-        else:
-            best_bound = (sign * outcome.mip_dual_bound
-                          + self.objective.constant)
-            gap = outcome.mip_gap
         return SolveResult(status, objective, values,
                            nodes_explored=nodes, best_bound=best_bound,
                            gap=gap)
+
+    def _check_finite(self, cost: np.ndarray, rows: np.ndarray,
+                      data: np.ndarray, rhs: np.ndarray,
+                      col_lower: np.ndarray,
+                      col_upper: np.ndarray) -> None:
+        """Raise :class:`SolverError` naming the first coefficient
+        HiGHS cannot take: any NaN, and any infinity except an open
+        variable bound (``-inf`` lower, ``+inf`` upper)."""
+        names = [var.name for var in self.variables]
+        checks = (
+            (cost, lambda i: f"the objective coefficient of {names[i]!r}"),
+            ([self.objective.constant], lambda i: "the objective's constant"),
+            (data, lambda i: f"a coefficient of {self._row_label(rows[i])}"),
+            (rhs, lambda i: f"the constant of {self._row_label(i)}"),
+            (np.where(col_lower == -np.inf, 0.0, col_lower),
+             lambda i: f"the lower bound of {names[i]!r}"),
+            (np.where(col_upper == np.inf, 0.0, col_upper),
+             lambda i: f"the upper bound of {names[i]!r}"),
+        )
+        for values, where in checks:
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise SolverError(f"model {self.name!r}: "
+                                  f"{where(int(bad[0]))} is not finite")
+
+    def _row_label(self, row: int) -> str:
+        name = self.constraints[row].name
+        return f"constraint {name!r}" if name else f"constraint #{row}"
 
     def __repr__(self) -> str:
         return (

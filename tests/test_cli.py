@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.cli import _build_parser, _serve_config, main
+from repro.cli import _build_parser, _retry_policy, _serve_config, main
 from repro.resilience.faults import FAULTS_ENV, FaultPlan, \
     set_fault_plan
 
@@ -222,6 +222,26 @@ class TestLiveTelemetryCli:
         assert _serve_config(args).stall_timeout == 60.0
         default = _serve_config(parser.parse_args(["serve"]))
         assert default.stall_timeout == ServiceConfig().stall_timeout
+
+    def test_bare_serve_and_chaos_keep_the_config_defaults(self):
+        from repro.resilience.healing import RetryPolicy
+        from repro.serve.service import ServiceConfig
+
+        parser = _build_parser()
+        config = _serve_config(parser.parse_args(["serve"]))
+        assert config.max_inflight == ServiceConfig().max_inflight
+        assert config.retry == ServiceConfig().retry
+        assert _retry_policy(parser.parse_args(["chaos"])) == \
+            RetryPolicy()
+
+    def test_serve_flags_override_the_config_defaults(self):
+        config = _serve_config(_build_parser().parse_args([
+            "serve", "--max-inflight", "7", "--max-attempts", "5",
+            "--timeout", "2",
+        ]))
+        assert config.max_inflight == 7
+        assert (config.retry.max_attempts, config.retry.timeout_s) == \
+            (5, 2.0)
 
 
 class TestCliErrors:

@@ -1,18 +1,27 @@
 """Tests for Model.solve on HiGHS, including brute-force cross-checks
-on random instances."""
+on random instances and a differential check of the direct HiGHS
+binding against :func:`scipy.optimize.milp` on the same models."""
 
 import itertools
+import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_matrix
 
 import repro.ilp.model as ilp_model
 from repro.core.casa import CasaAllocator
 from repro.engine.runner import StageRunner, make_workbench
 from repro.engine.store import ArtifactStore
-from repro.ilp.model import Model, Sense, SolveStatus
+from repro.errors import SolverError
+from repro.ilp.expr import LinExpr
+from repro.ilp.model import Constraint, Model, Sense, SolveResult, \
+    SolveStatus
+from repro.workloads.registry import get_workload
 
 
 class TestLpRelaxation:
@@ -195,7 +204,8 @@ class TestHighsOnCasaModels:
         # Guards the test above: without the fd-1 redirection the same
         # solve does reach stdout, so an empty capture proves the fix.
         model, _ = mpeg_casa_128
-        monkeypatch.setattr(ilp_model, "_milp_quietly", milp)
+        monkeypatch.setattr(ilp_model, "_run_quietly",
+                            lambda highs: highs.run())
         model.solve()
         ilp_model._LIBC.fflush(None)
         out, _ = capfd.readouterr()
@@ -224,3 +234,333 @@ class TestHighsOnCasaModels:
             again = model.solve()
             assert again.values == first.values
             assert again.objective == first.objective
+
+
+def milp_oracle(model, max_nodes=None, max_seconds=None):
+    """*model* solved through :func:`scipy.optimize.milp`.
+
+    The model goes to HiGHS as one CSR matrix with ``Bounds`` and a
+    ``LinearConstraint``, and milp's integer status (plus its message,
+    for the codes it folds into 4) maps back to a :class:`SolveResult`.
+    Node counts are not compared: milp reports none for a MIP that
+    stops without a solution.
+    """
+    index = {var: i for i, var in enumerate(model.variables)}
+    sign = 1.0 if model.sense is Sense.MINIMIZE else -1.0
+    cost = np.zeros(len(model.variables))
+    for var, coef in model.objective.terms.items():
+        cost[index[var]] += sign * coef
+    rows, cols, data = [], [], []
+    lower = np.full(len(model.constraints), -np.inf)
+    upper = np.full(len(model.constraints), np.inf)
+    for row, constraint in enumerate(model.constraints):
+        for var, coef in constraint.expr.terms.items():
+            rows.append(row)
+            cols.append(index[var])
+            data.append(coef)
+        rhs = -constraint.expr.constant
+        if constraint.sense in ("<=", "=="):
+            upper[row] = rhs
+        if constraint.sense in (">=", "=="):
+            lower[row] = rhs
+    constraints = None
+    if model.constraints:
+        matrix = csr_matrix((data, (rows, cols)),
+                            shape=(len(model.constraints),
+                                   len(model.variables)))
+        constraints = LinearConstraint(matrix, lower, upper)
+    options = {"disp": False, "mip_rel_gap": 0.0}
+    if max_nodes is not None:
+        options["node_limit"] = max_nodes
+    if max_seconds is not None:
+        options["time_limit"] = max(0.0, max_seconds)
+    kwargs = dict(
+        integrality=[int(var.is_integer) for var in model.variables],
+        bounds=Bounds([var.lower for var in model.variables],
+                      [var.upper for var in model.variables]),
+        constraints=constraints,
+    )
+    outcome = milp(cost, options=options, **kwargs)
+    if outcome.status == 4 and "infeasible or unbounded" in \
+            outcome.message:
+        outcome = milp(cost, options={**options, "presolve": False},
+                       **kwargs)
+    status = {0: SolveStatus.OPTIMAL, 1: SolveStatus.TIME_LIMIT,
+              2: SolveStatus.INFEASIBLE,
+              3: SolveStatus.UNBOUNDED}.get(outcome.status)
+    if status is None:
+        if "Solution limit" not in outcome.message:
+            raise SolverError(f"HiGHS failed: {outcome.message}")
+        status = SolveStatus.NODE_LIMIT
+    if outcome.x is None or status is SolveStatus.UNBOUNDED:
+        return SolveResult(status, None, {})
+    values = {var: (round(value) if var.is_integer else float(value))
+              for var, value in zip(model.variables, outcome.x)}
+    objective = model.objective.evaluate(values)
+    if outcome.mip_dual_bound is None:
+        best_bound, gap = objective, 0.0
+    else:
+        best_bound = sign * outcome.mip_dual_bound + \
+            model.objective.constant
+        gap = outcome.mip_gap
+    return SolveResult(status, objective, values,
+                       nodes_explored=int(outcome.mip_node_count or 0),
+                       best_bound=best_bound, gap=gap)
+
+
+def assert_same_solve(model, **limits):
+    """The direct binding and the milp oracle agree on *model*."""
+    expected = milp_oracle(model, **limits)
+    result = model.solve(**limits)
+    assert result.status is expected.status
+    if expected.objective is None:
+        assert result.objective is None and result.values == {}
+        return result
+    assert result.objective == pytest.approx(expected.objective,
+                                             rel=1e-9, abs=1e-9)
+    assert result.best_bound == pytest.approx(expected.best_bound,
+                                              rel=1e-9, abs=1e-9)
+    assert result.gap == pytest.approx(expected.gap, abs=1e-9)
+    assert result.nodes_explored == expected.nodes_explored
+    return result
+
+
+#: Variable kinds of the random models: (lower, upper, integer).
+VARIABLE_KINDS = st.sampled_from([
+    (0.0, 1.0, True),
+    (0.0, 4.0, True),
+    (-3.0, 5.0, True),
+    (0.0, math.inf, True),
+    (0.0, 10.0, False),
+    (-math.inf, 6.0, False),
+    (-2.5, math.inf, False),
+])
+
+
+@st.composite
+def random_models(draw):
+    """Small LP/MILP models: mixed senses, equality rows, integer
+    non-binary variables, explicit zero coefficients, and sometimes no
+    constraints at all."""
+    model = Model("random", draw(st.sampled_from(list(Sense))))
+    kinds = draw(st.lists(VARIABLE_KINDS, min_size=1, max_size=5))
+    variables = [model.add_variable(f"x{i}", lower, upper, integer)
+                 for i, (lower, upper, integer) in enumerate(kinds)]
+    coefficient = st.integers(-5, 5).map(float)
+    for _ in range(draw(st.integers(0, 4))):
+        picked = draw(st.lists(st.sampled_from(variables), min_size=1,
+                               max_size=len(variables), unique=True))
+        terms = {var: draw(coefficient) for var in picked}
+        rhs = draw(st.integers(-10, 10))
+        model.add_constraint(Constraint(
+            LinExpr(terms, -rhs), draw(st.sampled_from(["<=", ">=", "=="]))
+        ))
+    model.set_objective(LinExpr(
+        {var: draw(coefficient) for var in variables},
+        draw(st.integers(-3, 3)),
+    ))
+    return model
+
+
+def market_split(seed, rows, columns, equal):
+    """A random 0/1 multi-knapsack: each row's weights total at most
+    (or, with *equal*, exactly) half their sum.  The equality form is
+    the market-split family, hard for branch & bound."""
+    rng = random.Random(seed)
+    sense = Sense.MINIMIZE if equal else Sense.MAXIMIZE
+    model = Model("split" if equal else "knapsack", sense)
+    variables = [model.add_binary(f"x{j}") for j in range(columns)]
+    for _ in range(rows):
+        weights = [rng.randint(0, 99) for _ in range(columns)]
+        expr = LinExpr(dict(zip(variables, map(float, weights))))
+        half = sum(weights) // 2
+        model.add_constraint(expr == half if equal else expr <= half)
+    profit = 9 if equal else 99
+    model.set_objective(LinExpr({
+        var: float(rng.randint(0, profit)) for var in variables
+    }))
+    return model
+
+
+class TestAgainstMilpOracle:
+    """The direct HiGHS binding solves every model as milp did."""
+
+    @given(random_models())
+    @settings(max_examples=150, deadline=None)
+    def test_random_models_match_milp(self, model):
+        try:
+            expected = milp_oracle(model)
+        except SolverError:
+            with pytest.raises(SolverError):
+                model.solve()
+            return
+        result = model.solve()
+        assert result.status is expected.status
+        if expected.objective is not None:
+            assert result.objective == pytest.approx(
+                expected.objective, rel=1e-9, abs=1e-9)
+            assert result.best_bound == pytest.approx(
+                expected.best_bound, rel=1e-9, abs=1e-9)
+            assert result.gap == pytest.approx(expected.gap, abs=1e-9)
+            assert model.is_feasible(result.values)
+
+    @pytest.mark.parametrize("workload", ["tiny", "adpcm", "g721",
+                                          "mpeg"])
+    def test_casa_models_match_milp(self, workload):
+        runner = StageRunner(store=ArtifactStore())
+        _, bench = make_workbench(workload, 1.0, 0, runner=runner)
+        for size in get_workload(workload).spm_sizes:
+            model, _ = CasaAllocator().build_model(
+                bench.conflict_graph, size, bench.spm_energy_model(size))
+            expected = milp_oracle(model)
+            result = model.solve()
+            assert result.status is SolveStatus.OPTIMAL, size
+            assert result.values == expected.values, size
+            assert result.objective == expected.objective, size
+
+    def test_infeasible(self):
+        model = Model()
+        x = model.add_binary("x")
+        model.add_constraint(x >= 2)
+        model.set_objective(x)
+        result = assert_same_solve(model)
+        assert result.status is SolveStatus.INFEASIBLE
+
+    def test_unbounded(self):
+        model = Model("u", Sense.MAXIMIZE)
+        model.set_objective(model.add_variable("x") + 0.0)
+        result = assert_same_solve(model)
+        assert result.status is SolveStatus.UNBOUNDED
+
+    def test_unbounded_or_infeasible_retries_without_presolve(
+            self, monkeypatch):
+        # Presolve reports "unbounded or infeasible" on this MIP; only
+        # the full solve without presolve tells which.
+        model = Model("u", Sense.MAXIMIZE)
+        x = model.add_variable("x", is_integer=True)
+        y = model.add_variable("y")
+        model.add_constraint(x - y <= 3)
+        model.set_objective(x + y)
+        runs = []
+        real_run = ilp_model._run
+
+        def counting_run(core, lp, options):
+            highs = real_run(core, lp, options)
+            runs.append((options.get("presolve"),
+                         highs.getModelStatus().name))
+            return highs
+
+        monkeypatch.setattr(ilp_model, "_run", counting_run)
+        result = assert_same_solve(model)
+        assert result.status is SolveStatus.UNBOUNDED
+        assert runs == [(None, "kUnboundedOrInfeasible"),
+                        ("off", "kUnbounded")]
+
+    def test_node_limit_with_incumbent(self):
+        model = market_split(seed=2, rows=4, columns=40, equal=False)
+        result = assert_same_solve(model, max_nodes=1)
+        assert result.status is SolveStatus.NODE_LIMIT
+        assert result.objective is not None
+        assert result.gap > 0
+        assert model.is_feasible(result.values)
+
+    def test_node_limit_without_incumbent(self):
+        model = market_split(seed=0, rows=2, columns=20, equal=True)
+        result = assert_same_solve(model, max_nodes=1)
+        assert result.status is SolveStatus.NODE_LIMIT
+        assert result.objective is None and result.values == {}
+
+    @pytest.mark.parametrize("seconds", [0, 0.0, -1.0])
+    def test_zero_time_limit(self, seconds):
+        model = market_split(seed=2, rows=4, columns=40, equal=False)
+        result = assert_same_solve(model, max_seconds=seconds)
+        assert result.status is SolveStatus.TIME_LIMIT
+        assert result.objective is None
+
+
+class TestDegenerateModels:
+    """Models HiGHS cannot take are decided or refused in the ILP layer."""
+
+    @pytest.fixture
+    def no_highs(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("HiGHS was called")
+
+        monkeypatch.setattr(ilp_model, "_run", refuse)
+
+    def test_empty_model_is_optimal_at_zero(self, no_highs):
+        result = Model().solve()
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == 0.0
+        assert result.values == {}
+        assert (result.best_bound, result.gap) == (0.0, 0.0)
+
+    def test_constant_model_is_optimal_at_its_constant(self, no_highs):
+        model = Model("c", Sense.MAXIMIZE)
+        model.set_objective(4.5)
+        model.add_constraint(Constraint(LinExpr(constant=-1.0), "<="))
+        model.add_constraint(Constraint(LinExpr(constant=0.0), "=="))
+        result = model.solve()
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == 4.5
+
+    @pytest.mark.parametrize("sense", ["<=", ">=", "=="])
+    def test_violated_constant_row_is_infeasible(self, no_highs, sense):
+        model = Model()
+        model.set_objective(1.0)
+        constant = {"<=": 1.0, ">=": -1.0, "==": 2.0}[sense]
+        model.add_constraint(
+            Constraint(LinExpr(constant=constant), sense))
+        result = model.solve()
+        assert result.status is SolveStatus.INFEASIBLE
+        assert result.objective is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["objective", "row", "rhs",
+                                       "objective constant"])
+    def test_non_finite_coefficient_raises(self, no_highs, bad, where):
+        model = Model("bad")
+        x = model.add_binary("x")
+        y = model.add_binary("y")
+        objective = {x: 1.0, y: 2.0}
+        row = {x: 1.0, y: 1.0}
+        rhs, constant = 1.0, 0.0
+        if where == "objective":
+            objective[y] = bad
+        elif where == "row":
+            row[y] = bad
+        elif where == "rhs":
+            rhs = bad
+        else:
+            constant = bad
+        model.set_objective(LinExpr(objective, constant))
+        model.add_constraint(Constraint(LinExpr(row, -rhs), "<="),
+                             "cap")
+        with pytest.raises(SolverError, match="not finite"):
+            model.solve()
+
+    @pytest.mark.parametrize("lower, upper", [
+        (math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf),
+        (-math.inf, -math.inf),
+    ])
+    def test_non_finite_bound_raises(self, no_highs, lower, upper):
+        model = Model("bad")
+        x = model.add_variable("x", lower, upper)
+        model.set_objective(x + 0.0)
+        with pytest.raises(SolverError, match="bound of 'x' is not"):
+            model.solve()
+
+    def test_non_finite_constant_only_model_raises(self, no_highs):
+        model = Model()
+        model.set_objective(math.nan)
+        with pytest.raises(SolverError, match="not finite"):
+            model.solve()
+
+    def test_open_bounds_are_fine(self):
+        model = Model()
+        x = model.add_variable("x", -math.inf, math.inf)
+        model.add_constraint(x >= -2)
+        model.set_objective(x + 0.0)
+        result = model.solve()
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(-2.0)

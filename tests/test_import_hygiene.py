@@ -1,9 +1,10 @@
 """Start-up import hygiene: a command loads only what it runs.
 
-numpy and the allocators load only when a command computes, scipy only
-when a model is solved, and every package export still resolves
-lazily.  Each case runs in a fresh interpreter, since ``sys.modules``
-of the test process already holds whatever other tests imported.
+numpy and the allocators load only when a command computes, HiGHS's
+binding only when a model is solved (and never through
+``scipy.optimize``), and every package export still resolves lazily.
+Each case runs in a fresh interpreter, since ``sys.modules`` of the
+test process already holds whatever other tests imported.
 """
 
 import json
@@ -17,6 +18,12 @@ import pytest
 import repro
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+
+#: The HiGHS binding a solve loads from its file.
+HIGHS_CORE = "scipy.optimize._highspy._core"
+
+#: What importing HiGHS through ``scipy.optimize`` would load.
+SCIPY_STACK = ("scipy", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 SWEEP = ["sweep", "--workload", "tiny", "--scale", "0.2", "--no-cache",
          "--algorithms"]
@@ -32,7 +39,8 @@ def run_fresh(tmp_path, code):
     return child
 
 
-def loaded_after(tmp_path, statement, watch=("scipy", "networkx")):
+def loaded_after(tmp_path, statement,
+                 watch=SCIPY_STACK + (HIGHS_CORE, "networkx")):
     """Run *statement* fresh; return the modules of *watch* found in
     ``sys.modules`` after it (reported on stderr, so stdout stays the
     program's) and the program's stdout."""
@@ -62,7 +70,8 @@ IDLE_COMMANDS = {
     "cache-stats": cli_main(["cache", "stats", "--cache-dir", "cache"]),
 }
 
-COMPUTE_STACK = ("numpy", "scipy", "repro.core", "repro.evaluation")
+COMPUTE_STACK = ("numpy", "scipy", HIGHS_CORE, "repro.core",
+                 "repro.evaluation")
 
 
 @pytest.mark.parametrize("command", sorted(IDLE_COMMANDS))
@@ -76,7 +85,7 @@ def test_warm_exhibit_loads_no_scipy(tmp_path):
     fig4 = ["fig4", "--workload", "tiny", "--scale", "0.2",
             "--cache-dir", "cache"]
     cold, cold_out = loaded_after(tmp_path, cli_main(fig4))
-    assert cold == {"scipy"}
+    assert cold == {HIGHS_CORE}
     warm, warm_out = loaded_after(tmp_path, cli_main(fig4))
     assert warm == set()
     assert warm_out == cold_out
@@ -127,9 +136,11 @@ def test_steinke_ross_sweep_never_loads_scipy(tmp_path):
 
 
 def test_casa_point_loads_scipy_and_solves(tmp_path):
+    # The solve loads HiGHS's own binding and nothing of
+    # scipy.optimize, scipy.sparse or scipy.linalg.
     statement = cli_main(SWEEP + ["casa", "--metrics"])
     loaded, out = loaded_after(tmp_path, statement)
-    assert loaded == {"scipy"}
+    assert loaded == {HIGHS_CORE}
     solves = [line for line in out.splitlines() if "ilp.solves" in line]
     assert solves and int(solves[0].split()[-1]) > 0, solves
 
@@ -144,11 +155,10 @@ _, bench = make_workbench("mpeg", 1.0, 1,
                           runner=StageRunner(store=ArtifactStore()))
 model, _ = CasaAllocator().build_model(
     bench.conflict_graph, 128, bench.spm_energy_model(128))
-assert "scipy" not in sys.modules
+assert not [name for name in sys.modules if name.startswith("scipy")]
 if RAW:
     import repro.ilp.model as ilp_model
-    from scipy.optimize import milp
-    ilp_model._milp_quietly = milp
+    ilp_model._run_quietly = lambda highs: highs.run()
 sys.stderr.write(model.solve().status.name)
 """
 
@@ -165,3 +175,41 @@ def test_first_raw_highs_solve_does_print(tmp_path):
     child = run_fresh(tmp_path, "RAW = True\n" + FIRST_SOLVE)
     assert child.stderr.decode().endswith("OPTIMAL")
     assert b"tmpSolver.run()" in child.stdout
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_highs_binding_is_shared_with_scipy(tmp_path, scipy_first):
+    # A pybind11 module cannot register its types twice, so the binding
+    # a solve loads from its file and the one ``scipy.optimize``
+    # imports must be one module object, in either order.
+    run_fresh(tmp_path, (
+        "import sys\n"
+        f"if {scipy_first}:\n"
+        "    from scipy.optimize import milp\n"
+        "from repro.ilp.model import Model\n"
+        "model = Model()\n"
+        "model.set_objective(model.add_binary('x') + 1.0)\n"
+        "assert model.solve().objective == 1.0\n"
+        "from scipy.optimize import milp\n"
+        "from repro.ilp._highs import core\n"
+        f"assert sys.modules[{HIGHS_CORE!r}] is core\n"
+        "assert milp([1.0], integrality=[1], bounds=(0, 1)).status == 0\n"
+    ))
+
+
+def test_missing_highs_binding_is_a_solver_error(tmp_path):
+    run_fresh(tmp_path, (
+        "import importlib.machinery\n"
+        "from repro.errors import SolverError\n"
+        "from repro.ilp.model import Model\n"
+        "model = Model()\n"
+        "model.set_objective(model.add_binary('x') + 1.0)\n"
+        "importlib.machinery.EXTENSION_SUFFIXES[:] = ['.missing']\n"
+        "try:\n"
+        "    model.solve()\n"
+        "except SolverError as error:\n"
+        "    assert '_highspy/_core.missing' in str(error), error\n"
+        "    assert 'scipy >= 1.15' in str(error), error\n"
+        "else:\n"
+        "    raise AssertionError('solved without a binding')\n"
+    ))
