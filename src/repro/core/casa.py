@@ -3,13 +3,17 @@
 Decision variables (eq. 7): ``l(x_i) = 0`` if object ``x_i`` goes to the
 scratchpad, 1 if it stays cacheable.  The quadratic miss term
 ``l(x_i) * l(x_j) * m_ij`` of eq. 11 is linearised with the product
-variable ``L(x_i, x_j)`` and constraints 13-15.  The objective (eq. 16)
+variable ``L(x_i, x_j)`` (:func:`add_product`).  The objective (eq. 16)
 sums eq. 12 over all objects; eq. 17 bounds the scratchpad content by
 the capacity, counting *unpadded* sizes (the NOPs are stripped before
 the copy to the scratchpad).
 
-Two implementation refinements (flagged, documented in DESIGN.md):
+Three implementation refinements (flagged, documented in DESIGN.md):
 
+* ``L`` gets the single row ``l_i + l_j - L <= 1`` instead of the
+  paper's eqs. 13-15: every ``L`` carries the cost
+  ``m_ij * (E_miss - E_hit) >= 0`` in a minimisation, so only that row
+  ever binds and eqs. 13-15 are implied at the optimum;
 * self-conflict misses ``m_ii`` multiply ``l(x_i) * l(x_i) = l(x_i)``
   and are charged linearly;
 * compulsory misses of a cached object are charged via
@@ -31,8 +35,28 @@ from repro.energy.model import EnergyModel
 from repro.core.greedy_allocator import GreedyCasaAllocator
 from repro.errors import DegradedResultError, SolverError
 from repro.obs import metrics
-from repro.ilp import LinExpr, Model, Sense, SolveStatus
+from repro.ilp import LinExpr, Model, Sense, SolveStatus, Variable
 from repro.traces.layout import Placement
+
+
+def add_product(model: Model, name: str, l_i: LinExpr | Variable,
+                l_j: LinExpr | Variable) -> Variable:
+    """Add the variable ``L = l_i * l_j`` of two 0/1 locations.
+
+    ``L`` is continuous in [0, 1] with the one row
+    ``l_i + l_j - L <= 1``, which forces ``L = 1`` when both objects
+    stay cached.  The paper's eqs. 13-15 (``L <= l_i``, ``L <= l_j``,
+    ``l_i + l_j - 2L <= 1``) would only push ``L`` down, and so does
+    the objective: callers must give ``L`` a non-negative cost in a
+    minimisation (a miss count times ``E_miss - E_hit``, which
+    :class:`~repro.energy.model.EnergyModel` keeps non-negative).
+    So both forms share the optimum and the set of optimal ``l``
+    (among tied optima a solver may return either form a different
+    one).
+    """
+    product = model.add_variable(name, 0.0, 1.0)
+    model.add_constraint(l_i + l_j - product <= 1, name)
+    return product
 
 
 @dataclass(frozen=True)
@@ -118,27 +142,9 @@ class CasaAllocator:
 
         if config.conflict_term:
             for victim, evictor, weight in graph.edges():
-                product = model.add_variable(
-                    f"L[{victim},{evictor}]", 0.0, 1.0
-                )
-                l_i = location[victim]
-                l_j = location[evictor]
-                # eqs. 13-15: L = l_i * l_j for binary l.
-                model.add_constraint(l_i - product >= 0,
-                                     f"lin13[{victim},{evictor}]")
-                model.add_constraint(l_j - product >= 0,
-                                     f"lin14[{victim},{evictor}]")
-                model.add_constraint(
-                    l_i + l_j - 2 * product <= 1,
-                    f"lin15[{victim},{evictor}]",
-                )
-                # McCormick cut: with eq. 15's form alone a continuous
-                # L could sit at (l_i + l_j - 1)/2; this tightens the
-                # relaxation so L is exact whenever l_i, l_j are binary
-                # (CPLEX's presolve derives the same; see DESIGN.md).
-                model.add_constraint(
-                    l_i + l_j - product <= 1,
-                    f"mccormick[{victim},{evictor}]",
+                product = add_product(
+                    model, f"L[{victim},{evictor}]",
+                    location[victim], location[evictor],
                 )
                 objective = objective + (weight * miss_premium) * product
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.allocation import AllocationContext
+from repro.core.casa import add_product
 from repro.core.conflict_graph import ConflictGraph
 from repro.energy.banakar import scratchpad_access_energy
 from repro.energy.model import EnergyModel
@@ -160,15 +161,8 @@ class MultiScratchpadAllocator:
             objective = objective + location[node.name] * cached_cost
 
         for victim, evictor, weight in graph.edges():
-            product = model.add_variable(f"L[{victim},{evictor}]", 0.0,
-                                         1.0)
-            l_i = location[victim]
-            l_j = location[evictor]
-            model.add_constraint(l_i - product >= 0)
-            model.add_constraint(l_j - product >= 0)
-            model.add_constraint(l_i + l_j - 2 * product <= 1)
-            # McCormick cut (same rationale as in the single-SPM ILP).
-            model.add_constraint(l_i + l_j - product <= 1)
+            product = add_product(model, f"L[{victim},{evictor}]",
+                                  location[victim], location[evictor])
             objective = objective + (weight * miss_premium) * product
 
         usages: list[LinExpr] = []

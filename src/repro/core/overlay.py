@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.core.casa import add_product
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError, SolverError
 from repro.ilp import LinExpr, Model, Sense, SolveStatus
@@ -307,15 +308,9 @@ class OverlayAllocator:
 
         # per-phase conflict terms with linearisation
         for (p, victim, evictor), weight in sorted(data.conflicts.items()):
-            product = model.add_variable(
-                f"L[{p},{victim},{evictor}]", 0.0, 1.0
-            )
-            l_i = cached[(p, victim)]
-            l_j = cached[(p, evictor)]
-            model.add_constraint(l_i - product >= 0)
-            model.add_constraint(l_j - product >= 0)
-            model.add_constraint(l_i + l_j - 2 * product <= 1)
-            model.add_constraint(l_i + l_j - product <= 1)
+            product = add_product(model, f"L[{p},{victim},{evictor}]",
+                                  cached[(p, victim)],
+                                  cached[(p, evictor)])
             objective = objective + (weight * miss_premium) * product
 
         model.set_objective(objective)

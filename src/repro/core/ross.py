@@ -20,7 +20,7 @@ from repro.core.conflict_graph import ConflictGraph
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError
 from repro.memory.loopcache import LoopCacheConfig, LoopRegion
-from repro.program.cfg import ControlFlowGraph
+from repro.program.cfg import NaturalLoop, program_loops
 from repro.program.program import Program
 from repro.traces.layout import LinkedImage, Placement
 from repro.traces.memory_object import MemoryObject
@@ -106,9 +106,11 @@ class RossLoopCacheAllocator:
                 )
             )
 
+        loops: dict[str, list[NaturalLoop]] = {}
+        for loop in program_loops(program):
+            loops.setdefault(loop.function, []).append(loop)
         for function in program.functions:
-            cfg = ControlFlowGraph(function)
-            for loop in cfg.natural_loops():
+            for loop in loops.get(function.name, ()):
                 add_region(f"loop:{loop.header}", set(loop.body))
             add_region(
                 f"func:{function.name}",

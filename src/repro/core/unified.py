@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.casa import add_product
 from repro.core.conflict_graph import ConflictGraph
 from repro.energy.model import EnergyModel
 from repro.errors import SolverError
@@ -110,15 +111,10 @@ class UnifiedCasaAllocator:
                 capacity = capacity + \
                     (1 - location[node.name]) * node.size
             for victim, evictor, weight in graph.edges():
-                product = model.add_variable(
-                    f"L.{prefix}[{victim},{evictor}]", 0.0, 1.0
+                product = add_product(
+                    model, f"L.{prefix}[{victim},{evictor}]",
+                    location[victim], location[evictor],
                 )
-                l_i = location[victim]
-                l_j = location[evictor]
-                model.add_constraint(l_i - product >= 0)
-                model.add_constraint(l_j - product >= 0)
-                model.add_constraint(l_i + l_j - 2 * product <= 1)
-                model.add_constraint(l_i + l_j - product <= 1)
                 objective = objective + \
                     (weight * miss_premium) * product
 

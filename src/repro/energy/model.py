@@ -57,8 +57,10 @@ class EnergyModel:
                      "lc_controller_check", "main_word"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"negative energy for {name}")
-        if self.cache_hit and self.cache_miss and \
-                self.cache_miss <= self.cache_hit:
+        # A cached hierarchy's miss premium E_miss - E_hit must be
+        # positive: the CASA ILP linearises its miss products with one
+        # row that is exact only for a non-negative cost.
+        if self.cache_hit > 0 and self.cache_miss <= self.cache_hit:
             raise ConfigurationError(
                 "a miss must cost more than a hit "
                 f"({self.cache_miss} <= {self.cache_hit})"

@@ -297,6 +297,9 @@ class Model:
         default 1e-4.  A model without variables never reaches HiGHS:
         it is ``OPTIMAL`` at its constant objective when its
         constant-only constraints hold, and ``INFEASIBLE`` otherwise.
+        When HiGHS can only say "unbounded or infeasible", even without
+        presolve, a solve under a zero objective decides: ``UNBOUNDED``
+        if it finds a point, ``INFEASIBLE`` if it proves there is none.
 
         Args:
             max_nodes: branch & bound node budget (``None`` =
@@ -410,6 +413,9 @@ class Model:
                 core.HighsModelStatus.kUnboundedOrInfeasible:
             # Presolve could not tell which; the full solve can.
             highs = _run(core, lp, {**options, "presolve": "off"})
+        if highs.getModelStatus() == \
+                core.HighsModelStatus.kUnboundedOrInfeasible:
+            return self._unbounded_or_infeasible(core, lp, options)
 
         model_status = highs.getModelStatus()
         status = _STATUS_BY_HIGHS.get(model_status.name)
@@ -445,6 +451,29 @@ class Model:
         return SolveResult(status, objective, values,
                            nodes_explored=nodes, best_bound=best_bound,
                            gap=gap)
+
+    def _unbounded_or_infeasible(self, core, lp,
+                                 options: dict) -> SolveResult:
+        """Tell an unbounded model from an infeasible one.
+
+        Even without presolve, HiGHS can stop a MIP whose relaxation is
+        unbounded at "unbounded or infeasible".  Such a model is
+        unbounded iff it has a feasible point at all, which one solve
+        under a zero objective finds or refutes.  A budget that stops
+        that solve first keeps its own status (no point was found).
+        """
+        lp.col_cost_ = np.zeros(len(self.variables))
+        highs = _run(core, lp, options)
+        model_status = highs.getModelStatus()
+        status = _STATUS_BY_HIGHS.get(model_status.name)
+        if status is None:
+            raise SolverError(
+                f"HiGHS failed: {highs.modelStatusToString(model_status)}"
+            )
+        if status is SolveStatus.OPTIMAL:
+            status = SolveStatus.UNBOUNDED
+        nodes = max(0, int(highs.getInfo().mip_node_count))
+        return SolveResult(status, None, {}, nodes_explored=nodes)
 
     def _check_finite(self, cost: np.ndarray, rows: np.ndarray,
                       data: np.ndarray, rhs: np.ndarray,

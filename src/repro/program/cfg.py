@@ -209,9 +209,18 @@ class ControlFlowGraph:
         return loops
 
 
-def program_loops(program: Program) -> list[NaturalLoop]:
-    """All natural loops of every function in *program*."""
-    loops: list[NaturalLoop] = []
-    for function in program.functions:
-        loops.extend(ControlFlowGraph(function).natural_loops())
+def program_loops(program: Program) -> tuple[NaturalLoop, ...]:
+    """All natural loops of every function in *program*, in link order.
+
+    The result is memoised on the program instance: a program does not
+    change once built, and the Ross allocator asks again on every
+    allocation.
+    """
+    loops = getattr(program, "_natural_loops", None)
+    if loops is None:
+        loops = tuple(
+            loop for function in program.functions
+            for loop in ControlFlowGraph(function).natural_loops()
+        )
+        program._natural_loops = loops
     return loops

@@ -7,7 +7,11 @@ import pytest
 from repro.core.casa import CasaAllocator, CasaConfig
 from repro.core.conflict_graph import ConflictGraph, ConflictNode
 from repro.energy.model import EnergyModel
+from repro.engine.runner import StageRunner, make_workbench
+from repro.engine.store import ArtifactStore
+from repro.ilp import SolveStatus
 from repro.traces.layout import Placement
+from repro.workloads.registry import get_workload
 
 MODEL = EnergyModel(cache_hit=1.0, cache_miss=21.0, spm_access=0.5)
 
@@ -138,8 +142,8 @@ class TestModelStructure:
             [("A", "B", 5), ("B", "A", 3)],
         )
         model, _ = CasaAllocator().build_model(graph, 64, MODEL)
-        # eqs. 13-15 plus the McCormick cut per edge + 1 capacity
-        assert model.num_constraints == 4 * 2 + 1
+        # one row l_i + l_j - L <= 1 per edge + 1 capacity
+        assert model.num_constraints == 2 + 1
 
     def test_allocation_metadata(self):
         graph = make_graph([("A", 1000, 32)], [])
@@ -148,3 +152,54 @@ class TestModelStructure:
         assert allocation.placement is Placement.COPY
         assert allocation.capacity == 64
         assert "casa" in allocation.describe()
+
+
+def paper_form(graph, spm_size, energy):
+    """The CASA model with the paper's eqs. 13-15 on every product
+    variable, on top of the one row ``l_i + l_j - L <= 1`` that
+    :meth:`CasaAllocator.build_model` emits."""
+    model, location = CasaAllocator().build_model(graph, spm_size, energy)
+    products = {var.name: var for var in model.variables}
+    for victim, evictor, _ in graph.edges():
+        product = products[f"L[{victim},{evictor}]"]
+        l_i, l_j = location[victim], location[evictor]
+        model.add_constraint(l_i - product >= 0, f"eq13[{victim},{evictor}]")
+        model.add_constraint(l_j - product >= 0, f"eq14[{victim},{evictor}]")
+        model.add_constraint(l_i + l_j - 2 * product <= 1,
+                             f"eq15[{victim},{evictor}]")
+    return model, location
+
+
+class TestReducedLinearisation:
+    """Dropping eqs. 13-15 changes no Table 1 allocation.
+
+    Compared at seeds 0 and 3 only: at adpcm/64, seeds 1, 10 and 21,
+    the forms tie on the objective and HiGHS returns a different
+    optimal set per form.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("workload", ["adpcm", "g721", "mpeg"])
+    def test_same_sets_and_objectives_as_paper_form(self, workload,
+                                                    seed):
+        runner = StageRunner(store=ArtifactStore())
+        _, bench = make_workbench(workload, 1.0, seed, runner=runner)
+        graph = bench.conflict_graph
+        for size in get_workload(workload).spm_sizes:
+            energy = bench.spm_energy_model(size)
+            reduced, location = CasaAllocator().build_model(
+                graph, size, energy)
+            paper, paper_location = paper_form(graph, size, energy)
+            assert reduced.num_constraints == len(graph.edges()) + 1
+            assert paper.num_variables == reduced.num_variables
+            got, want = reduced.solve(), paper.solve()
+            assert got.status is want.status is SolveStatus.OPTIMAL
+            assert got.objective == pytest.approx(want.objective,
+                                                  rel=1e-9), size
+            resident = {name for name, var in location.items()
+                        if got.binary_value(var) == 0}
+            assert resident == {name for name, var in paper_location.items()
+                                if want.binary_value(var) == 0}, size
+            # ... and the objective is the energy model's own value.
+            assert got.objective == pytest.approx(
+                graph.predicted_energy(resident, energy), rel=1e-9), size

@@ -5,6 +5,7 @@ import pytest
 from repro.core.allocation import AllocationContext
 from repro.core.ross import RossLoopCacheAllocator
 from repro.memory.loopcache import LoopCacheConfig
+from repro.program.cfg import ControlFlowGraph
 from repro.program.executor import execute_program
 from repro.traces.layout import LinkedImage
 from repro.traces.tracegen import TraceGenConfig, generate_traces
@@ -63,6 +64,38 @@ class TestCandidates:
         candidates = allocator.candidate_regions(program, mos, image,
                                                  graph)
         assert all(c.fetches > 0 for c in candidates)
+
+    def test_candidates_pinned_and_loops_computed_once(self, monkeypatch):
+        workload = get_workload("adpcm", scale=0.05)
+        program, mos, image, graph = setup(
+            workload.program, cache=workload.cache)
+        allocator = RossLoopCacheAllocator(
+            LoopCacheConfig(size=256, max_regions=4))
+        expected = [
+            ("loop:main.b1", 64, 96, 549),
+            ("func:main", 0, 160, 563),
+            ("loop:adpcm_init.b1", 160, 176, 58),
+            ("func:adpcm_init", 160, 240, 58),
+            ("func:adpcm_coder", 400, 208, 1643),
+            ("func:adpcm_decoder", 608, 176, 1374),
+            ("loop:quantize_sample.b1", 784, 80, 1710),
+            ("func:step_update", 864, 96, 786),
+        ]
+
+        def regions():
+            return [(c.region.name, c.region.start, c.region.size,
+                     c.fetches)
+                    for c in allocator.candidate_regions(
+                        program, mos, image, graph)]
+
+        assert regions() == expected
+
+        # Later allocations reuse the program's loops.
+        def rebuilt(self):
+            raise AssertionError("natural loops recomputed")
+
+        monkeypatch.setattr(ControlFlowGraph, "natural_loops", rebuilt)
+        assert regions() == expected
 
 
 class TestAllocation:

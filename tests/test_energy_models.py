@@ -87,6 +87,13 @@ class TestEnergyModel:
         with pytest.raises(ConfigurationError):
             EnergyModel(cache_hit=1.0, cache_miss=0.5)
 
+    @pytest.mark.parametrize("miss", [0.0, 5.0])
+    def test_free_or_hit_priced_miss_rejected(self, miss):
+        # A miss no dearer than a hit makes the miss premium of every
+        # CASA product variable non-positive.
+        with pytest.raises(ConfigurationError, match="miss must cost"):
+            EnergyModel(cache_hit=5.0, cache_miss=miss)
+
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             EnergyModel(spm_access=-1.0)

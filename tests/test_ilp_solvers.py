@@ -308,6 +308,19 @@ def milp_oracle(model, max_nodes=None, max_seconds=None):
                        best_bound=best_bound, gap=gap)
 
 
+def zero_objective_verdict(model):
+    """``UNBOUNDED`` if the milp oracle finds *model* feasible under a
+    zero objective, ``INFEASIBLE`` if it proves it infeasible."""
+    objective = model.objective
+    model.set_objective(0.0)
+    try:
+        status = milp_oracle(model).status
+    finally:
+        model.set_objective(objective)
+    return {SolveStatus.OPTIMAL: SolveStatus.UNBOUNDED,
+            SolveStatus.INFEASIBLE: SolveStatus.INFEASIBLE}[status]
+
+
 def assert_same_solve(model, **limits):
     """The direct binding and the milp oracle agree on *model*."""
     expected = milp_oracle(model, **limits)
@@ -391,8 +404,11 @@ class TestAgainstMilpOracle:
         try:
             expected = milp_oracle(model)
         except SolverError:
-            with pytest.raises(SolverError):
-                model.solve()
+            # milp gives up at "unbounded or infeasible"; solve settles
+            # it by whether the model has any point at all.
+            result = model.solve()
+            assert result.status is zero_objective_verdict(model)
+            assert result.objective is None and result.values == {}
             return
         result = model.solve()
         assert result.status is expected.status
@@ -455,6 +471,45 @@ class TestAgainstMilpOracle:
         assert result.status is SolveStatus.UNBOUNDED
         assert runs == [(None, "kUnboundedOrInfeasible"),
                         ("off", "kUnbounded")]
+
+    def test_infeasible_mip_with_unbounded_relaxation(self):
+        # HiGHS stops at "unbounded or infeasible" with and without
+        # presolve.  Row 3 forces x1 = 1; row 1 then needs
+        # 3 * x0 = 4 (mod 5), which no binary x0 satisfies.
+        model = Model("uoi")
+        x0, x1 = model.add_binary("x0"), model.add_binary("x1")
+        x2, x3, x4 = (model.add_variable(f"x{i}", is_integer=True)
+                      for i in (2, 3, 4))
+        model.add_constraint(5 * x4 - 5 * x3 - 3 * x0 - 5 * x2 - x1 + 5
+                             == 0)
+        model.add_constraint(-2 * x2 - 5 * x3 - 5 * x0 - 5 * x4 + 10
+                             <= 0)
+        model.add_constraint(2 * x0 - 5 * x1 + 2 <= 0)
+        model.add_constraint(-5 * x3 + 2 <= 0)
+        model.set_objective(-x0 + 4 * x1 - 3 * x2 + 4 * x3 - 2 * x4 + 3)
+        with pytest.raises(SolverError):
+            milp_oracle(model)
+        result = model.solve()
+        assert result.status is SolveStatus.INFEASIBLE
+        assert result.status is zero_objective_verdict(model)
+        assert result.objective is None and result.values == {}
+
+    def test_feasible_mip_with_unbounded_relaxation(self):
+        # The same HiGHS verdict on a model that has points: x1 grows
+        # without bound while x0 follows it down.
+        model = Model("uoi")
+        x0 = model.add_variable("x0", -math.inf, 6.0)
+        x1 = model.add_variable("x1", is_integer=True)
+        x2 = model.add_variable("x2", -math.inf, 6.0)
+        x3 = model.add_binary("x3")
+        x4 = model.add_variable("x4", is_integer=True)
+        model.add_constraint(-4 * x1 + 5 * x4 - 2 * x0 + 5 == 0)
+        model.add_constraint(-2 * x0 - 3 * x4 - 4 * x2 - 4 >= 0)
+        model.set_objective(-2 * x1 - 3 * x2 - 3 * x3 + 4 * x4 + 3)
+        result = model.solve()
+        assert result.status is SolveStatus.UNBOUNDED
+        assert result.status is zero_objective_verdict(model)
+        assert result.objective is None and result.values == {}
 
     def test_node_limit_with_incumbent(self):
         model = market_split(seed=2, rows=4, columns=40, equal=False)
