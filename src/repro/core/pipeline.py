@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.allocation import Allocation, AllocationContext
 from repro.engine.artifacts import (
@@ -53,7 +54,6 @@ from repro.memory.hierarchy import (
     resolve_backend,
     simulate,
 )
-from repro.memory.kernel import FetchStream, compile_stream
 from repro.memory.loopcache import LoopCacheConfig
 from repro.memory.stats import SimulationReport
 from repro.obs import metrics
@@ -67,6 +67,9 @@ from repro.traces.layout import (
     Placement,
 )
 from repro.traces.tracegen import TraceGenConfig, generate_traces
+
+if TYPE_CHECKING:
+    from repro.memory.kernel.stream import CompiledSequence, FetchStream
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,9 @@ class Workbench:
         self._memory_objects = trace.memory_objects
         self._trace_key = trace_key
 
+        self._sequence: CompiledSequence | None = None
+        self._baseline_stream: FetchStream | None = None
+        self._last_link: tuple[tuple, FetchStream] | None = None
         self._baseline_image = LinkedImage(
             program,
             self._memory_objects,
@@ -200,6 +206,7 @@ class Workbench:
                 ),
             ),
         )
+        self._graph_artifact = graph_artifact
         self._graph = graph_artifact.graph
         self._baseline_result: ExperimentResult | None = None
 
@@ -234,6 +241,11 @@ class Workbench:
     def conflict_graph(self) -> ConflictGraph:
         """The profiled conflict graph."""
         return self._graph
+
+    @property
+    def graph_artifact(self) -> ConflictGraphArtifact:
+        """The store entry holding :attr:`conflict_graph`."""
+        return self._graph_artifact
 
     @property
     def baseline_report(self) -> SimulationReport:
@@ -271,46 +283,58 @@ class Workbench:
             image=self._baseline_image,
         )
 
-    def _stream_key(self, image: LinkedImage) -> str:
-        """Digest of *image*'s compiled fetch stream (cheap, no compile)."""
-        return stream_digest(
-            self._trace_key,
-            image.spm_resident,
-            image.placement,
-            self._config.main_base,
-            self._config.spm_base,
-        )
+    def _stream_for(self, image: LinkedImage) -> FetchStream:
+        """The fetch stream of *image*: compiled once, linked per layout.
 
-    def _resolve_stream(self, image: LinkedImage) -> FetchStream:
-        """Resolve the compiled fetch stream of *image* (cached).
-
-        The stream is a per-(program, layout) engine artifact: any
-        earlier run — in this process or, with a disk store, any
-        process — that compiled the same layout over the same executed
-        block sequence serves it from the store.
+        The executed block sequence compiles once per trace into a
+        layout-free ``stream`` artifact — in this process or, with a
+        disk store, any earlier one — and each layout links it.  The
+        workbench keeps the baseline's linked stream and the last other
+        layout it linked, so back-to-back evaluations of one layout
+        share a stream and its memoised probe expansions; no linked
+        stream enters the store.
         """
-        key = self._stream_key(image)
-        artifact = self._runner.resolve(
-            "stream", key,
-            lambda: StreamArtifact(key, compile_stream(
-                image, self._block_sequence,
-                spm_base=self._config.spm_base,
-            )),
-        )
-        return artifact.stream
+        config = self._config
+        if self._sequence is None:
+            from repro.memory.kernel.stream import compile_stream
+
+            key = stream_digest(self._trace_key)
+
+            def compute() -> StreamArtifact:
+                stream = compile_stream(
+                    self._baseline_image, self._block_sequence,
+                    spm_base=config.spm_base,
+                )
+                self._baseline_stream = stream
+                return StreamArtifact(key, stream.sequence)
+
+            self._sequence = self._runner.resolve(
+                "stream", key, compute).sequence
+        if image is self._baseline_image:
+            if self._baseline_stream is None:
+                self._baseline_stream = self._sequence.link(
+                    image, config.spm_base)
+            return self._baseline_stream
+        layout = (image.spm_resident, image.placement)
+        last = self._last_link
+        if last is not None and last[0] == layout:
+            return last[1]
+        stream = self._sequence.link(image, config.spm_base)
+        self._last_link = (layout, stream)
+        return stream
 
     def _simulate_image(self, image: LinkedImage,
                         hierarchy: HierarchyConfig,
                         loop_regions=None) -> SimulationReport:
         """Simulate *image* under the configured backend.
 
-        When the backend may take the vector path, the compiled fetch
-        stream is resolved through the artifact store first so a sweep
-        compiles each layout once.
+        When the backend may take the vector path, the fetch stream
+        comes from :meth:`_stream_for`, so a sweep compiles the block
+        sequence once.
         """
         stream = None
         if resolve_backend(self._config.backend) != "reference":
-            stream = self._resolve_stream(image)
+            stream = self._stream_for(image)
         return simulate(
             image, hierarchy, self._block_sequence,
             spm_base=self._config.spm_base,

@@ -22,13 +22,13 @@ import enum
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, ClassVar
 
 if TYPE_CHECKING:
     from repro.core.conflict_graph import ConflictGraph
     from repro.memory.cache import CacheConfig
-    from repro.memory.kernel.stream import FetchStream
+    from repro.memory.kernel.stream import CompiledSequence
     from repro.memory.stats import SimulationReport
     from repro.program.profile import ProfileData
     from repro.program.program import Program
@@ -148,27 +148,18 @@ def trace_digest(execution: str, tracegen: TraceGenConfig) -> str:
     return digest_inputs("trace", execution=execution, tracegen=tracegen)
 
 
-def stream_digest(trace: str, spm_resident: frozenset[str],
-                  placement: Any,
-                  main_base: int, spm_base: int) -> str:
-    """Digest of one compiled fetch stream (per program + layout).
+def stream_digest(trace: str) -> str:
+    """Digest of one compiled block sequence (per program + trace).
 
-    The stream is a pure function of the executed block sequence
-    (chained through *trace*, which embeds the execution digest) and
-    the linked image's layout inputs — the scratchpad-resident set,
-    placement policy and base addresses.  Neither the cache
-    configuration nor the scratchpad capacity participates: every
-    cache geometry of a sweep replays the same stream, and the
-    capacity only gates which resident sets are legal.
+    The compiled sequence is a pure function of the executed block
+    sequence (chained through *trace*, which embeds the execution
+    digest) and of the memory objects' fragments (the trace itself).
+    No layout input participates — not the scratchpad-resident set,
+    the placement policy or the base addresses: the sequence holds
+    offsets inside objects, and every layout links the same artifact.
+    Neither does the cache configuration or the scratchpad capacity.
     """
-    return digest_inputs(
-        "stream",
-        trace=trace,
-        spm_resident=spm_resident,
-        placement=placement,
-        main_base=main_base,
-        spm_base=spm_base,
-    )
+    return digest_inputs("stream", trace=trace)
 
 
 def baseline_digest(trace: str, cache: CacheConfig,
@@ -310,12 +301,12 @@ class TraceArtifact:
 
 @dataclass(frozen=True)
 class StreamArtifact:
-    """A compiled fetch stream (the vector kernel's input form)."""
+    """A compiled block sequence (the vector kernel's input, unlinked)."""
 
     #: Store stage name.
     STAGE: ClassVar[str] = "stream"
     digest: str
-    stream: FetchStream
+    sequence: CompiledSequence
 
 
 @dataclass(frozen=True)
@@ -336,6 +327,17 @@ class ConflictGraphArtifact:
     STAGE: ClassVar[str] = "graph"
     digest: str
     graph: ConflictGraph
+    #: Memo of :func:`repro.io.serde.conflict_graph_payload`: held by
+    #: the store entry, not by the mutable graph; never pickled.
+    _payload: dict | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        """Pickle without the memoised wire payload."""
+        state = self.__dict__.copy()
+        state.pop("_payload", None)
+        return state
 
 
 @dataclass(frozen=True)

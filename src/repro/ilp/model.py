@@ -9,15 +9,16 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from repro.errors import SolverError
 from repro.ilp.expr import LinExpr, Variable
 from repro.obs import metrics
 from repro.obs.trace import span
 from repro.resilience.faults import maybe_inject
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Number = Union[int, float]
 
@@ -339,6 +340,10 @@ class Model:
 
     def _solve_highs(self, max_nodes: int | None,
                      max_seconds: float | None) -> SolveResult:
+        # numpy loads with the first solve, not with the model: an
+        # exhibit served from the store builds no matrix.
+        import numpy as np
+
         num_cols, num_rows = len(self.variables), len(self.constraints)
         index = {var: i for i, var in enumerate(self.variables)}
         sign = 1.0 if self.sense is Sense.MINIMIZE else -1.0
@@ -462,6 +467,8 @@ class Model:
         under a zero objective finds or refutes.  A budget that stops
         that solve first keeps its own status (no point was found).
         """
+        import numpy as np
+
         lp.col_cost_ = np.zeros(len(self.variables))
         highs = _run(core, lp, options)
         model_status = highs.getModelStatus()
@@ -482,6 +489,8 @@ class Model:
         """Raise :class:`SolverError` naming the first coefficient
         HiGHS cannot take: any NaN, and any infinity except an open
         variable bound (``-inf`` lower, ``+inf`` upper)."""
+        import numpy as np
+
         names = [var.name for var in self.variables]
         checks = (
             (cost, lambda i: f"the objective coefficient of {names[i]!r}"),

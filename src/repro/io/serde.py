@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import pathlib
 from collections import Counter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.allocation import Allocation
 from repro.core.conflict_graph import ConflictGraph, ConflictNode
@@ -25,6 +25,9 @@ from repro.errors import ConfigurationError
 from repro.memory.loopcache import LoopRegion
 from repro.memory.stats import MemoryObjectStats, SimulationReport
 from repro.traces.layout import Placement
+
+if TYPE_CHECKING:
+    from repro.engine.artifacts import ConflictGraphArtifact
 
 #: Format tag written into every payload for forward compatibility.
 FORMAT_VERSION = 1
@@ -63,6 +66,23 @@ def conflict_graph_to_dict(graph: ConflictGraph) -> dict[str, Any]:
             for victim, evictor, weight in graph.edges()
         ],
     }
+
+
+def conflict_graph_payload(artifact: ConflictGraphArtifact
+                           ) -> dict[str, Any]:
+    """:func:`conflict_graph_to_dict` of a stored graph, built once.
+
+    The payload is memoised on the store entry (*artifact*), not on
+    the graph: a :class:`ConflictGraph` is mutable, but the artifact
+    that holds it is what the store shares, and it is freed, payload
+    and all, when the store evicts it.  Read the payload, never mutate
+    it.
+    """
+    payload = artifact._payload
+    if payload is None:
+        payload = conflict_graph_to_dict(artifact.graph)
+        object.__setattr__(artifact, "_payload", payload)
+    return payload
 
 
 def conflict_graph_from_dict(data: dict[str, Any]) -> ConflictGraph:

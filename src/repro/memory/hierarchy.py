@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, InjectedFault, \
     SimulationError
 from repro.memory.cache import Cache, CacheConfig
-from repro.memory.kernel.stream import FetchStream, compile_stream
-from repro.memory.kernel.vector import KernelUnsupported, \
-    simulate_stream, unsupported_reason
 from repro.memory.loopcache import LoopCache, LoopCacheConfig, LoopRegion
 from repro.memory.mainmem import MainMemory
 from repro.memory.replacement import OptOracle
@@ -34,6 +32,9 @@ from repro.obs.events import active_recorder
 from repro.obs.trace import span
 from repro.resilience.faults import maybe_inject
 from repro.traces.layout import BlockFetchPlan, FetchSegment, LinkedImage
+
+if TYPE_CHECKING:
+    from repro.memory.kernel.stream import FetchStream
 
 #: Valid values of the simulation ``backend`` knob.
 BACKENDS = ("reference", "vector", "auto")
@@ -284,6 +285,8 @@ class InstructionMemorySimulator:
         property ``repro verify-kernel`` enforces), so its ``line``
         column is exactly the future the oracle needs.
         """
+        from repro.memory.kernel.stream import compile_stream
+
         assert self.cache is not None
         line_size = self.cache.config.line_size
         stream = compile_stream(self._image, block_sequence)
@@ -428,6 +431,8 @@ def _choose_backend(
     """
     if backend == "reference":
         return "reference"
+    from repro.memory.kernel.vector import unsupported_reason
+
     reason = unsupported_reason(
         config, block_phases=block_phases, loop_regions=loop_regions
     )
@@ -475,6 +480,12 @@ def simulate(
               backend=chosen) as sim_span:
         report = None
         if chosen == "vector":
+            # The kernel (and numpy with it) loads on the vector path
+            # only: a run that simulates nothing never imports it.
+            from repro.memory.kernel.stream import compile_stream
+            from repro.memory.kernel.vector import KernelUnsupported, \
+                simulate_stream
+
             # Degradation ladder: any kernel fault — injected via the
             # ``kernel.replay`` site or a genuine replay limitation
             # surfacing late — falls back to the reference

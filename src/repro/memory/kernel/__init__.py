@@ -4,10 +4,13 @@ The reference simulator in :mod:`repro.memory.hierarchy` interprets the
 fetch stream word by word in Python — clear, but slow.  This package
 trades the interpreter for three array passes:
 
-1. :func:`~repro.memory.kernel.stream.compile_stream` materializes the
-   fetch-address stream of one (program, layout) pair once, as compact
-   int64/int32 arrays (a :class:`~repro.memory.kernel.stream.FetchStream`
-   — cacheable as an engine artifact);
+1. :func:`~repro.memory.kernel.stream.compile_stream` compiles an
+   executed block sequence once into layout-free segment arrays (a
+   :class:`~repro.memory.kernel.stream.CompiledSequence` — cacheable
+   as an engine artifact) and links them onto a layout as compact
+   int64/int32 arrays (a :class:`~repro.memory.kernel.stream.FetchStream`);
+   any other layout of the same memory objects is two gathers away
+   (:meth:`~repro.memory.kernel.stream.CompiledSequence.link`);
 2. the stream is expanded into cache-line probes per line size (memoised
    on the stream, so a multi-configuration sweep pays it once);
 3. :func:`~repro.memory.kernel.vector.simulate_stream` replays the
@@ -29,6 +32,7 @@ The differential harnesses in :mod:`repro.memory.kernel.verify` back the
 from repro._lazy import lazy_exports
 
 __all__ = [
+    "CompiledSequence",
     "FetchStream",
     "KernelUnsupported",
     "ProbeStream",
@@ -46,6 +50,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.memory.kernel.grid": ("SweepGrid", "simulate_grid"),
     "repro.memory.kernel.stream": (
+        "CompiledSequence",
         "FetchStream",
         "ProbeStream",
         "compile_stream",

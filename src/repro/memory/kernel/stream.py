@@ -1,19 +1,25 @@
 """Fetch-stream compilation: block sequence -> compact arrays.
 
 The reference simulator re-walks the fetch plans on every run.  The
-kernel instead *compiles* the (image, block sequence) pair once into a
-:class:`FetchStream` — four parallel arrays over fetch segments — and
-every cache configuration replays those arrays.  The compilation is the
-only per-block Python loop left; it replicates the reference
-simulator's call/return tail semantics exactly (see
+kernel instead *compiles* an executed block sequence once into a
+:class:`CompiledSequence` — three layout-free arrays over fetch
+segments: the memory object, the byte offset inside it and the word
+count — and *links* it onto each layout with two gathers over
+per-object base-address and on-scratchpad vectors, giving a
+:class:`FetchStream`.  A layout decides only *where* each object
+lands, never *which* words a block fetches, so one compilation serves
+every allocation of a sweep.
+
+The compilation is the only per-block Python loop left; it replicates
+the reference simulator's call/return tail semantics exactly (see
 :mod:`repro.memory.hierarchy`): a block ending in a call pushes its
 trace-exit tail onto a stack and the matching return pops and fetches
 it, while a plain tail is fetched only when control actually leaves via
 the fall-through edge.
 
 Line-probe expansion (one entry per cache-line touch) depends only on
-the line size, so it is memoised on the stream and shared across every
-cache geometry of a sweep.
+the line size, so it is memoised on the linked stream and shared
+across every cache geometry of a sweep.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import LayoutError
 from repro.obs import metrics
 from repro.obs.trace import span
-from repro.traces.layout import LinkedImage
+from repro.traces.layout import SPM_BASE, LinkedImage
 
 #: Bytes per instruction word (mirrors ``repro.isa.INSTRUCTION_SIZE``).
 _WORD = 4
@@ -61,6 +68,73 @@ class ProbeStream:
 
 
 @dataclass(eq=False)
+class CompiledSequence:
+    """An executed block sequence as layout-free fetch segments.
+
+    Three parallel, read-only arrays over fetch *segments* (runs of
+    consecutively fetched words), in chronological order.  No address
+    appears: :meth:`link` places the segments on one layout.
+
+    Attributes:
+        mo_names: memory-object names; ``seg_mo`` indexes this tuple.
+        mo_sizes: unpadded byte size of each memory object (with the
+            names, what :meth:`link` checks an image against).
+        seg_mo: per-segment memory-object index (int32).
+        seg_offset: per-segment byte offset of the first word inside
+            its memory object (int64).
+        seg_words: per-segment word count (int64).
+        num_blocks: executed basic blocks (for the report).
+    """
+
+    mo_names: tuple[str, ...]
+    mo_sizes: tuple[int, ...]
+    seg_mo: np.ndarray
+    seg_offset: np.ndarray
+    seg_words: np.ndarray
+    num_blocks: int
+
+    def link(self, image: LinkedImage,
+             spm_base: int | None = None) -> "FetchStream":
+        """The fetch stream of these segments on *image*'s layout.
+
+        Two gathers over per-object vectors: a segment's address is its
+        object's base plus its offset, and its residency is its
+        object's.  The linked stream shares ``seg_mo`` and
+        ``seg_words`` with this sequence.
+
+        Args:
+            image: a layout of the memory objects compiled over.
+            spm_base: scratchpad base address recorded in the stream
+                (defaults to the layout default).
+
+        Raises:
+            LayoutError: if *image* links other memory objects.
+        """
+        objects = image.memory_objects
+        if (tuple(mo.name for mo in objects) != self.mo_names
+                or tuple(mo.unpadded_size for mo in objects)
+                != self.mo_sizes):
+            raise LayoutError(
+                "cannot link a fetch stream onto an image of other "
+                "memory objects"
+            )
+        base = np.array([image.base_address(name)
+                         for name in self.mo_names], dtype=np.int64)
+        on_spm = np.array([image.on_spm(name) for name in self.mo_names],
+                          dtype=bool)
+        return FetchStream(
+            mo_names=self.mo_names,
+            seg_mo=self.seg_mo,
+            seg_addr=base[self.seg_mo] + self.seg_offset,
+            seg_words=self.seg_words,
+            seg_on_spm=on_spm[self.seg_mo],
+            num_blocks=self.num_blocks,
+            spm_base=SPM_BASE if spm_base is None else spm_base,
+            sequence=self,
+        )
+
+
+@dataclass(eq=False)
 class FetchStream:
     """The fetch-address stream of one (program, layout) pair.
 
@@ -76,6 +150,8 @@ class FetchStream:
         seg_on_spm: per-segment scratchpad residency flag (bool).
         num_blocks: executed basic blocks (for the report).
         spm_base: scratchpad base address used by the layout.
+        sequence: the layout-free segments this stream was linked
+            from (``None`` for a stream derived by filtering another).
     """
 
     mo_names: tuple[str, ...]
@@ -85,6 +161,9 @@ class FetchStream:
     seg_on_spm: np.ndarray
     num_blocks: int
     spm_base: int
+    sequence: CompiledSequence | None = field(
+        default=None, repr=False, compare=False
+    )
     _probe_cache: dict[int, ProbeStream] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -216,12 +295,11 @@ def compile_stream(
     block_sequence: list[str],
     spm_base: int | None = None,
 ) -> FetchStream:
-    """Compile a block sequence into a :class:`FetchStream`.
+    """Compile a block sequence and link it onto *image*.
 
-    Replicates the reference simulator's segment emission order,
-    including the pending-call-tail stack: calls push their trace-exit
-    tail, returns pop and fetch it, and plain tails are fetched only
-    when the next executed block is the plan's fall-through successor.
+    The compiled segments stay reachable as the stream's
+    :attr:`~FetchStream.sequence`: link them onto any other layout of
+    the same memory objects instead of compiling again.
 
     Args:
         image: the linked image whose fetch plans to replay.
@@ -231,77 +309,74 @@ def compile_stream(
     """
     with span("sim.kernel.compile", blocks=len(block_sequence)):
         metrics.inc("sim.kernel.streams")
-        return _compile(image, block_sequence, spm_base)
+        return _compile(image, block_sequence).link(image, spm_base)
 
 
-def _compile(
-    image: LinkedImage,
-    block_sequence: list[str],
-    spm_base: int | None,
-) -> FetchStream:
-    if spm_base is None:
-        spm_base = 0x0040_0000
-    mo_names = tuple(mo.name for mo in image.memory_objects)
+def _compile(image: LinkedImage,
+             block_sequence: list[str]) -> CompiledSequence:
+    """Emit the segments of *block_sequence* in the reference order.
+
+    Replicates the reference simulator's segment emission order,
+    including the pending-call-tail stack: calls push their trace-exit
+    tail, returns pop and fetch it, and plain tails are fetched only
+    when the next executed block is the plan's fall-through successor.
+    Every distinct segment of the plans is one row of a table (object,
+    offset, words); the loop emits row indices and one gather builds
+    the arrays.
+    """
+    objects = image.memory_objects
+    mo_names = tuple(mo.name for mo in objects)
     mo_index = {name: i for i, name in enumerate(mo_names)}
+    table: list[tuple[int, int, int]] = []
 
-    # Per-block compiled form: segment field lists plus control flags.
+    def row(segment) -> int:
+        table.append((
+            mo_index[segment.mo_name],
+            segment.address - image.base_address(segment.mo_name),
+            segment.num_words,
+        ))
+        return len(table) - 1
+
+    # Per-block compiled form: segment rows plus control flags.
     compiled: dict[str, tuple] = {}
     for name, plan in image.all_plans().items():
-        seg_fields = (
-            [mo_index[s.mo_name] for s in plan.segments],
-            [s.address for s in plan.segments],
-            [s.num_words for s in plan.segments],
-            [s.on_spm for s in plan.segments],
-        )
         tail = plan.tail_jump
-        tail_fields = None
-        if tail is not None:
-            tail_fields = (
-                mo_index[tail.mo_name], tail.address,
-                tail.num_words, tail.on_spm,
-            )
         compiled[name] = (
-            seg_fields, tail_fields, plan.fallthrough,
-            plan.ends_with_call, plan.ends_with_return,
+            [row(segment) for segment in plan.segments],
+            None if tail is None else row(tail),
+            plan.fallthrough, plan.ends_with_call, plan.ends_with_return,
         )
 
-    out_mo: list[int] = []
-    out_addr: list[int] = []
-    out_words: list[int] = []
-    out_spm: list[bool] = []
-    pending_tails: list[tuple | None] = []
+    rows: list[int] = []
+    pending_tails: list[int | None] = []
     last_index = len(block_sequence) - 1
-
     for index, block_name in enumerate(block_sequence):
-        (seg_mo, seg_addr, seg_words, seg_spm), tail, fallthrough, \
-            is_call, is_return = compiled[block_name]
-        out_mo.extend(seg_mo)
-        out_addr.extend(seg_addr)
-        out_words.extend(seg_words)
-        out_spm.extend(seg_spm)
+        segments, tail, fallthrough, is_call, is_return = \
+            compiled[block_name]
+        rows.extend(segments)
         if is_call:
             pending_tails.append(tail)
         elif tail is not None:
             if index < last_index and \
                     block_sequence[index + 1] == fallthrough:
-                out_mo.append(tail[0])
-                out_addr.append(tail[1])
-                out_words.append(tail[2])
-                out_spm.append(tail[3])
+                rows.append(tail)
         if is_return and pending_tails:
             popped = pending_tails.pop()
             if popped is not None:
-                out_mo.append(popped[0])
-                out_addr.append(popped[1])
-                out_words.append(popped[2])
-                out_spm.append(popped[3])
+                rows.append(popped)
 
-    return FetchStream(
+    fields_by_row = np.array(table, dtype=np.int64).reshape(-1, 3)
+    emitted = fields_by_row[np.array(rows, dtype=np.int64)]
+    seg_mo = emitted[:, 0].astype(np.int32)
+    seg_offset = np.ascontiguousarray(emitted[:, 1])
+    seg_words = np.ascontiguousarray(emitted[:, 2])
+    for array in (seg_mo, seg_offset, seg_words):
+        array.flags.writeable = False
+    return CompiledSequence(
         mo_names=mo_names,
-        seg_mo=np.asarray(out_mo, dtype=np.int32),
-        seg_addr=np.asarray(out_addr, dtype=np.int64),
-        seg_words=np.asarray(out_words, dtype=np.int64),
-        seg_on_spm=np.asarray(out_spm, dtype=bool),
+        mo_sizes=tuple(mo.unpadded_size for mo in objects),
+        seg_mo=seg_mo,
+        seg_offset=seg_offset,
+        seg_words=seg_words,
         num_blocks=len(block_sequence),
-        spm_base=spm_base,
     )

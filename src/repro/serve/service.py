@@ -56,7 +56,7 @@ from typing import Any, Hashable
 from repro.api import Session
 from repro.engine.grid import GridChunk
 from repro.engine.store import ArtifactStore, set_default_store
-from repro.io.serde import conflict_graph_to_dict, experiment_result_payload
+from repro.io.serde import conflict_graph_payload, experiment_result_payload
 from repro.obs.logging import RunLog, log_event, new_run_id, set_run_log
 from repro.obs.metrics import MetricsRegistry, render_prometheus, \
     set_registry
@@ -526,11 +526,13 @@ class AllocationService:
                     scale=request.scale, seed=request.seed,
                     backend=request.backend, tracegen=request.tracegen,
                 )
-                graph = session.conflict_graph()
+                # Profiles the workbench, or finds it memoised.
+                session.conflict_graph()
+                artifact = session.workbench.graph_artifact
         finally:
             self._mark_unit(request, True)
         return ConflictGraphResponse(
-            graph=conflict_graph_to_dict(graph), run_id=self.run_id)
+            graph=conflict_graph_payload(artifact), run_id=self.run_id)
 
     # -- drain ----------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 The :class:`LinkedImage` is the reproduction's linker.  Given the memory
 objects, the set allocated to the scratchpad and a placement policy, it
-assigns every fragment an address and precomputes, for every basic block,
-the :class:`BlockFetchPlan` — the exact words the core fetches when the
-block executes.  The memory-hierarchy simulator replays an executed block
-sequence through these plans.
+assigns every fragment an address and derives, on first use, every basic
+block's :class:`BlockFetchPlan` — the exact words the core fetches when
+the block executes.  The memory-hierarchy simulator replays an executed
+block sequence through these plans.
 
 Two placement policies model the paper's key distinction (section 2):
 
@@ -171,7 +171,10 @@ class LinkedImage:
                 )
 
         self._main_image_size = main_end - main_base
-        self._plans = self._build_plans()
+        # Built on first use: a layout that is only linked (see
+        # :meth:`repro.memory.kernel.stream.CompiledSequence.link`)
+        # needs the bases above, never the per-block plans.
+        self._plans: dict[str, BlockFetchPlan] | None = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -220,16 +223,29 @@ class LinkedImage:
         return self._mo_on_spm[mo_name]
 
     def plan_for(self, block_name: str) -> BlockFetchPlan:
-        """The fetch plan of a basic block."""
-        return self._plans[block_name]
+        """The fetch plan of a basic block.
+
+        Raises:
+            LayoutError: if the memory objects miss part of a block.
+        """
+        return self._fetch_plans()[block_name]
 
     def all_plans(self) -> dict[str, BlockFetchPlan]:
-        """Fetch plans of every block (keyed by block name)."""
-        return dict(self._plans)
+        """Fetch plans of every block (keyed by block name).
+
+        Raises:
+            LayoutError: if the memory objects miss part of a block.
+        """
+        return dict(self._fetch_plans())
 
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
+
+    def _fetch_plans(self) -> dict[str, BlockFetchPlan]:
+        if self._plans is None:
+            self._plans = self._build_plans()
+        return self._plans
 
     def _fragment_offsets(self) -> dict[int, int]:
         """Byte offset of every fragment (by id) inside its object."""

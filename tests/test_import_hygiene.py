@@ -82,11 +82,13 @@ def test_idle_command_loads_no_compute_stack(tmp_path, command):
 
 
 def test_warm_exhibit_loads_no_scipy(tmp_path):
+    # Nor numpy: a warm exhibit simulates and solves nothing.
     fig4 = ["fig4", "--workload", "tiny", "--scale", "0.2",
             "--cache-dir", "cache"]
-    cold, cold_out = loaded_after(tmp_path, cli_main(fig4))
-    assert cold == {HIGHS_CORE}
-    warm, warm_out = loaded_after(tmp_path, cli_main(fig4))
+    watch = SCIPY_STACK + (HIGHS_CORE, "networkx", "numpy")
+    cold, cold_out = loaded_after(tmp_path, cli_main(fig4), watch=watch)
+    assert cold == {HIGHS_CORE, "numpy"}
+    warm, warm_out = loaded_after(tmp_path, cli_main(fig4), watch=watch)
     assert warm == set()
     assert warm_out == cold_out
 

@@ -1,13 +1,21 @@
 """Tests for repro.memory.kernel.stream (fetch-stream compilation)."""
 
+import dataclasses
 import pickle
 
 import numpy as np
+import pytest
 
+from repro.core.pipeline import Workbench, WorkbenchConfig
 from repro.engine.runner import StageRunner, make_workbench
 from repro.engine.store import ArtifactStore
+from repro.errors import LayoutError
 from repro.memory.kernel import compile_stream
+from repro.obs import metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.traces.layout import LinkedImage, Placement
+from repro.traces.tracegen import TraceGenConfig, generate_traces
+from repro.workloads.registry import get_workload
 
 
 def baseline_image(bench):
@@ -91,19 +99,69 @@ class TestProbes:
 
 
 class TestStreamArtifact:
+    SIZES = (64, 128, 256, 512)
+
     def test_stream_stage_cached_across_evaluations(self):
         store = ArtifactStore()
         runner = StageRunner(store=store)
         _, bench = make_workbench("tiny", runner=runner,
                                   backend="vector")
-        result = bench.run_casa(64)
-        computed = runner.record.computed("stream")
-        assert computed >= 1
-        # Re-simulating the same layout serves the compiled stream
-        # from the store instead of compiling it again.
-        bench.evaluate_spm(result.allocation, 64)
-        assert runner.record.computed("stream") == computed
-        assert runner.record.hits("stream") >= 1
+        # The block sequence compiles once; every capacity step of
+        # both allocators links that one artifact onto its layout.
+        bench.run_grid("casa", self.SIZES)
+        bench.run_grid("steinke", self.SIZES)
+        assert runner.record.computed("stream") == 1
+        assert runner.record.hits("stream") == 0
+        # Only the layout-free sequence enters the store.
+        assert [stage for stage, _ in store.memory_backend.entries()
+                ].count("stream") == 1
+
+    def test_second_workbench_links_the_stored_sequence(self):
+        store = ArtifactStore()
+        first = StageRunner(store=store)
+        _, bench = make_workbench("tiny", runner=first, backend="vector")
+        bench.run_grid("steinke", self.SIZES)
+        second = StageRunner(store=store)
+        again = Workbench(bench.program, bench.config, runner=second)
+        result = again.evaluate_spm(bench.run_steinke(128).allocation, 128)
+        assert second.record.hits("stream") == 1
+        assert second.record.computed("stream") == 0
+        assert result.report == bench.run_steinke(128).report
+
+    def test_back_to_back_layouts_share_one_probe_expansion(self):
+        _, bench = make_workbench("tiny", runner=StageRunner(
+            store=ArtifactStore()), backend="vector")
+        allocation = bench.run_casa(256).allocation
+        registry = MetricsRegistry()
+        previous = metrics.set_registry(registry)
+        try:
+            first = bench.evaluate_spm(allocation, 256)
+            second = bench.evaluate_spm(allocation, 256)
+        finally:
+            metrics.set_registry(previous)
+        # Both evaluations replay the probes the allocation's own run
+        # expanded: the layout is the last one the workbench linked.
+        assert registry.value("sim.kernel.stream_reuse") == 2
+        assert second.report == first.report
+
+    def test_placement_change_links_again(self):
+        # One resident set under COMPACT, then under COPY: the second
+        # layout must not reuse the first one's linked stream.
+        _, bench = make_workbench("adpcm", scale=0.2, runner=StageRunner(
+            store=ArtifactStore()), backend="vector")
+        _, reference = make_workbench(
+            "adpcm", scale=0.2, runner=StageRunner(store=ArtifactStore()),
+            backend="reference")
+        compact = bench.run_steinke(128).allocation
+        assert compact.placement is Placement.COMPACT
+        assert compact.spm_resident
+        copy = dataclasses.replace(compact, placement=Placement.COPY)
+        reports = [bench.evaluate_spm(allocation, 128).report
+                   for allocation in (compact, copy, compact)]
+        expected = [reference.evaluate_spm(allocation, 128).report
+                    for allocation in (compact, copy, compact)]
+        assert reports == expected
+        assert reports[0].cache_misses != reports[1].cache_misses
 
     def test_reference_backend_never_compiles_streams(self):
         store = ArtifactStore()
@@ -113,3 +171,28 @@ class TestStreamArtifact:
         bench.run_casa(64)
         assert runner.record.computed("stream") == 0
         assert runner.record.hits("stream") == 0
+
+
+def test_workbench_over_objects_missing_a_block_raises_before_simulating(
+        monkeypatch):
+    """Plans are built lazily, yet a trace that misses a block still
+    fails with a :class:`LayoutError` before anything is simulated."""
+    from repro.core import pipeline
+
+    def drop_last_object(program, profile, config):
+        return generate_traces(program, profile, config)[:-1]
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated a layout that misses a block")
+
+    workload = get_workload("tiny")
+    config = WorkbenchConfig(
+        cache=workload.cache,
+        tracegen=TraceGenConfig(line_size=16, max_trace_size=64),
+        backend="vector",
+    )
+    monkeypatch.setattr(pipeline, "generate_traces", drop_last_object)
+    monkeypatch.setattr(pipeline, "simulate", never)
+    with pytest.raises(LayoutError, match="^block "):
+        Workbench(workload.program, config,
+                  runner=StageRunner(store=ArtifactStore()))

@@ -2,9 +2,10 @@
 
 One cold pass of every verb fills the service's store and the digest
 memos; a second, identical pass must then hash no digest, serialise no
-experiment result and look up workload metadata at most once per
-request (a request without a size reads its workload's default axis),
-and must answer with JSON bodies byte-identical to the cold pass.
+experiment result or conflict graph and look up workload metadata at
+most once per request (a request without a size reads its workload's
+default axis), and must answer with JSON bodies byte-identical to the
+cold pass.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def _count_calls(monkeypatch, module, name: str, counts: dict) -> None:
     monkeypatch.setattr(module, name, counted)
 
 
+def _count_graph_serialisations(monkeypatch, counts: dict) -> None:
+    """Count ``conflict_graph_to_dict`` calls wherever it is bound."""
+    for module in (serde, service_module):
+        if hasattr(module, "conflict_graph_to_dict"):
+            _count_calls(monkeypatch, module, "conflict_graph_to_dict",
+                         counts)
+
+
 def _bodies(service: AllocationService) -> list[bytes]:
     """Each request answered alone, as the daemon encodes it."""
     bodies = []
@@ -72,6 +81,7 @@ def test_warm_pass_recomputes_nothing_and_answers_identically(
         _count_calls(monkeypatch, artifacts, "digest_inputs", counts)
         _count_calls(monkeypatch, serde, "experiment_result_to_dict",
                      counts)
+        _count_graph_serialisations(monkeypatch, counts)
         for module in (registry, runner, service_module):
             _count_calls(monkeypatch, module, "get_workload", counts)
         warm = _bodies(service)
@@ -79,6 +89,7 @@ def test_warm_pass_recomputes_nothing_and_answers_identically(
         service.stop()
     assert counts.get("digest_inputs", 0) == 0
     assert counts.get("experiment_result_to_dict", 0) == 0
+    assert counts.get("conflict_graph_to_dict", 0) == 0
     assert counts.get("get_workload", 0) <= len(REQUESTS)
     assert warm == cold
 
@@ -97,3 +108,20 @@ def test_responses_share_one_payload_per_result():
         service.stop()
     assert all(a is b for a, b in zip(first.results, again.results))
     assert json.dumps(first.to_json()) == built
+
+
+def test_warm_conflict_graph_request_serialises_nothing(monkeypatch):
+    """The graph payload is memoised on its store entry."""
+    request = ConflictGraphRequest("adpcm", scale=0.2, seed=3)
+    service = AllocationService(ServiceConfig())
+    service.start()
+    try:
+        cold = json.dumps(asyncio.run(service.handle(request)).to_json())
+        counts: dict[str, int] = {}
+        _count_graph_serialisations(monkeypatch, counts)
+        warm = [json.dumps(asyncio.run(service.handle(request)).to_json())
+                for _ in range(3)]
+    finally:
+        service.stop()
+    assert counts.get("conflict_graph_to_dict", 0) == 0
+    assert warm == [cold] * 3
