@@ -41,13 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.memory.kernel.stream import FetchStream
+from repro.memory.kernel.stream import FetchStream, narrow_keys
 from repro.memory.kernel.vector import (
     _EMPTY_I32,
     _EMPTY_I64,
     _Replay,
     _replay_direct,
-    _set_indices,
     assemble_report,
     simulate_stream,
     unsupported_reason,
@@ -139,7 +138,7 @@ def _scan_group(
     total = line.shape[0]
     max_ways = assocs[-1]
 
-    set_idx = _set_indices(line, num_sets)
+    set_idx = narrow_keys(line & (num_sets - 1))
     set_order = np.argsort(set_idx, kind="stable")
     sorted_sets = set_idx[set_order]
     sorted_lines = line[set_order]

@@ -51,10 +51,10 @@ class ProbeStream:
         words: instruction words served by each probe (int64).
         first: whether the probe is the globally first touch of its
             line (a compulsory miss under any replacement policy).
-        line_order: stable argsort of ``line`` — shared by the
-            first-touch mask and the replay's previous-occurrence
-            computation, so it is paid once per line size, not per
-            cache configuration.
+        line_order: stable argsort of ``line`` (sorted on
+            :func:`narrow_keys`) — shared by the first-touch mask and
+            the replay's previous-occurrence computation, so it is paid
+            once per line size, not per cache configuration.
     """
 
     line: np.ndarray
@@ -110,10 +110,8 @@ class CompiledSequence:
         Raises:
             LayoutError: if *image* links other memory objects.
         """
-        objects = image.memory_objects
-        if (tuple(mo.name for mo in objects) != self.mo_names
-                or tuple(mo.unpadded_size for mo in objects)
-                != self.mo_sizes):
+        if (image.object_names != self.mo_names
+                or image.object_sizes != self.mo_sizes):
             raise LayoutError(
                 "cannot link a fetch stream onto an image of other "
                 "memory objects"
@@ -242,12 +240,13 @@ class FetchStream:
             self.seg_addr[mask], self.seg_words[mask],
             self.seg_mo[mask], line_size,
         )
-        order = np.argsort(line, kind="stable")
-        sorted_lines = line[order]
+        keys = narrow_keys(line)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
         first = np.empty(line.shape[0], dtype=bool)
         first[order[:1]] = True
-        first[order[1:]] = sorted_lines[1:] != sorted_lines[:-1]
-        del sorted_lines
+        first[order[1:]] = sorted_keys[1:] != sorted_keys[:-1]
+        del keys, sorted_keys
 
         probe = ProbeStream(
             line=line, owner=owner, words=probe_words, first=first,
@@ -255,6 +254,26 @@ class FetchStream:
         )
         self._probe_cache[line_size] = probe
         return probe
+
+
+def narrow_keys(values: np.ndarray) -> np.ndarray:
+    """Integer sort keys in the narrowest dtype that keeps their order.
+
+    The keys become offsets from the smallest one, as uint8 or uint16
+    when their span fits, which numpy's stable sort orders with a one-
+    or two-pass radix sort instead of a timsort over int64.  A span of
+    2**16 or more keeps *values* as they are.  A stable argsort of
+    the result equals that of *values*, and equal keys stay equal, so
+    sorting or de-duplicating either gives the same answer.
+    """
+    if values.shape[0] == 0:
+        return values
+    low = int(values.min())
+    span = int(values.max()) - low
+    if span >= 1 << 16:
+        return values
+    dtype = np.uint8 if span < 1 << 8 else np.uint16
+    return (values - low).astype(dtype)
 
 
 def _expand_lines(addr: np.ndarray, words: np.ndarray, mo: np.ndarray,
@@ -324,8 +343,7 @@ def _compile(image: LinkedImage,
     offset, words); the loop emits row indices and one gather builds
     the arrays.
     """
-    objects = image.memory_objects
-    mo_names = tuple(mo.name for mo in objects)
+    mo_names = image.object_names
     mo_index = {name: i for i, name in enumerate(mo_names)}
     table: list[tuple[int, int, int]] = []
 
@@ -374,7 +392,7 @@ def _compile(image: LinkedImage,
         array.flags.writeable = False
     return CompiledSequence(
         mo_names=mo_names,
-        mo_sizes=tuple(mo.unpadded_size for mo in objects),
+        mo_sizes=image.object_sizes,
         seg_mo=seg_mo,
         seg_offset=seg_offset,
         seg_words=seg_words,

@@ -45,7 +45,12 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.memory.cache import CacheConfig
-from repro.memory.kernel.stream import _WORD, FetchStream, compile_stream
+from repro.memory.kernel.stream import (
+    _WORD,
+    FetchStream,
+    compile_stream,
+    narrow_keys,
+)
 from repro.memory.loopcache import LoopCache, LoopRegion
 from repro.memory.stats import MemoryObjectStats, SimulationReport
 from repro.obs import metrics
@@ -108,20 +113,6 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_I32 = np.zeros(0, dtype=np.int32)
 
 
-def _set_indices(line: np.ndarray, num_sets: int) -> np.ndarray:
-    """Set index of every probe, in the narrowest sortable dtype.
-
-    ``num_sets`` is a power of two, so the modulo is a mask; narrowing
-    to uint16 lets numpy's stable radix sort finish in two passes.
-    """
-    set_idx = line & (num_sets - 1)
-    if num_sets <= (1 << 16):
-        return set_idx.astype(np.uint16)
-    if num_sets <= (1 << 32):
-        return set_idx.astype(np.uint32)
-    return set_idx
-
-
 def _replay_direct(line: np.ndarray, owner: np.ndarray,
                    num_sets: int, attribute: bool,
                    line_order: np.ndarray | None = None) -> _Replay:
@@ -133,7 +124,7 @@ def _replay_direct(line: np.ndarray, owner: np.ndarray,
 
     # Probe-sized temporaries are dropped as soon as they are used,
     # which keeps the replay's peak memory low.
-    set_idx = _set_indices(line, num_sets)
+    set_idx = narrow_keys(line & (num_sets - 1))
     set_order = np.argsort(set_idx, kind="stable")
     sorted_sets = set_idx[set_order]
     same_set = sorted_sets[1:] == sorted_sets[:-1]
@@ -150,7 +141,7 @@ def _replay_direct(line: np.ndarray, owner: np.ndarray,
     # Previous occurrence of the same line (global probe index): the
     # predecessor in line order, if it holds the same line.
     if line_order is None:
-        line_order = np.argsort(line, kind="stable")
+        line_order = np.argsort(narrow_keys(line), kind="stable")
     sorted_lines = line[line_order]
     same_line = sorted_lines[1:] == sorted_lines[:-1]
     del sorted_lines
@@ -276,7 +267,7 @@ def _replay_assoc(line: np.ndarray, owner: np.ndarray,
 
     num_ways = config.associativity
     policy = config.policy
-    set_idx = _set_indices(line, config.num_sets)
+    set_idx = narrow_keys(line & (config.num_sets - 1))
     set_order = np.argsort(set_idx, kind="stable")
     cuts = np.flatnonzero(np.diff(set_idx[set_order])) + 1
     events: list[tuple[int, int, int]] = []

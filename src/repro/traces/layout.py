@@ -27,6 +27,7 @@ from repro.errors import AllocationError, LayoutError
 from repro.isa import INSTRUCTION_SIZE
 from repro.program.program import Program
 from repro.traces.memory_object import Fragment, JumpKind, MemoryObject
+from repro.utils.bitops import align_up
 
 #: Default base address of the cacheable main-memory code region.
 MAIN_BASE = 0x0000_0000
@@ -134,9 +135,12 @@ class LinkedImage:
         self._spm_resident = frozenset(spm_resident)
         self._placement = placement
 
-        resident_bytes = sum(
-            self._mo_by_name[name].unpadded_size for name in spm_resident
-        )
+        # An object's size is a sum over its fragments: summed once.
+        self._mo_names = tuple(mo.name for mo in self._memory_objects)
+        self._mo_sizes = tuple(mo.unpadded_size
+                               for mo in self._memory_objects)
+        size_of = dict(zip(self._mo_names, self._mo_sizes))
+        resident_bytes = sum(size_of[name] for name in spm_resident)
         if resident_bytes > spm_size:
             raise AllocationError(
                 f"allocation needs {resident_bytes} bytes but the "
@@ -149,19 +153,19 @@ class LinkedImage:
         self._mo_base: dict[str, int] = {}
         self._mo_on_spm: dict[str, bool] = {}
         cursor = main_base
-        for mo in memory_objects:
+        for mo, size in zip(self._memory_objects, self._mo_sizes):
             on_spm = mo.name in self._spm_resident
             if placement is Placement.COPY or not on_spm:
                 self._mo_base[mo.name] = cursor
-                cursor += mo.padded_size
+                cursor += align_up(size, mo.line_size)  # padded size
         main_end = cursor
 
         # -- scratchpad layout -------------------------------------------
         spm_cursor = spm_base
-        for mo in memory_objects:
+        for mo, size in zip(self._memory_objects, self._mo_sizes):
             if mo.name in self._spm_resident:
                 self._mo_base[mo.name] = spm_cursor
-                spm_cursor += mo.unpadded_size
+                spm_cursor += size
             self._mo_on_spm[mo.name] = mo.name in self._spm_resident
         if main_end > spm_base and spm_cursor > main_base:
             if main_base < spm_cursor and spm_base < main_end:
@@ -189,6 +193,16 @@ class LinkedImage:
     def memory_objects(self) -> list[MemoryObject]:
         """All memory objects in layout order."""
         return list(self._memory_objects)
+
+    @property
+    def object_names(self) -> tuple[str, ...]:
+        """Memory-object names in layout order."""
+        return self._mo_names
+
+    @property
+    def object_sizes(self) -> tuple[int, ...]:
+        """Unpadded byte size of each memory object, in layout order."""
+        return self._mo_sizes
 
     @property
     def spm_resident(self) -> frozenset[str]:

@@ -10,12 +10,13 @@ from repro.core.pipeline import Workbench, WorkbenchConfig
 from repro.engine.runner import StageRunner, make_workbench
 from repro.engine.store import ArtifactStore
 from repro.errors import LayoutError
-from repro.memory.kernel import compile_stream
+from repro.memory.kernel import FetchStream, compile_stream
+from repro.memory.kernel.stream import narrow_keys
 from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.traces.layout import LinkedImage, Placement
+from repro.traces.layout import SPM_BASE, LinkedImage, Placement
 from repro.traces.tracegen import TraceGenConfig, generate_traces
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import available_workloads, get_workload
 
 
 def baseline_image(bench):
@@ -29,6 +30,54 @@ def baseline_image(bench):
         main_base=bench.config.main_base,
         spm_base=bench.config.spm_base,
     )
+
+
+def synthetic_stream(addr: np.ndarray) -> FetchStream:
+    """A stream of 3-word segments at *addr*, none on the scratchpad."""
+    count = addr.shape[0]
+    return FetchStream(
+        mo_names=("a", "b"),
+        seg_mo=(np.arange(count) % 2).astype(np.int32),
+        seg_addr=addr.astype(np.int64),
+        seg_words=np.full(count, 3, dtype=np.int64),
+        seg_on_spm=np.zeros(count, dtype=bool),
+        num_blocks=count,
+        spm_base=SPM_BASE,
+    )
+
+
+def assert_line_order(probes):
+    """The probe expansion's shared sort matches a plain int64 sort."""
+    expected = np.argsort(probes.line, kind="stable")
+    assert np.array_equal(probes.line_order, expected)
+    first = np.zeros(len(probes), dtype=bool)
+    first[np.unique(probes.line, return_index=True)[1]] = True
+    assert np.array_equal(probes.first, first)
+
+
+class TestNarrowKeys:
+    @pytest.mark.parametrize("span, dtype", [
+        (0, np.uint8), (255, np.uint8), (256, np.uint16),
+        ((1 << 16) - 1, np.uint16),
+    ])
+    def test_narrowest_unsigned_dtype_holding_the_span(self, span, dtype):
+        values = np.array([1000 + span, 1000, 1000 + span // 2],
+                          dtype=np.int64)
+        keys = narrow_keys(values)
+        assert keys.dtype == dtype
+        assert keys.tolist() == [span, 0, span // 2]
+
+    def test_wide_span_keeps_int64_values(self):
+        values = np.array([5, 5 + (1 << 16)], dtype=np.int64)
+        assert narrow_keys(values) is values
+
+    def test_order_and_equality_preserved(self):
+        values = np.random.default_rng(0).integers(-300, 300, size=2000)
+        keys = narrow_keys(values)
+        assert np.array_equal(np.argsort(keys, kind="stable"),
+                              np.argsort(values, kind="stable"))
+        assert np.array_equal(keys[1:] == keys[:-1],
+                              values[1:] == values[:-1])
 
 
 class TestCompile:
@@ -88,6 +137,30 @@ class TestProbes:
         probes = stream.probes(16)
         assert int(probes.first.sum()) == \
             np.unique(probes.line).shape[0]
+
+    @pytest.mark.parametrize("name", available_workloads())
+    def test_line_order_is_the_stable_argsort_of_lines(self, name):
+        _, bench = make_workbench(name, seed=0, backend="vector")
+        stream = compile_stream(baseline_image(bench),
+                                bench.block_sequence)
+        for line_size in (16, 32, 64):
+            assert_line_order(stream.probes(line_size))
+
+    def test_line_order_of_an_empty_stream(self):
+        stream = synthetic_stream(np.zeros(0, dtype=np.int64))
+        probes = stream.probes(16)
+        assert len(probes) == 0
+        assert_line_order(probes)
+
+    def test_line_order_over_a_wide_line_span(self):
+        # Lines 2**20 apart: the sort keys stay int64.
+        rng = np.random.default_rng(3)
+        addr = rng.integers(0, 1 << 24, size=5000) * 4
+        addr[::7] = addr[0]  # repeated lines
+        stream = synthetic_stream(addr)
+        probes = stream.probes(16)
+        assert int(probes.line.max() - probes.line.min()) >= 1 << 16
+        assert_line_order(probes)
 
     def test_pickle_drops_probe_cache(self, tiny_workbench):
         stream = compile_stream(baseline_image(tiny_workbench),
