@@ -93,11 +93,18 @@ _STATUS_BY_HIGHS = {
 }
 
 
+#: The option that turns HiGHS's feasibility-jump heuristic off (see
+#: :meth:`Model.solve`).  An older HiGHS build may not know it; such a
+#: build has no feasibility jump, so a solve goes on without it.
+_FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
+
+
 def _run(core, lp, options: dict):
     """A fresh HiGHS instance that has solved *lp* under *options*."""
     highs = core._Highs()
     for name, value in options.items():
-        if highs.setOptionValue(name, value) == core.HighsStatus.kError:
+        if highs.setOptionValue(name, value) == core.HighsStatus.kError \
+                and name != _FEASIBILITY_JUMP:
             raise SolverError(f"HiGHS rejected option {name}={value!r}")
     if highs.passModel(lp) == core.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
@@ -295,9 +302,19 @@ class Model:
         :mod:`scipy.optimize`.  A model without integer variables is
         solved as a pure LP.  The relative MIP gap is 0, so an
         ``OPTIMAL`` result is proven optimal, not merely within HiGHS's
-        default 1e-4.  A model without variables never reaches HiGHS:
-        it is ``OPTIMAL`` at its constant objective when its
-        constant-only constraints hold, and ``INFEASIBLE`` otherwise.
+        default 1e-4.  On a 0/1 model, one whose every variable lies in
+        [0, 1] as in every CASA-family model, HiGHS's feasibility-jump
+        heuristic is off (``mip_heuristic_run_feasibility_jump=False``;
+        a HiGHS build without that option solves as it is): it only
+        seeks a first feasible point, and every CASA-family model has
+        one that HiGHS finds at once (every object cached).  It changes
+        no optimum and no node count of those models.  Other models
+        keep the jump: without it, HiGHS can end a general-integer
+        model on another point, one that meets its rows only within
+        HiGHS's feasibility tolerance.  A model without variables never
+        reaches HiGHS: it is ``OPTIMAL`` at its constant objective when
+        its constant-only constraints hold, and ``INFEASIBLE``
+        otherwise.
         When HiGHS can only say "unbounded or infeasible", even without
         presolve, a solve under a zero objective decides: ``UNBOUNDED``
         if it finds a point, ``INFEASIBLE`` if it proves there is none.
@@ -409,6 +426,8 @@ class Model:
         ]
 
         options: dict = {"log_to_console": False, "mip_rel_gap": 0.0}
+        if col_lower.min() >= 0.0 and col_upper.max() <= 1.0:
+            options[_FEASIBILITY_JUMP] = False
         if max_nodes is not None:
             options["mip_max_nodes"] = int(max_nodes)
         if max_seconds is not None:

@@ -92,6 +92,35 @@ class CompiledSequence:
     seg_offset: np.ndarray
     seg_words: np.ndarray
     num_blocks: int
+    _first_seen: list[int] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _fetches: np.ndarray | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        """Pickle without the memoised per-object summaries."""
+        state = self.__dict__.copy()
+        state["_first_seen"] = None
+        state["_fetches"] = None
+        return state
+
+    def mo_first_seen(self) -> list[int]:
+        """Memory-object indices in order of first fetch (memoised:
+        every layout linked from this sequence shares it)."""
+        if self._first_seen is None:
+            self._first_seen = _first_seen(self.seg_mo)
+        return list(self._first_seen)
+
+    def mo_fetches(self) -> np.ndarray:
+        """Word fetches per memory object (read-only int64, memoised:
+        every layout linked from this sequence shares it)."""
+        if self._fetches is None:
+            self._fetches = _counts(self.seg_mo, len(self.mo_names),
+                                    self.seg_words)
+            self._fetches.setflags(write=False)
+        return self._fetches
 
     def link(self, image: LinkedImage,
              spm_base: int | None = None) -> "FetchStream":
@@ -165,15 +194,11 @@ class FetchStream:
     _probe_cache: dict[int, ProbeStream] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _first_seen: list[int] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __getstate__(self):
         """Pickle without the memoised probe expansions."""
         state = self.__dict__.copy()
         state["_probe_cache"] = {}
-        state["_first_seen"] = None
         return state
 
     def same_as(self, other: "FetchStream") -> bool:
@@ -204,20 +229,24 @@ class FetchStream:
         return int(self.seg_words[self.seg_on_spm].sum())
 
     def mo_first_seen(self) -> list[int]:
-        """Memory-object indices in order of first fetch (memoised).
+        """Memory-object indices in order of first fetch.
 
         This is the insertion order of the reference report's
         ``mo_stats`` dict, which the kernel reproduces bit-identically.
+        A linked stream reads its sequence's memo.
         """
-        if self._first_seen is None:
-            if self.num_segments == 0:
-                self._first_seen = []
-            else:
-                _, first_pos = np.unique(self.seg_mo,
-                                         return_index=True)
-                self._first_seen = \
-                    self.seg_mo[np.sort(first_pos)].tolist()
-        return list(self._first_seen)
+        if self.sequence is not None:
+            return self.sequence.mo_first_seen()
+        return _first_seen(self.seg_mo)
+
+    def mo_fetches(self) -> np.ndarray:
+        """Word fetches per memory object (int64).
+
+        A linked stream reads its sequence's read-only memo.
+        """
+        if self.sequence is not None:
+            return self.sequence.mo_fetches()
+        return _counts(self.seg_mo, len(self.mo_names), self.seg_words)
 
     def probes(self, line_size: int) -> ProbeStream:
         """Expand the cache-path segments into line probes (memoised).
@@ -254,6 +283,24 @@ class FetchStream:
         )
         self._probe_cache[line_size] = probe
         return probe
+
+
+def _first_seen(seg_mo: np.ndarray) -> list[int]:
+    """The distinct values of *seg_mo* in order of first occurrence."""
+    if seg_mo.shape[0] == 0:
+        return []
+    _, first_pos = np.unique(seg_mo, return_index=True)
+    return seg_mo[np.sort(first_pos)].tolist()
+
+
+def _counts(ids: np.ndarray, size: int,
+            weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-memory-object totals as an exact int64 array."""
+    if weights is None:
+        return np.bincount(ids, minlength=size).astype(np.int64)
+    return np.bincount(
+        ids, weights=weights.astype(np.float64), minlength=size
+    ).astype(np.int64)
 
 
 def narrow_keys(values: np.ndarray) -> np.ndarray:

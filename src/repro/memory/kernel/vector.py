@@ -48,6 +48,7 @@ from repro.memory.cache import CacheConfig
 from repro.memory.kernel.stream import (
     _WORD,
     FetchStream,
+    _counts,
     compile_stream,
     narrow_keys,
 )
@@ -335,16 +336,6 @@ def _replay(line: np.ndarray, owner: np.ndarray,
     return _replay_assoc(line, owner, config, attribute)
 
 
-def _counts(ids: np.ndarray, size: int,
-            weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-memory-object totals as an exact int64 array."""
-    if weights is None:
-        return np.bincount(ids, minlength=size).astype(np.int64)
-    return np.bincount(
-        ids, weights=weights.astype(np.float64), minlength=size
-    ).astype(np.int64)
-
-
 def _conflict_counters(replay: _Replay, names: tuple[str, ...]
                        ) -> tuple[Counter, Counter]:
     """Rebuild conflict Counters in reference key order.
@@ -461,7 +452,7 @@ def assemble_report(
     seg_words = stream.seg_words
     spm_mask = stream.seg_on_spm
 
-    fetches = _counts(seg_mo, num_mos, seg_words)
+    fetches = stream.mo_fetches()
 
     spm_accesses = np.zeros(num_mos, dtype=np.int64)
     if spm_mask.any():

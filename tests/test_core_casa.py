@@ -6,10 +6,12 @@ import pytest
 
 from repro.core.casa import CasaAllocator, CasaConfig
 from repro.core.conflict_graph import ConflictGraph, ConflictNode
+from repro.core.multi_spm import MultiScratchpadAllocator, ScratchpadSpec
+from repro.core.unified import UnifiedCasaAllocator
 from repro.energy.model import EnergyModel
 from repro.engine.runner import StageRunner, make_workbench
 from repro.engine.store import ArtifactStore
-from repro.ilp import SolveStatus
+from repro.ilp import Model, SolveStatus
 from repro.traces.layout import Placement
 from repro.workloads.registry import get_workload
 
@@ -203,3 +205,73 @@ class TestReducedLinearisation:
             # ... and the objective is the energy model's own value.
             assert got.objective == pytest.approx(
                 graph.predicted_energy(resident, energy), rel=1e-9), size
+
+
+def all_cached(model):
+    """The point that keeps every object cached: each location ``l``
+    and product ``L`` at 1, no scratchpad assignment ``a`` and no
+    copy-in ``c``."""
+    return {var: 0.0 if var.name.startswith(("a[", "c[")) else 1.0
+            for var in model.variables}
+
+
+class TestAllCachedPoint:
+    """Keeping every object cached satisfies every constraint of each
+    CASA-family ILP; HiGHS finds that point at once, which is why
+    ``Model.solve`` runs no feasibility-jump heuristic."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        runner = StageRunner(store=ArtifactStore())
+        return make_workbench("adpcm", 1.0, 0, runner=runner)[1]
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        models = []
+        real_solve = Model.solve
+
+        def recording_solve(model, *args, **kwargs):
+            models.append(model)
+            return real_solve(model, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "solve", recording_solve)
+        return models
+
+    def allocate(self, kind, bench, size):
+        graph = bench.conflict_graph
+        energy = bench.spm_energy_model(size)
+        if kind == "casa":
+            CasaAllocator().allocate(graph, size, energy)
+        elif kind == "multi-spm":
+            MultiScratchpadAllocator(
+                [ScratchpadSpec("s0", size // 2),
+                 ScratchpadSpec("s1", size // 2)]
+            ).allocate(graph, energy=energy)
+        elif kind == "unified":
+            data = make_graph(
+                [("table", 900, 64), ("buffer", 2000, 256)],
+                [("table", "buffer", 50), ("buffer", "table", 20)],
+            )
+            UnifiedCasaAllocator().allocate(graph, energy, data, energy,
+                                            size)
+        else:
+            bench.run_overlay(size)
+
+    @pytest.mark.parametrize("kind", ["casa", "multi-spm", "unified",
+                                      "overlay"])
+    def test_all_cached_point_is_feasible(self, kind, bench, solved):
+        self.allocate(kind, bench, 128)
+        assert len(solved) == 1
+        model = solved[0]
+        assert model.name == ("casa" if kind == "casa"
+                              else f"casa-{kind}")
+        assert any(var.name.startswith("L") for var in model.variables)
+        # A 0/1 model, so ``Model.solve`` turns the jump off on it.
+        assert all(var.lower >= 0.0 and var.upper <= 1.0
+                   for var in model.variables)
+        assert model.is_feasible(all_cached(model))
+        # Not vacuous: putting every object in the scratchpad instead
+        # overflows it.
+        everything = {var: 1.0 - value
+                      for var, value in all_cached(model).items()}
+        assert not model.is_feasible(everything)

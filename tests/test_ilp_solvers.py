@@ -18,6 +18,7 @@ from repro.core.casa import CasaAllocator
 from repro.engine.runner import StageRunner, make_workbench
 from repro.engine.store import ArtifactStore
 from repro.errors import SolverError
+from repro.evaluation.fig4 import DEFAULT_SIZES as FIG4_SIZES
 from repro.ilp.expr import LinExpr
 from repro.ilp.model import Constraint, Model, Sense, SolveResult, \
     SolveStatus
@@ -234,6 +235,153 @@ class TestHighsOnCasaModels:
             again = model.solve()
             assert again.values == first.values
             assert again.objective == first.objective
+
+
+#: The HiGHS option every ``Model.solve`` turns off.
+FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
+
+
+def solve_with_feasibility_jump(model):
+    """*model* solved with HiGHS's default primal heuristics, the
+    feasibility jump included: the oracle of the option ``Model.solve``
+    sets.  Returns the result and the jump setting HiGHS ran with."""
+    ran_with = []
+    real_run = ilp_model._run
+
+    def default_run(core, lp, options):
+        options = {name: value for name, value in options.items()
+                   if name != FEASIBILITY_JUMP}
+        highs = real_run(core, lp, options)
+        ran_with.append(highs.getOptionValue(FEASIBILITY_JUMP)[1])
+        return highs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp_model, "_run", default_run)
+        result = model.solve()
+    return result, ran_with
+
+
+def solver_models(workload, seed):
+    """CASA models of the Table 1 sizes and of the ``fig4`` sizes,
+    with their location variables."""
+    runner = StageRunner(store=ArtifactStore())
+    _, bench = make_workbench(workload, 1.0, seed, runner=runner)
+    sizes = sorted(set(get_workload(workload).spm_sizes)
+                   | set(FIG4_SIZES))
+    for size in sizes:
+        model, location = CasaAllocator().build_model(
+            bench.conflict_graph, size, bench.spm_energy_model(size))
+        yield size, model, location
+
+
+class TestFeasibilityJumpOff:
+    """Every CASA model has a feasible point HiGHS finds at once (all
+    objects cached), so the feasibility-jump heuristic is turned off on
+    0/1 models; that changes no optimum and no node count.  Models with
+    a variable outside [0, 1] keep it."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("workload", ["adpcm", "g721", "mpeg"])
+    def test_same_optimum_as_default_heuristics(self, workload, seed):
+        for size, model, location in solver_models(workload, seed):
+            expected, ran_with = solve_with_feasibility_jump(model)
+            assert ran_with == [True], size
+            result = model.solve()
+            assert result.status is expected.status \
+                is SolveStatus.OPTIMAL, size
+            assert {var: result.binary_value(var)
+                    for var in model.integer_variables} == \
+                {var: expected.binary_value(var)
+                 for var in model.integer_variables}, size
+            assert result.objective == pytest.approx(
+                expected.objective, rel=1e-9), size
+            assert result.nodes_explored == expected.nodes_explored, size
+
+    @staticmethod
+    def record_jump(monkeypatch):
+        """The jump option each ``_run`` is passed and the value the
+        HiGHS instance then holds, in call order."""
+        seen = []
+        real_run = ilp_model._run
+
+        def recording_run(core, lp, options):
+            highs = real_run(core, lp, options)
+            seen.append((options.get(FEASIBILITY_JUMP),
+                         highs.getOptionValue(FEASIBILITY_JUMP)[1]))
+            return highs
+
+        monkeypatch.setattr(ilp_model, "_run", recording_run)
+        return seen
+
+    def test_solve_passes_the_option_to_highs(self, monkeypatch):
+        seen = self.record_jump(monkeypatch)
+        model = Model()
+        x = model.add_binary("x")
+        y = model.add_binary("y")
+        model.add_constraint(x + y >= 1)
+        model.set_objective(3 * x + 2 * y)
+        assert model.solve().objective == 2.0
+        assert seen == [(False, False)]
+
+    def test_casa_model_solves_without_the_jump(self, monkeypatch,
+                                                 mpeg_casa_128):
+        # Binary locations and continuous products in [0, 1].
+        model, _ = mpeg_casa_128
+        seen = self.record_jump(monkeypatch)
+        assert model.solve().status is SolveStatus.OPTIMAL
+        assert seen == [(False, False)]
+
+    def test_general_model_keeps_the_jump(self, monkeypatch):
+        # A variable outside [0, 1]: HiGHS solves with its defaults.
+        seen = self.record_jump(monkeypatch)
+        model = Model(sense=Sense.MAXIMIZE)
+        x = model.add_binary("x")
+        n = model.add_variable("n", 0.0, 4.0, is_integer=True)
+        model.add_constraint(2 * n + 3 * x <= 7)
+        model.set_objective(n + x)
+        assert model.solve().objective == 3.0
+        assert seen == [(None, True)]
+
+    @staticmethod
+    def highs_without(monkeypatch, rejected):
+        """Make HiGHS instances reject the option *rejected*, as a
+        build that does not know it would."""
+        from repro.ilp._highs import core
+
+        real_highs = core._Highs
+
+        class StubHighs:
+            def __init__(self):
+                self._highs = real_highs()
+
+            def setOptionValue(self, name, value):
+                if name == rejected:
+                    return core.HighsStatus.kError
+                return self._highs.setOptionValue(name, value)
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+        monkeypatch.setattr(core, "_Highs", StubHighs)
+
+    def test_build_without_the_option_solves_without_it(
+            self, monkeypatch, mpeg_casa_128):
+        # Such a build runs the jump, so it must solve as the oracle.
+        model, _ = mpeg_casa_128
+        expected, _ = solve_with_feasibility_jump(model)
+        self.highs_without(monkeypatch, FEASIBILITY_JUMP)
+        result = model.solve()
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.values == expected.values
+        assert result.nodes_explored == expected.nodes_explored
+
+    def test_any_other_rejected_option_still_raises(self, monkeypatch,
+                                                     mpeg_casa_128):
+        model, _ = mpeg_casa_128
+        self.highs_without(monkeypatch, "mip_rel_gap")
+        with pytest.raises(SolverError,
+                           match="HiGHS rejected option mip_rel_gap"):
+            model.solve()
 
 
 def milp_oracle(model, max_nodes=None, max_seconds=None):

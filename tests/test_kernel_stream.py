@@ -94,6 +94,35 @@ class TestCompile:
         names = [stream.mo_names[i] for i in stream.mo_first_seen()]
         assert names == list(tiny_workbench.baseline_report.mo_stats)
 
+    def test_layouts_share_the_sequence_summaries(self, tiny_workbench):
+        bench = tiny_workbench
+        baseline = compile_stream(baseline_image(bench),
+                                  bench.block_sequence)
+        sequence = baseline.sequence
+        resident = LinkedImage(
+            bench.program, bench.memory_objects,
+            spm_resident=frozenset({bench.memory_objects[0].name}),
+            spm_size=128, placement=Placement.COPY,
+            main_base=bench.config.main_base,
+            spm_base=bench.config.spm_base,
+        )
+        other = sequence.link(resident)
+        assert other.mo_fetches() is baseline.mo_fetches()
+        assert other.mo_first_seen() == baseline.mo_first_seen()
+        assert other.mo_first_seen() is not sequence._first_seen
+        assert not baseline.mo_fetches().flags.writeable
+        # A stream with no sequence computes the same summaries itself.
+        own = dataclasses.replace(other, sequence=None)
+        assert own.mo_first_seen() == sequence.mo_first_seen()
+        assert np.array_equal(own.mo_fetches(), sequence.mo_fetches())
+        report = bench.baseline_report
+        assert {sequence.mo_names[i]: int(count) for i, count in
+                enumerate(sequence.mo_fetches()) if count} == \
+            {name: stats.fetches for name, stats in report.mo_stats.items()
+             if stats.fetches}
+        clone = pickle.loads(pickle.dumps(sequence))
+        assert clone._first_seen is None and clone._fetches is None
+
     def test_spm_words_follow_residency(self, tiny_workbench):
         bench = tiny_workbench
         resident = frozenset({bench.memory_objects[0].name})
