@@ -13,11 +13,19 @@ its own binding.  On failure it prints the import chain that pulled
 the library in, from the top-level import down, so a regression names
 its culprit.
 
+The same sweep must also end on one OS thread: it starts none of its
+own, so any other is a BLAS worker that numpy's OpenBLAS started
+because the CLI's one-BLAS-thread default did not hold.  Threads are
+counted through ``/proc/self/task`` (Linux; elsewhere the check is
+reported as skipped), in a child whose environment has no
+``OPENBLAS_NUM_THREADS`` of the user's.
+
 Usage: ``PYTHONPATH=src python scripts/startup_smoke.py``.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import tempfile
@@ -35,14 +43,26 @@ CACHE = "{cache}"
 WARM_FIG4 = ("fig4", "--workload", "tiny", "--scale", "0.2",
              "--cache-dir", CACHE)
 
+#: A small sweep that solves ILPs.
+CASA_SWEEP = ("sweep", "--workload", "tiny", "--scale", "0.2",
+              "--algorithms", "casa", "--no-cache")
+
 #: Each command with the libraries it may not import.
 COMMANDS = (
     (("--help",), COMPUTE_STACK),
     (("workloads",), COMPUTE_STACK),
     (WARM_FIG4, COMPUTE_STACK),
-    (("sweep", "--workload", "tiny", "--scale", "0.2", "--algorithms",
-      "casa", "--no-cache"), SCIPY_OPTIMIZE),
+    (CASA_SWEEP, SCIPY_OPTIMIZE),
 )
+
+#: Runs ``repro ARGV`` and reports its OS thread count on stderr.
+COUNT_THREADS = """
+import os, sys
+import repro.cli
+code = repro.cli.main(sys.argv[1:])
+sys.stderr.write(f"threads={len(os.listdir('/proc/self/task'))}\\n")
+sys.exit(code)
+"""
 
 
 def import_tree(argv: tuple[str, ...]) -> list[tuple[int, str]]:
@@ -83,7 +103,8 @@ def main() -> int:
         fill = [arg.replace(CACHE, cache) for arg in WARM_FIG4]
         subprocess.run([sys.executable, "-m", "repro", *fill],
                        capture_output=True, check=True)
-        return check(cache)
+        failed = check(cache)
+    return 1 if check_threads() or failed else 0
 
 
 def check(cache: str) -> int:
@@ -105,6 +126,30 @@ def check(cache: str) -> int:
                   f"{tree[index][1]}:")
             print("  " + " -> ".join(chain(tree, index)))
     return 1 if failed else 0
+
+
+def check_threads() -> bool:
+    """Whether the CASA sweep ended with a thread beside its own."""
+    command = " ".join(("repro",) + CASA_SWEEP)
+    if not os.path.isdir("/proc/self/task"):
+        print(f"startup-smoke: {command}: thread count skipped "
+              "(no /proc/self/task)")
+        return False
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    child = subprocess.run(
+        [sys.executable, "-c", COUNT_THREADS, *CASA_SWEEP],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    threads = int(child.stderr.rsplit("threads=", 1)[1])
+    if threads == 1:
+        print(f"startup-smoke: {command}: ends on 1 thread, "
+              "no BLAS worker")
+        return False
+    print(f"startup-smoke: FAIL — {command} ends on {threads} threads; "
+          "the extra ones are BLAS workers (is OPENBLAS_NUM_THREADS "
+          "still set before numpy loads?)")
+    return True
 
 
 if __name__ == "__main__":

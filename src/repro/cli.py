@@ -52,6 +52,13 @@ Only what builds the parser is imported at the top of this module;
 each command imports the modules it runs when it is dispatched, so
 ``--help``, ``workloads`` and ``cache`` start without numpy or the
 allocators.
+
+A CLI process runs numpy on one BLAS thread: the program makes no BLAS
+call, and OpenBLAS would otherwise start a worker per extra CPU when
+numpy loads, which spins on CPU the run never uses.  The default is
+set here, before anything can load numpy, and inherited by the serve
+daemon and the ``--jobs`` pool workers; a thread count the user set
+wins, and ``import repro`` alone changes no environment.
 """
 
 from __future__ import annotations
@@ -60,6 +67,9 @@ import argparse
 import os
 import sys
 from typing import TYPE_CHECKING, Callable
+
+# One BLAS thread (see above), before any import below can load numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from repro.engine.store import ArtifactStore, CACHE_DIR_ENV, \
     set_default_store
@@ -574,7 +584,6 @@ def _run_observed(args: argparse.Namespace,
     from repro.obs.logging import RunLog, log_event, new_run_id, \
         set_run_log
     from repro.obs.metrics import MetricsRegistry, set_registry
-    from repro.obs.report import build_run_payload, write_run_file
     from repro.obs.trace import TraceCollector, set_collector
 
     trace_path = getattr(args, "trace", None)
@@ -639,6 +648,7 @@ def _run_observed(args: argparse.Namespace,
     if log_path:
         print(f"log written to {log_path} (run id {run_id})")
     if collector is not None and trace_path:
+        from repro.obs.report import build_run_payload, write_run_file
         payload = build_run_payload(
             command=args.command,
             collector=collector,

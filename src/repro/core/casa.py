@@ -221,11 +221,17 @@ class CasaAllocator:
             if result.binary_value(var) == 0
         )
         used = sum(graph.node(name).size for name in selected)
+        # The objective at the rounded set, not over the solver's raw
+        # products ``L`` (which carry noise of ~1e-16): the same
+        # resident set always carries the same prediction.
+        predicted = graph.predicted_energy(
+            selected, energy, self._config.include_compulsory,
+            self._config.conflict_term)
         return Allocation(
             algorithm=self.name,
             spm_resident=selected,
             placement=Placement.COPY,
-            predicted_energy=result.objective,
+            predicted_energy=predicted,
             solver_nodes=result.nodes_explored,
             solver_status=result.status.value,
             solver_gap=result.gap,

@@ -239,6 +239,7 @@ class ConflictGraph:
         spm_resident: set[str] | frozenset[str],
         model: EnergyModel,
         include_compulsory: bool = True,
+        conflict_term: bool = True,
     ) -> float:
         """Evaluate the paper's energy model for an allocation.
 
@@ -252,6 +253,8 @@ class ConflictGraph:
             model: per-event energies.
             include_compulsory: charge first-touch misses of cached
                 objects (the reproduction's refinement).
+            conflict_term: charge self and conflict misses; off, the
+                cache-blind objective of the CASA ablation.
 
         Returns:
             Predicted total energy in nJ.
@@ -266,12 +269,13 @@ class ConflictGraph:
                 total += node.fetches * model.spm_access
                 continue
             total += node.fetches * model.cache_hit
-            extra_misses = node.self_misses
+            extra_misses = node.self_misses if conflict_term else 0
             if include_compulsory:
                 extra_misses += node.compulsory_misses
-            for evictor, weight in self.conflicts_of(node.name):
-                if evictor not in spm_resident:
-                    extra_misses += weight
+            if conflict_term:
+                for evictor, weight in self.conflicts_of(node.name):
+                    if evictor not in spm_resident:
+                        extra_misses += weight
             total += extra_misses * miss_premium
         return total
 

@@ -1,5 +1,6 @@
 """Tests for the CASA ILP allocator."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -275,3 +276,81 @@ class TestAllCachedPoint:
         everything = {var: 1.0 - value
                       for var, value in all_cached(model).items()}
         assert not model.is_feasible(everything)
+
+
+class TestPredictedEnergy:
+    """``Allocation.predicted_energy`` is the energy model evaluated at
+    the rounded resident set, not the solver's objective over its raw
+    continuous products ``L``."""
+
+    @staticmethod
+    def solving(monkeypatch, noise):
+        """Patch ``Model.solve`` to move every continuous value by
+        *noise* towards the middle of [0, 1] (as HiGHS's own noise
+        does) and re-evaluate the objective; returns the objectives
+        seen, in call order."""
+        objectives = []
+        real_solve = Model.solve
+
+        def noisy_solve(model, *args, **kwargs):
+            result = real_solve(model, *args, **kwargs)
+            values = {
+                var: value if var.is_integer
+                else value + (noise if value < 0.5 else -noise)
+                for var, value in result.values.items()
+            }
+            objectives.append(model.objective.evaluate(values))
+            return dataclasses.replace(result, values=values,
+                                       objective=objectives[-1])
+
+        monkeypatch.setattr(Model, "solve", noisy_solve)
+        return objectives
+
+    def test_solver_noise_leaves_the_prediction_bit_identical(
+            self, monkeypatch):
+        runner = StageRunner(store=ArtifactStore())
+        _, bench = make_workbench("adpcm", 1.0, 0, runner=runner)
+        graph = bench.conflict_graph
+        moved = 0
+        for size in get_workload("adpcm").spm_sizes:
+            energy = bench.spm_energy_model(size)
+            with monkeypatch.context() as patch:
+                clean_objective = self.solving(patch, 0.0)
+                clean = CasaAllocator().allocate(graph, size, energy)
+            with monkeypatch.context() as patch:
+                noisy_objective = self.solving(patch, 2e-16)
+                noisy = CasaAllocator().allocate(graph, size, energy)
+            assert noisy.spm_resident == clean.spm_resident, size
+            assert noisy.predicted_energy == clean.predicted_energy, size
+            moved += noisy_objective != clean_objective
+        # Not vacuous: the noise does reach the solver's objective.
+        assert moved
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("workload", ["adpcm", "g721", "mpeg"])
+    def test_prediction_is_the_ilp_objective_on_table1(
+            self, monkeypatch, workload, seed):
+        runner = StageRunner(store=ArtifactStore())
+        _, bench = make_workbench(workload, 1.0, seed, runner=runner)
+        objectives = self.solving(monkeypatch, 0.0)
+        for size in get_workload(workload).spm_sizes:
+            allocation = CasaAllocator().allocate(
+                bench.conflict_graph, size, bench.spm_energy_model(size))
+            assert allocation.predicted_energy == pytest.approx(
+                objectives[-1], rel=1e-9), size
+
+    def test_cache_blind_prediction_is_its_own_objective(
+            self, monkeypatch):
+        graph = make_graph(
+            [("A", 300, 64), ("B", 300, 64), ("D", 400, 64)],
+            [("A", "B", 500), ("B", "A", 500)],
+        )
+        graph.node("A").self_misses = 7
+        objectives = self.solving(monkeypatch, 0.0)
+        allocation = CasaAllocator(
+            CasaConfig(conflict_term=False)).allocate(graph, 64, MODEL)
+        assert allocation.predicted_energy == pytest.approx(
+            objectives[-1], rel=1e-12)
+        # ... which charges none of the conflict or self misses.
+        assert allocation.predicted_energy < graph.predicted_energy(
+            set(allocation.spm_resident), MODEL)

@@ -2,9 +2,12 @@
 
 numpy and the allocators load only when a command computes, HiGHS's
 binding only when a model is solved (and never through
-``scipy.optimize``), and every package export still resolves lazily.
-Each case runs in a fresh interpreter, since ``sys.modules`` of the
-test process already holds whatever other tests imported.
+``scipy.optimize``), the run-file writer only under ``--trace``, and
+every package export still resolves lazily.  A CLI process runs numpy
+on one BLAS thread unless the user says otherwise; the library leaves
+the environment alone.  Each case runs in a fresh interpreter, since
+``sys.modules`` and ``os.environ`` of the test process already hold
+whatever other tests imported or set.
 """
 
 import json
@@ -29,10 +32,10 @@ SWEEP = ["sweep", "--workload", "tiny", "--scale", "0.2", "--no-cache",
          "--algorithms"]
 
 
-def run_fresh(tmp_path, code):
+def run_fresh(tmp_path, code, env=ENV):
     """Run *code* in a new interpreter; return its completed process."""
     child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=ENV,
+        [sys.executable, "-c", code], capture_output=True, env=env,
         cwd=tmp_path, timeout=300,
     )
     assert child.returncode == 0, child.stderr.decode()
@@ -215,3 +218,88 @@ def test_missing_highs_binding_is_a_solver_error(tmp_path):
         "else:\n"
         "    raise AssertionError('solved without a binding')\n"
     ))
+
+
+def test_plain_sweep_loads_no_run_file_writer(tmp_path):
+    watch = ("repro.obs.report",)
+    plain = cli_main(SWEEP + ["casa"])
+    assert loaded_after(tmp_path, plain, watch=watch)[0] == set()
+    traced = cli_main(SWEEP + ["casa", "--trace", "run.json"])
+    assert loaded_after(tmp_path, traced, watch=watch)[0] == set(watch)
+    payload = json.loads((tmp_path / "run.json").read_text())
+    assert payload["traceEvents"]
+
+
+#: The BLAS thread-count variable a CLI process sets for itself.
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+#: The test environment without a user's own BLAS thread count.
+NO_BLAS_ENV = {key: value for key, value in ENV.items()
+               if key != BLAS_THREADS}
+
+
+def blas_setting_after(tmp_path, statement, env=NO_BLAS_ENV):
+    """Run *statement* fresh; return ``$OPENBLAS_NUM_THREADS`` after
+    it and the count of the process's OS threads (``None`` off
+    Linux)."""
+    child = run_fresh(tmp_path, (
+        "import json, os, sys\n"
+        f"{statement}\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) "
+        "else None\n"
+        f"sys.stderr.write(json.dumps([os.environ.get({BLAS_THREADS!r}), "
+        "threads]))\n"
+    ), env=env)
+    return json.loads(child.stderr.decode().splitlines()[-1])
+
+
+def test_library_leaves_the_environment_alone(tmp_path):
+    setting, _ = blas_setting_after(tmp_path, (
+        "import repro\n"
+        "from repro import Session\n"
+        "Session('tiny', spm_size=128, scale=0.2).evaluate('casa')"
+    ))
+    assert setting is None
+
+
+def test_cli_runs_one_blas_thread_unless_the_user_sets_one(tmp_path):
+    sweep = cli_main(SWEEP + ["casa"])
+    default, default_threads = blas_setting_after(tmp_path, sweep)
+    assert default == "1"
+    user, user_threads = blas_setting_after(
+        tmp_path, sweep, env={**NO_BLAS_ENV, BLAS_THREADS: "2"})
+    assert user == "2"
+    if default_threads is None:
+        pytest.skip("OS threads are counted through /proc (Linux)")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts no second thread on one CPU")
+    assert default_threads < user_threads
+
+
+#: Patches the pool initializer to record each worker's BLAS setting.
+WORKER_PROBE = """
+import os
+from repro.resilience import healing
+
+real_init = healing._init_worker
+
+
+def init_worker(*args):
+    with open(f"blas-{os.getpid()}.txt", "w") as handle:
+        handle.write(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+    real_init(*args)
+"""
+
+
+def test_pool_workers_inherit_one_blas_thread(tmp_path):
+    (tmp_path / "worker_probe.py").write_text(WORKER_PROBE)
+    blas_setting_after(tmp_path, (
+        "sys.path.insert(0, os.getcwd())\n"
+        "import repro.cli, worker_probe\n"
+        "from repro.resilience import healing\n"
+        "healing._init_worker = worker_probe.init_worker\n"
+        + cli_main(SWEEP + ["casa", "steinke", "--jobs", "2"])
+    ))
+    seen = [path.read_text() for path in tmp_path.glob("blas-*.txt")]
+    assert seen and set(seen) == {"1"}, seen
