@@ -37,8 +37,10 @@ bench-smoke:
 		--scale 0.5 --no-cache
 
 # Start-up gate: `repro --help` and `repro workloads` compute nothing,
-# so neither may import numpy or scipy.  On failure the import chain
-# that pulled one in is printed.
+# so neither may import numpy or scipy; `--help` loads no store,
+# registry, program model, cache simulator or multiprocessing, and a
+# cold serial fig4 no event recorder, run log, pool, Ross or greedy.
+# On failure the import chain that pulled one in is printed.
 startup-smoke:
 	$(PYTHON) scripts/startup_smoke.py
 

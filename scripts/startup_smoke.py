@@ -3,10 +3,16 @@
 
 Runs ``repro --help`` and ``repro workloads`` under ``python -X
 importtime`` and fails if either imports numpy or scipy: neither
-command computes anything, so neither may load the compute stack.  A
-warm ``repro fig4`` (its cache filled by one untimed cold run first)
-is held to the same rule: every result comes from the store, so it
-simulates and solves nothing.  It also runs one small CASA sweep,
+command computes anything, so neither may load the compute stack.
+``--help`` builds the parser alone, so it may not load the artifact
+store, the workload registry, the program model, the cache simulator
+or ``multiprocessing`` either.  A warm ``repro fig4`` (its cache
+filled by one untimed cold run first) is held to the numpy rule:
+every result comes from the store, so it simulates and solves
+nothing.  A cold serial ``repro fig4`` may not load what it never
+runs: the event recorder, the replacement policies of the reference
+simulator, the Ross and greedy allocators, the run log or the process
+pool.  It also runs one small CASA sweep,
 which solves ILPs, and fails if that imports ``scipy.optimize``,
 ``scipy.sparse`` or ``scipy.linalg``: a solve reaches HiGHS through
 its own binding.  On failure it prints the import chain that pulled
@@ -33,6 +39,16 @@ import tempfile
 #: Libraries a command that computes nothing may not import.
 COMPUTE_STACK = ("numpy", "scipy")
 
+#: What building the parser may not import besides.
+PARSER_ONLY = ("repro.engine.store", "repro.workloads.registry",
+               "repro.program", "repro.memory.cache", "multiprocessing")
+
+#: What a serial, unobserved cold CASA/Steinke exhibit never runs.
+COLD_UNUSED = ("repro.obs.events", "repro.memory.replacement",
+               "repro.core.ross", "repro.core.greedy_allocator",
+               "repro.obs.logging", "concurrent.futures.process",
+               "multiprocessing")
+
 #: What importing HiGHS through ``scipy.optimize`` would load.
 SCIPY_OPTIMIZE = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
 
@@ -43,15 +59,20 @@ CACHE = "{cache}"
 WARM_FIG4 = ("fig4", "--workload", "tiny", "--scale", "0.2",
              "--cache-dir", CACHE)
 
+#: The same exhibit cold: its own, empty cache directory.
+COLD_FIG4 = ("fig4", "--workload", "tiny", "--scale", "0.2", "--jobs",
+             "1", "--cache-dir", CACHE + "/cold")
+
 #: A small sweep that solves ILPs.
 CASA_SWEEP = ("sweep", "--workload", "tiny", "--scale", "0.2",
               "--algorithms", "casa", "--no-cache")
 
 #: Each command with the libraries it may not import.
 COMMANDS = (
-    (("--help",), COMPUTE_STACK),
+    (("--help",), COMPUTE_STACK + PARSER_ONLY),
     (("workloads",), COMPUTE_STACK),
     (WARM_FIG4, COMPUTE_STACK),
+    (COLD_FIG4, COLD_UNUSED),
     (CASA_SWEEP, SCIPY_OPTIMIZE),
 )
 

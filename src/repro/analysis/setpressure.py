@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.conflict_graph import ConflictGraph
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 from repro.traces.layout import LinkedImage
 from repro.utils.tables import format_table
 

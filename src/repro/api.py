@@ -43,7 +43,7 @@ from repro.core.pipeline import (
 )
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 from repro.memory.stats import SimulationReport
 from repro.program.program import Program
 from repro.traces.tracegen import TraceGenConfig

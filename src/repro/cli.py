@@ -48,10 +48,16 @@ its set-pressure summary), ``--log FILE`` (run_id-correlated
 structured JSON log) and ``--profile-sample FILE`` (collapsed-stack
 sampling profile) — see ``docs/OBSERVABILITY.md``.
 
-Only what builds the parser is imported at the top of this module;
-each command imports the modules it runs when it is dispatched, so
-``--help``, ``workloads`` and ``cache`` start without numpy or the
-allocators.
+Only what builds the parser is imported at the top of this module:
+argparse, :mod:`repro.errors` and the :mod:`repro.engine` package
+(whose ``__init__`` defines ``CACHE_DIR_ENV`` and loads nothing else).
+The parser spells out the workload
+and replacement-policy names (:data:`WORKLOADS`, :data:`POLICIES`; a
+test holds them equal to the registries) instead of importing the
+registries, which would load the program model, the cache simulator
+and the artifact store.  Each command imports the modules it runs
+when it is dispatched, so ``--help`` starts on the parser alone and
+``workloads`` and ``cache`` start without numpy or the allocators.
 
 A CLI process runs numpy on one BLAS thread: the program makes no BLAS
 call, and OpenBLAS would otherwise start a worker per extra CPU when
@@ -71,17 +77,22 @@ from typing import TYPE_CHECKING, Callable
 # One BLAS thread (see above), before any import below can load numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro.engine.store import ArtifactStore, CACHE_DIR_ENV, \
-    set_default_store
+from repro.engine import CACHE_DIR_ENV
 from repro.errors import ConfigurationError, ReproError
-from repro.memory.replacement import available_policies
-from repro.workloads.registry import available_workloads, check_scale
 
 if TYPE_CHECKING:
     from repro.api import Session
     from repro.engine.runner import RunRecord
+    from repro.engine.store import ArtifactStore
     from repro.resilience.healing import RetryPolicy
     from repro.serve.service import ServiceConfig
+
+#: The registered workloads (:func:`repro.workloads.available_workloads`).
+WORKLOADS = ("adpcm", "g721", "mpeg", "jpeg", "epic", "tiny")
+
+#: The cache replacement policies
+#: (:func:`repro.memory.replacement.available_policies`).
+POLICIES = ("2q", "arc", "fifo", "lfu", "lru", "opt", "random")
 
 
 def _default_cache_dir() -> str:
@@ -171,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fig4 = sub.add_parser("fig4", help="CASA vs. Steinke (figure 4)")
     fig4.add_argument("--workload", default="mpeg",
-                      choices=available_workloads())
+                      choices=WORKLOADS)
     fig4.add_argument("--chart", action="store_true",
                       help="render as grouped bars")
     _add_scale(fig4, jobs=True)
@@ -179,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig5 = sub.add_parser("fig5",
                           help="scratchpad vs. loop cache (figure 5)")
     fig5.add_argument("--workload", default="mpeg",
-                      choices=available_workloads())
+                      choices=WORKLOADS)
     fig5.add_argument("--chart", action="store_true",
                       help="render as grouped bars")
     _add_scale(fig5, jobs=True)
@@ -189,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="free-form size sweep")
     sweep.add_argument("--workload", default="mpeg",
-                       choices=available_workloads())
+                       choices=WORKLOADS)
     sweep.add_argument("--sizes", type=int, nargs="+", default=None,
                        help="scratchpad sizes in bytes")
     sweep.add_argument(
@@ -206,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("graph", help="dump the conflict graph (DOT)")
     graph.add_argument("--workload", default="mpeg",
-                       choices=available_workloads())
+                       choices=WORKLOADS)
     _add_scale(graph)
 
     overlay = sub.add_parser(
@@ -214,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="static CASA vs. overlay (the paper's future work)",
     )
     overlay.add_argument("--workload", default="jpeg",
-                         choices=available_workloads())
+                         choices=WORKLOADS)
     overlay.add_argument("--spm-size", type=int, default=128)
     _add_scale(overlay)
 
@@ -222,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "pressure", help="show the most contended cache sets"
     )
     pressure.add_argument("--workload", default="adpcm",
-                          choices=available_workloads())
+                          choices=WORKLOADS)
     pressure.add_argument("--top", type=int, default=10)
     _add_scale(pressure)
 
@@ -230,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "wcet", help="WCET bound with and without the scratchpad"
     )
     wcet.add_argument("--workload", default="adpcm",
-                      choices=available_workloads())
+                      choices=WORKLOADS)
     wcet.add_argument("--spm-size", type=int, default=128)
     _add_scale(wcet)
 
@@ -239,15 +250,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="best cache/scratchpad split under an area budget",
     )
     dse.add_argument("--workload", default="adpcm",
-                     choices=available_workloads())
+                     choices=WORKLOADS)
     dse.add_argument("--budget", type=float, default=30_000.0,
                      help="on-chip area budget (model units)")
     dse.add_argument("--top", type=int, default=8)
     dse.add_argument(
         "--policies", nargs="+", default=None,
-        choices=available_policies(), metavar="POLICY",
+        choices=POLICIES, metavar="POLICY",
         help="open the replacement-policy axis: cross these policies "
-             f"({', '.join(available_policies())}) with the cache "
+             f"({', '.join(POLICIES)}) with the cache "
              "sizes and report each point against the Belady (opt) "
              "miss floor of its own layout — see docs/POLICIES.md",
     )
@@ -264,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="justify a CASA allocation object by object",
     )
     explain.add_argument("--workload", default="adpcm",
-                         choices=available_workloads())
+                         choices=WORKLOADS)
     explain.add_argument("--spm-size", type=int, default=128)
     _add_scale(explain)
 
@@ -295,11 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "m_ij correctness oracle); non-zero exit on mismatch",
     )
     audit.add_argument("--workload", default="adpcm",
-                       choices=available_workloads())
+                       choices=WORKLOADS)
     audit.add_argument("--top", type=int, default=8,
                        help="hottest cache sets to list (default 8)")
     audit.add_argument(
-        "--policy", default=None, choices=available_policies(),
+        "--policy", default=None, choices=POLICIES,
         help="replace the workload's cache policy before auditing "
              "(the m_ij re-derivation is policy-agnostic, so the "
              "audit must pass under every policy)",
@@ -319,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--workloads", nargs="+", default=None,
-        choices=available_workloads(), metavar="WORKLOAD",
+        choices=WORKLOADS, metavar="WORKLOAD",
         help="workloads of the end-to-end, loop-cache and audit "
              "checks (default: tiny adpcm)",
     )
@@ -339,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify_grid.add_argument(
         "--workloads", nargs="+", default=None,
-        choices=available_workloads(), metavar="WORKLOAD",
+        choices=WORKLOADS, metavar="WORKLOAD",
         help="workloads of the sweep-level checks (default: tiny "
              "adpcm)",
     )
@@ -370,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="free-form note stored with the snapshot")
     bench.add_argument(
         "--workloads", nargs="+", default=None,
-        choices=available_workloads(), metavar="WORKLOAD",
+        choices=WORKLOADS, metavar="WORKLOAD",
         help="suite workloads (default: the smoke suite)",
     )
     bench.add_argument("--scale", type=float, default=None,
@@ -391,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "exit on divergence",
     )
     chaos.add_argument("--workload", default="tiny",
-                       choices=available_workloads())
+                       choices=WORKLOADS)
     chaos.add_argument("--sizes", type=int, nargs="+", default=None,
                        help="scratchpad sizes in bytes (default 64 128)")
     chaos.add_argument(
@@ -530,6 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _configure_store(args: argparse.Namespace) -> ArtifactStore:
     """Install the process-wide store the parsed flags ask for."""
+    from repro.engine.store import ArtifactStore, set_default_store
+
     if getattr(args, "no_cache", False):
         store = ArtifactStore()
     else:
@@ -542,6 +555,8 @@ def _configure_store(args: argparse.Namespace) -> ArtifactStore:
 
 def _run_cache_command(args: argparse.Namespace) -> int:
     """``casa cache stats`` / ``casa cache clear``."""
+    from repro.engine.store import ArtifactStore
+
     store = ArtifactStore(
         cache_dir=args.cache_dir or _default_cache_dir()
     )
@@ -578,11 +593,10 @@ def _run_observed(args: argparse.Namespace,
     ``--log`` opens a run_id-correlated structured log and
     ``--profile-sample`` runs the sampling profiler around the whole
     command.  None of this changes the run's deterministic outputs.
+    The event recorder and the run log load only when asked for.
     """
+    from repro import obs
     from repro.engine.runner import RunRecord
-    from repro.obs.events import EventRecorder, set_recorder
-    from repro.obs.logging import RunLog, log_event, new_run_id, \
-        set_run_log
     from repro.obs.metrics import MetricsRegistry, set_registry
     from repro.obs.trace import TraceCollector, set_collector
 
@@ -595,12 +609,18 @@ def _run_observed(args: argparse.Namespace,
     collector = TraceCollector() if trace_path else None
     registry = MetricsRegistry() \
         if (want_metrics or collector is not None) else None
-    recorder = EventRecorder() if want_events else None
+    recorder = None
+    if want_events:
+        from repro.obs.events import EventRecorder, set_recorder
+        recorder = EventRecorder()
     record = RunRecord()
 
-    run_id = new_run_id() \
-        if (log_path or profile_path or trace_path) else None
-    run_log = RunLog(log_path, run_id=run_id) if log_path else None
+    run_id = run_log = None
+    if log_path or profile_path or trace_path:
+        from repro.obs.logging import RunLog, new_run_id
+        run_id = new_run_id()
+        run_log = RunLog(log_path, run_id=run_id) if log_path else None
+    run_logs = obs.loaded("logging")
     profiler = None
     if profile_path:
         from repro.obs.profiler import SamplingProfiler
@@ -612,9 +632,11 @@ def _run_observed(args: argparse.Namespace,
         if registry is not None else None
     previous_recorder = set_recorder(recorder) \
         if recorder is not None else None
-    previous_log = set_run_log(run_log) if run_log is not None else None
-    log_event("run.start", command=args.command,
-              argv=getattr(args, "_argv", None))
+    previous_log = run_logs.set_run_log(run_log) \
+        if run_log is not None else None
+    if run_logs is not None:
+        run_logs.log_event("run.start", command=args.command,
+                           argv=getattr(args, "_argv", None))
     if profiler is not None:
         profiler.start()
     try:
@@ -622,9 +644,10 @@ def _run_observed(args: argparse.Namespace,
     finally:
         if profiler is not None:
             profiler.stop()
-        log_event("run.done", command=args.command)
+        if run_logs is not None:
+            run_logs.log_event("run.done", command=args.command)
         if run_log is not None:
-            set_run_log(previous_log)
+            run_logs.set_run_log(previous_log)
             run_log.close()
         if collector is not None:
             set_collector(previous_collector)
@@ -851,6 +874,8 @@ def _check_args(args: argparse.Namespace) -> None:
     ``--jobs`` counts worker processes, so it is at least 1.
     """
     if getattr(args, "scale", None) is not None:
+        from repro.workloads.registry import check_scale
+
         check_scale(args.scale)
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
@@ -860,6 +885,8 @@ def _check_args(args: argparse.Namespace) -> None:
 def _run_command(args: argparse.Namespace) -> int:
     """Run the parsed command *args*; returns a process exit code."""
     if args.command == "workloads":
+        from repro.workloads.registry import available_workloads
+
         for name in available_workloads():
             print(name)
         return 0

@@ -178,5 +178,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "UnifiedCasaAllocator",
         "unified_steinke",
     ),
-    "repro.memory.loopcache": ("LoopCacheConfig",),
+    "repro.memory.config": ("LoopCacheConfig",),
 })

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.memory.loopcache import LoopRegion
+from repro.memory.config import LoopRegion
 from repro.traces.layout import Placement
 
 if TYPE_CHECKING:

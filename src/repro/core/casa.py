@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from repro.core.allocation import Allocation, AllocationContext
 from repro.core.conflict_graph import ConflictGraph
 from repro.energy.model import EnergyModel
-from repro.core.greedy_allocator import GreedyCasaAllocator
 from repro.errors import DegradedResultError, SolverError
 from repro.obs import metrics
 from repro.ilp import LinExpr, Model, Sense, SolveStatus, Variable
@@ -256,6 +255,8 @@ class CasaAllocator:
                 f"is disabled",
                 site="ilp.solve",
             )
+        from repro.core.greedy_allocator import GreedyCasaAllocator
+
         metrics.inc("solver.degraded")
         greedy = GreedyCasaAllocator(
             include_compulsory=self._config.include_compulsory

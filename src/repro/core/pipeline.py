@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core import make_allocator
 from repro.core.allocation import Allocation, AllocationContext
 from repro.engine.artifacts import (
     AllocationArtifact,
@@ -36,11 +37,7 @@ from repro.engine.artifacts import (
     trace_digest,
 )
 from repro.engine.runner import StageRunner
-from repro.core.casa import CasaAllocator
 from repro.core.conflict_graph import ConflictGraph
-from repro.core.greedy_allocator import GreedyCasaAllocator
-from repro.core.ross import RossLoopCacheAllocator
-from repro.core.steinke import SteinkeAllocator
 from repro.energy.model import (
     EnergyBreakdown,
     EnergyModel,
@@ -48,13 +45,9 @@ from repro.energy.model import (
     compute_energy,
 )
 from repro.errors import ConfigurationError
-from repro.memory.cache import CacheConfig
-from repro.memory.hierarchy import (
-    HierarchyConfig,
-    resolve_backend,
-    simulate,
-)
-from repro.memory.loopcache import LoopCacheConfig
+from repro.memory.config import CacheConfig, HierarchyConfig, \
+    LoopCacheConfig
+from repro.memory.hierarchy import resolve_backend, simulate
 from repro.memory.stats import SimulationReport
 from repro.obs import metrics
 from repro.obs.trace import span
@@ -69,6 +62,7 @@ from repro.traces.layout import (
 from repro.traces.tracegen import TraceGenConfig, generate_traces
 
 if TYPE_CHECKING:
+    from repro.core.casa import CasaAllocator
     from repro.memory.kernel.stream import CompiledSequence, FetchStream
 
 
@@ -366,6 +360,7 @@ class Workbench:
             placement=allocation.placement,
             main_base=self._config.main_base,
             spm_base=self._config.spm_base,
+            object_sizes=self._baseline_image.object_sizes,
         )
         hierarchy = HierarchyConfig(
             cache=self._config.cache, spm_size=spm_size
@@ -446,7 +441,8 @@ class Workbench:
             return self._allocate_and_evaluate(allocator, spm_size)
         return self._cached_result(
             "casa", spm_size,
-            lambda: self._allocate_and_evaluate(CasaAllocator(), spm_size),
+            lambda: self._allocate_and_evaluate(make_allocator("casa"),
+                                                spm_size),
         )
 
     def run_steinke(self, spm_size: int) -> ExperimentResult:
@@ -454,7 +450,7 @@ class Workbench:
         return self._cached_result(
             "steinke", spm_size,
             lambda: self._allocate_and_evaluate(
-                SteinkeAllocator(), spm_size
+                make_allocator("steinke"), spm_size
             ),
         )
 
@@ -463,7 +459,7 @@ class Workbench:
         return self._cached_result(
             "greedy", spm_size,
             lambda: self._allocate_and_evaluate(
-                GreedyCasaAllocator(), spm_size
+                make_allocator("greedy"), spm_size
             ),
         )
 
@@ -548,6 +544,7 @@ class Workbench:
                 placement=Placement.COPY,
                 main_base=self._config.main_base,
                 spm_base=self._config.spm_base,
+                object_sizes=self._baseline_image.object_sizes,
             )
             phase_plans[phase_index] = image.all_plans()
             for name in resident:
@@ -620,6 +617,8 @@ class Workbench:
     def _run_ross_direct(self, lc_size: int,
                          max_regions: int) -> ExperimentResult:
         """Uncached Ross allocation + loop-cache simulation."""
+        from repro.core.ross import RossLoopCacheAllocator
+
         lc_config = LoopCacheConfig(size=lc_size, max_regions=max_regions)
         allocation = RossLoopCacheAllocator(lc_config).allocate(
             self._graph, context=self.allocation_context()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.conflict_graph import ConflictGraph
 from repro.errors import ConfigurationError
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 from repro.traces.memory_object import MemoryObject
 
 

@@ -19,7 +19,7 @@ from repro.core.allocation import Allocation, AllocationContext
 from repro.core.conflict_graph import ConflictGraph
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError
-from repro.memory.loopcache import LoopCacheConfig, LoopRegion
+from repro.memory.config import LoopCacheConfig, LoopRegion
 from repro.program.cfg import NaturalLoop, program_loops
 from repro.program.program import Program
 from repro.traces.layout import LinkedImage, Placement

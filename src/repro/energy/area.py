@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import ConfigurationError
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 
 #: Area per data bit of SRAM (area units).
 DATA_BIT_AREA = 1.0

@@ -20,7 +20,7 @@ from repro.energy.loopcache import (
 )
 from repro.energy.mainmem import MAIN_MEMORY_WORD_ENERGY_NJ
 from repro.errors import ConfigurationError
-from repro.memory.hierarchy import HierarchyConfig
+from repro.memory.config import HierarchyConfig
 from repro.memory.stats import SimulationReport
 
 

@@ -26,6 +26,11 @@ process and across processes.
 
 from repro._lazy import lazy_exports
 
+#: Environment variable overriding the default on-disk cache location
+#: (here, not in :mod:`repro.engine.store`, so the CLI parser can name
+#: it without loading the store).
+CACHE_DIR_ENV = "CASA_CACHE_DIR"
+
 __all__ = [
     "SCHEMA_VERSION",
     "AllocationArtifact",
@@ -95,7 +100,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "make_workbench",
     ),
     "repro.engine.store": (
-        "CACHE_DIR_ENV",
         "ArtifactStore",
         "BackendStats",
         "DiskBackend",

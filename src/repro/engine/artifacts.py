@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 
 if TYPE_CHECKING:
     from repro.core.conflict_graph import ConflictGraph
-    from repro.memory.cache import CacheConfig
+    from repro.memory.config import CacheConfig
     from repro.memory.kernel.stream import CompiledSequence
     from repro.memory.stats import SimulationReport
     from repro.program.profile import ProfileData

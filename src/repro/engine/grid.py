@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from repro.engine.runner import StageRunner, make_workbench
 from repro.errors import ConfigurationError
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 from repro.obs.trace import span
 from repro.resilience.faults import maybe_inject
 from repro.traces.tracegen import TraceGenConfig

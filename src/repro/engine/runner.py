@@ -24,9 +24,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro import obs
 from repro.engine.artifacts import workbench_digest
 from repro.engine.store import ArtifactStore, default_store
-from repro.obs.logging import log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.traces.tracegen import TraceGenConfig
@@ -34,7 +34,7 @@ from repro.workloads.registry import Workload, get_workload
 
 if TYPE_CHECKING:
     from repro.core.pipeline import Workbench
-    from repro.memory.cache import CacheConfig
+    from repro.memory.config import CacheConfig
 
 #: Stage names in dependency order (the runner's resolution chain).
 STAGES = ("execution", "trace", "stream", "baseline", "graph",
@@ -206,8 +206,10 @@ class StageRunner:
             self.store.put(stage, digest, artifact, disk=disk)
             self.record.note(stage, hit=False, seconds=elapsed)
             resolve_span.add(outcome="computed")
-            log_event("stage.computed", stage=stage,
-                      seconds=round(elapsed, 6))
+            run_log = obs.loaded("logging")
+            if run_log is not None:
+                run_log.log_event("stage.computed", stage=stage,
+                                  seconds=round(elapsed, 6))
             return artifact
 
 

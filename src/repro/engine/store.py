@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Any, Callable, Protocol, \
     runtime_checkable
 
+from repro.engine import CACHE_DIR_ENV
 from repro.engine.artifacts import SCHEMA_VERSION
 from repro.errors import CacheCorruptionError, ConfigurationError, \
     InjectedFault, UnknownBackendError
@@ -69,9 +70,6 @@ _CORRUPTION_ERRORS = (
 
 #: Default number of artifacts kept by the in-memory tier.
 DEFAULT_MEMORY_ITEMS = 256
-
-#: Environment variable overriding the default on-disk cache location.
-CACHE_DIR_ENV = "CASA_CACHE_DIR"
 
 #: Marker file recording when a directory last had its write-temp
 #: orphans swept (see :meth:`DiskBackend.sweep_orphans`).

@@ -23,7 +23,7 @@ from repro.energy.area import hierarchy_area
 from repro.engine.grid import GridChunk
 from repro.engine.parallel import map_points
 from repro.errors import ConfigurationError, UnknownPolicyError
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 from repro.memory.replacement import available_policies
 from repro.traces.tracegen import TraceGenConfig
 from repro.utils.tables import format_table

@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.engine.store import ArtifactStore, set_default_store
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 from repro.memory.kernel import (
     SweepGrid,
     VerifyCase,
@@ -128,7 +128,7 @@ def verification_axis(spm_size: int) -> SweepGrid:
     2Q) that the single-pass scan cannot cover — proving the grid's
     own per-config fallback path returns exact results too.
     """
-    from repro.memory.hierarchy import HierarchyConfig
+    from repro.memory.config import HierarchyConfig
 
     configs = []
     for line_size in LINE_SIZES:

@@ -100,7 +100,12 @@ _FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
 
 
 def _run(core, lp, options: dict):
-    """A fresh HiGHS instance that has solved *lp* under *options*."""
+    """A fresh HiGHS instance that has solved *lp* under *options*.
+
+    A solve that fails (``Solve error`` and the like) still returns
+    the instance: its model status then has no :class:`SolveStatus`,
+    and the caller retries or raises.
+    """
     highs = core._Highs()
     for name, value in options.items():
         if highs.setOptionValue(name, value) == core.HighsStatus.kError \
@@ -108,9 +113,7 @@ def _run(core, lp, options: dict):
             raise SolverError(f"HiGHS rejected option {name}={value!r}")
     if highs.passModel(lp) == core.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
-    if _run_quietly(highs) == core.HighsStatus.kError:
-        raise SolverError("HiGHS failed: " + highs.modelStatusToString(
-            highs.getModelStatus()))
+    _run_quietly(highs)
     return highs
 
 
@@ -315,9 +318,14 @@ class Model:
         reaches HiGHS: it is ``OPTIMAL`` at its constant objective when
         its constant-only constraints hold, and ``INFEASIBLE``
         otherwise.
-        When HiGHS can only say "unbounded or infeasible", even without
-        presolve, a solve under a zero objective decides: ``UNBOUNDED``
-        if it finds a point, ``INFEASIBLE`` if it proves there is none.
+        When HiGHS can only say "unbounded or infeasible", or stops
+        with "Solve error", the model is solved again without presolve.
+        When that still says "unbounded or infeasible", a solve under a
+        zero objective decides: ``UNBOUNDED`` if it finds a point,
+        ``INFEASIBLE`` if it proves there is none.  On a model that is
+        not 0/1, a MIP point that :meth:`is_feasible` rejects has its
+        continuous values re-solved with the integers fixed (see
+        :meth:`_resolve_continuous`).
 
         Args:
             max_nodes: branch & bound node budget (``None`` =
@@ -426,16 +434,20 @@ class Model:
         ]
 
         options: dict = {"log_to_console": False, "mip_rel_gap": 0.0}
-        if col_lower.min() >= 0.0 and col_upper.max() <= 1.0:
+        zero_one = col_lower.min() >= 0.0 and col_upper.max() <= 1.0
+        if zero_one:
             options[_FEASIBILITY_JUMP] = False
         if max_nodes is not None:
             options["mip_max_nodes"] = int(max_nodes)
         if max_seconds is not None:
             options["time_limit"] = max(0.0, float(max_seconds))
         highs = _run(core, lp, options)
-        if highs.getModelStatus() == \
-                core.HighsModelStatus.kUnboundedOrInfeasible:
-            # Presolve could not tell which; the full solve can.
+        if highs.getModelStatus() in (
+                core.HighsModelStatus.kUnboundedOrInfeasible,
+                core.HighsModelStatus.kSolveError):
+            # Presolve could not tell which, or failed outright (as
+            # HiGHS 1.12 does on a few small general-integer models);
+            # the full solve can.
             highs = _run(core, lp, {**options, "presolve": "off"})
         if highs.getModelStatus() == \
                 core.HighsModelStatus.kUnboundedOrInfeasible:
@@ -464,6 +476,8 @@ class Model:
             for var, value in zip(self.variables,
                                   highs.getSolution().col_value)
         }
+        if is_mip and not zero_one and not self.is_feasible(values):
+            values = self._resolve_continuous(core, lp, values, options)
         objective = self.objective.evaluate(values)
         if is_mip:
             best_bound = (sign * info.mip_dual_bound
@@ -475,6 +489,38 @@ class Model:
         return SolveResult(status, objective, values,
                            nodes_explored=nodes, best_bound=best_bound,
                            gap=gap)
+
+    def _resolve_continuous(self, core, lp, values: dict,
+                            options: dict) -> dict:
+        """*values* with the continuous ones re-solved as an LP.
+
+        HiGHS accepts a MIP point whose rows hold within its own MIP
+        feasibility tolerance, about 1e-6, and does not polish it, so
+        a row can end just outside :meth:`is_feasible`'s 1e-6.  Only
+        such a point comes here.  Fixing every integer at its rounded
+        value and solving the LP that is left gives a vertex that
+        meets the rows to rounding error.  If that LP is not optimal
+        (the integers fit only within the tolerance), *values* stay as
+        they are.  0/1 models (every CASA-family model) never come
+        here, so their points are HiGHS's own.
+        """
+        import numpy as np
+
+        lp.col_lower_ = np.array([values[var] if var.is_integer
+                                  else var.lower for var in self.variables])
+        lp.col_upper_ = np.array([values[var] if var.is_integer
+                                  else var.upper for var in self.variables])
+        lp.integrality_ = [core.HighsVarType.kContinuous] * len(values)
+        highs = _run(core, lp, {name: options[name] for name in
+                                ("log_to_console", "time_limit")
+                                if name in options})
+        if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+            return values
+        return {
+            var: values[var] if var.is_integer else float(value)
+            for var, value in zip(self.variables,
+                                  highs.getSolution().col_value)
+        }
 
     def _unbounded_or_infeasible(self, core, lp,
                                  options: dict) -> SolveResult:

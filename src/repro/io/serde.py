@@ -22,7 +22,7 @@ from repro.core.conflict_graph import ConflictGraph, ConflictNode
 from repro.core.pipeline import ExperimentResult
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.errors import ConfigurationError
-from repro.memory.loopcache import LoopRegion
+from repro.memory.config import LoopRegion
 from repro.memory.stats import MemoryObjectStats, SimulationReport
 from repro.traces.layout import Placement
 

@@ -6,6 +6,9 @@ miss is attributed to the memory object that caused it), a scratchpad, a
 preloaded loop cache with its controller, and main memory — driven by the
 executed basic-block sequence through the fetch plans of a
 :class:`~repro.traces.layout.LinkedImage`.
+
+The configurations live in :mod:`repro.memory.config`, apart from the
+reference interpreters, which load only when a simulation needs them.
 """
 
 from repro._lazy import lazy_exports
@@ -38,13 +41,15 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.memory.cache": ("Cache", "CacheConfig"),
-    "repro.memory.hierarchy": (
+    "repro.memory.cache": ("Cache",),
+    "repro.memory.config": (
+        "CacheConfig",
         "HierarchyConfig",
-        "InstructionMemorySimulator",
-        "simulate",
+        "LoopCacheConfig",
+        "LoopRegion",
     ),
-    "repro.memory.loopcache": ("LoopCache", "LoopCacheConfig", "LoopRegion"),
+    "repro.memory.hierarchy": ("InstructionMemorySimulator", "simulate"),
+    "repro.memory.loopcache": ("LoopCache",),
     "repro.memory.mainmem": ("MainMemory",),
     "repro.memory.replacement": (
         "POLICIES",

@@ -11,64 +11,11 @@ exactly the ``Miss(x_i, x_j)`` quantity of the paper's conflict graph
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.memory.config import CacheConfig
 from repro.memory.replacement import ReplacementPolicy, make_policy
 from repro.obs.events import CacheEvent, active_recorder
-from repro.utils.bitops import is_power_of_two, log2_int
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Geometry and policy of an instruction cache.
-
-    Attributes:
-        size: capacity in bytes.
-        line_size: line (block) size in bytes.
-        associativity: number of ways (1 = direct mapped).
-        policy: replacement policy name — any entry of
-            :data:`repro.memory.replacement.POLICIES` (``lru``,
-            ``fifo``, ``random``, ``lfu``, ``2q``, ``arc``, ``opt``;
-            see ``docs/POLICIES.md``).
-    """
-
-    size: int = 2048
-    line_size: int = 16
-    associativity: int = 1
-    policy: str = "lru"
-
-    def __post_init__(self) -> None:
-        for name in ("size", "line_size", "associativity"):
-            value = getattr(self, name)
-            if not is_power_of_two(value):
-                raise ConfigurationError(
-                    f"cache {name} must be a power of two, got {value}"
-                )
-        if self.line_size > self.size:
-            raise ConfigurationError(
-                f"line size {self.line_size} exceeds cache size {self.size}"
-            )
-        if self.associativity * self.line_size > self.size:
-            raise ConfigurationError(
-                "cache cannot hold a full set: "
-                f"{self.associativity} ways x {self.line_size} B "
-                f"> {self.size} B"
-            )
-
-    @property
-    def num_sets(self) -> int:
-        """Number of sets (``size / (associativity * line_size)``)."""
-        return self.size // (self.associativity * self.line_size)
-
-    @property
-    def words_per_line(self) -> int:
-        """Instruction words per cache line (4-byte words)."""
-        return self.line_size // 4
-
-    def map_line(self, line_id: int) -> int:
-        """Set index of a memory line — the paper's ``Map`` function."""
-        return line_id % self.num_sets
+from repro.utils.bitops import log2_int
 
 
 class _CacheSet:

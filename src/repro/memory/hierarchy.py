@@ -16,25 +16,23 @@ fetch stream is cycle-exact with respect to block ordering.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro import obs
 from repro.errors import ConfigurationError, InjectedFault, \
     SimulationError
-from repro.memory.cache import Cache, CacheConfig
-from repro.memory.loopcache import LoopCache, LoopCacheConfig, LoopRegion
-from repro.memory.mainmem import MainMemory
-from repro.memory.replacement import OptOracle
-from repro.memory.scratchpad import Scratchpad
+from repro.memory.config import HierarchyConfig
 from repro.memory.stats import SimulationReport
 from repro.obs import metrics
-from repro.obs.events import active_recorder
 from repro.obs.trace import span
 from repro.resilience.faults import maybe_inject
-from repro.traces.layout import BlockFetchPlan, FetchSegment, LinkedImage
 
 if TYPE_CHECKING:
+    from repro.memory.config import LoopRegion
     from repro.memory.kernel.stream import FetchStream
+    from repro.obs.events import EventRecorder
+    from repro.traces.layout import BlockFetchPlan, FetchSegment, \
+        LinkedImage
 
 #: Valid values of the simulation ``backend`` knob.
 BACKENDS = ("reference", "vector", "auto")
@@ -60,68 +58,13 @@ def resolve_backend(backend: str | None) -> str:
     return backend
 
 
-@dataclass(frozen=True)
-class HierarchyConfig:
-    """What sits next to the I-cache (figure 1 of the paper).
-
-    Exactly one of ``spm_size``/``loop_cache`` is normally used; a
-    plain cache-only hierarchy has neither.
-
-    Attributes:
-        cache: the L1 I-cache configuration, or ``None`` for a
-            cache-less (scratchpad + main memory) hierarchy.
-        spm_size: scratchpad capacity in bytes (0 = no scratchpad).
-        loop_cache: preloaded-loop-cache configuration, or ``None``.
-    """
-
-    cache: CacheConfig | None = CacheConfig()
-    spm_size: int = 0
-    loop_cache: LoopCacheConfig | None = None
-    #: optional unified L2 I-cache between the L1 and main memory
-    #: (section 4: the allocation "need not do anything" about it).
-    l2_cache: CacheConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.spm_size and self.loop_cache is not None:
-            raise ConfigurationError(
-                "a hierarchy has either a scratchpad or a loop cache, "
-                "not both (figure 1)"
-            )
-        if self.spm_size < 0:
-            raise ConfigurationError(f"negative spm size: {self.spm_size}")
-        if (self.cache is not None and self.cache.policy == "opt"
-                and self.loop_cache is not None):
-            # The OPT oracle is precomputed from the compiled fetch
-            # stream; a loop cache filters probes word-by-word, so the
-            # oracle would no longer match the L1's probe order.
-            raise ConfigurationError(
-                "the 'opt' policy cannot be combined with a loop cache"
-            )
-        if self.l2_cache is not None:
-            if self.cache is None:
-                raise ConfigurationError(
-                    "an L2 cache requires an L1 cache"
-                )
-            if self.l2_cache.size < self.cache.size:
-                raise ConfigurationError(
-                    "the L2 must be at least as large as the L1"
-                )
-            if self.l2_cache.line_size != self.cache.line_size:
-                raise ConfigurationError(
-                    "L1 and L2 line sizes must match in this model"
-                )
-            if self.l2_cache.policy == "opt":
-                # The L2's probe stream is the L1's miss stream, which
-                # depends on the L1 replay — there is no precomputable
-                # next-use oracle for it.
-                raise ConfigurationError(
-                    "the 'opt' policy is only available on the L1 "
-                    "(the L2 probe stream is not precomputable)"
-                )
-
-
 class InstructionMemorySimulator:
-    """Simulates one hierarchy for one linked image."""
+    """Simulates one hierarchy for one linked image.
+
+    The reference interpreter: it and the component models it drives
+    load with the first simulator built, so a run that replays on the
+    vector kernel never imports them.
+    """
 
     def __init__(
         self,
@@ -130,6 +73,11 @@ class InstructionMemorySimulator:
         spm_base: int | None = None,
         loop_regions: list[LoopRegion] | None = None,
     ) -> None:
+        from repro.memory.cache import Cache
+        from repro.memory.loopcache import LoopCache
+        from repro.memory.mainmem import MainMemory
+        from repro.memory.scratchpad import Scratchpad
+
         self._image = image
         self._config = config
         self.cache = Cache(config.cache) if config.cache else None
@@ -286,6 +234,7 @@ class InstructionMemorySimulator:
         column is exactly the future the oracle needs.
         """
         from repro.memory.kernel.stream import compile_stream
+        from repro.memory.replacement import OptOracle
 
         assert self.cache is not None
         line_size = self.cache.config.line_size
@@ -414,6 +363,13 @@ class InstructionMemorySimulator:
             remaining -= words_in_line
 
 
+def _active_recorder() -> EventRecorder | None:
+    """The active event recorder; none can be active before
+    :mod:`repro.obs.events` loads (see :func:`repro.obs.loaded`)."""
+    events = obs.loaded("events")
+    return events.active_recorder() if events is not None else None
+
+
 def _choose_backend(
     backend: str,
     config: HierarchyConfig,
@@ -436,7 +392,7 @@ def _choose_backend(
     reason = unsupported_reason(
         config, block_phases=block_phases, loop_regions=loop_regions
     )
-    if reason is None and active_recorder() is not None:
+    if reason is None and _active_recorder() is not None:
         reason = "event recording requires the reference simulator"
         if backend == "vector":
             metrics.inc("sim.kernel.fallbacks")
@@ -521,7 +477,7 @@ def simulate(
         metrics.inc("sim.cache_misses", report.cache_misses)
         metrics.inc("sim.spm_accesses", report.spm_accesses)
         metrics.inc("sim.lc_accesses", report.lc_accesses)
-        recorder = active_recorder()
+        recorder = _active_recorder()
         if recorder is not None:
             sim_span.add(events=recorder.total_events)
             metrics.set_gauge("events.total", float(recorder.total_events))

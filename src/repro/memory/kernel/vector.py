@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig, LoopRegion
 from repro.memory.kernel.stream import (
     _WORD,
     FetchStream,
@@ -52,7 +52,6 @@ from repro.memory.kernel.stream import (
     compile_stream,
     narrow_keys,
 )
-from repro.memory.loopcache import LoopCache, LoopRegion
 from repro.memory.stats import MemoryObjectStats, SimulationReport
 from repro.obs import metrics
 from repro.obs.trace import span
@@ -582,6 +581,8 @@ def simulate_stream(
         lc_words = None
         cache_stream = stream
         if config.loop_cache is not None:
+            from repro.memory.loopcache import LoopCache
+
             # Preloading validates the region table like the reference.
             regions = LoopCache(config.loop_cache,
                                 list(loop_regions)).regions

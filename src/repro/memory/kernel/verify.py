@@ -282,7 +282,7 @@ def _config_grid() -> list:
     small capacity (so conflicts occur), plus one two-level (L1+L2)
     configuration.
     """
-    from repro.memory.hierarchy import HierarchyConfig
+    from repro.memory.config import HierarchyConfig
 
     configs = []
     for line_size in LINE_SIZES:
@@ -409,7 +409,7 @@ def synthetic_regions(stream, seed: int, count: int = 3) -> list:
     so that segment straddles the region's start; regions never
     overlap, as the loop cache requires.
     """
-    from repro.memory.loopcache import LoopRegion
+    from repro.memory.config import LoopRegion
 
     rng = random.Random(seed)
     candidates = np.flatnonzero(
@@ -436,8 +436,8 @@ def _loop_cache_cases(workload_name: str, seed: int, bench, image,
     from dataclasses import replace
 
     from repro.core.ross import RossLoopCacheAllocator
-    from repro.memory.hierarchy import HierarchyConfig
-    from repro.memory.loopcache import LoopCacheConfig
+    from repro.memory.config import HierarchyConfig
+    from repro.memory.config import LoopCacheConfig
     from repro.workloads.registry import get_workload
 
     region_sets = []

@@ -12,64 +12,8 @@ experiments use 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.errors import AllocationError, ConfigurationError
-
-
-@dataclass(frozen=True)
-class LoopRegion:
-    """One preloaded code region.
-
-    Attributes:
-        name: identifier of the region (loop header or function name).
-        start: first byte address covered (inclusive).
-        size: region size in bytes.
-    """
-
-    name: str
-    start: int
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ConfigurationError(
-                f"region {self.name!r} has non-positive size {self.size}"
-            )
-        if self.start < 0:
-            raise ConfigurationError(
-                f"region {self.name!r} has negative start {self.start:#x}"
-            )
-
-    @property
-    def end(self) -> int:
-        """One past the last covered address."""
-        return self.start + self.size
-
-    def covers(self, address: int) -> bool:
-        """Whether *address* lies inside the region."""
-        return self.start <= address < self.end
-
-
-@dataclass(frozen=True)
-class LoopCacheConfig:
-    """Loop-cache parameters.
-
-    Attributes:
-        size: SRAM capacity in bytes.
-        max_regions: controller table entries (the paper assumes 4).
-    """
-
-    size: int = 256
-    max_regions: int = 4
-
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ConfigurationError(f"negative loop-cache size: {self.size}")
-        if self.max_regions < 1:
-            raise ConfigurationError(
-                f"need at least one region slot, got {self.max_regions}"
-            )
+from repro.errors import AllocationError
+from repro.memory.config import LoopCacheConfig, LoopRegion
 
 
 class LoopCache:

@@ -34,11 +34,21 @@ installed.  The CLI's ``--trace FILE``, ``--metrics``, ``--events``,
 ``--log FILE`` and ``--profile-sample FILE`` flags (on ``sweep``,
 ``fig4``, ``fig5``, ``table1`` and ``dse``) install them for one run;
 see ``docs/OBSERVABILITY.md`` for the full guide.
+
+An event recorder or a run log is installed through its own module, so
+a call site that every run passes (each simulation, each stage) asks
+:func:`loaded` for that module instead of importing it: a run that
+records and logs nothing never loads :mod:`repro.obs.events` or
+:mod:`repro.obs.logging`.
 """
+
+import sys
+from types import ModuleType
 
 from repro._lazy import lazy_exports
 
 __all__ = [
+    "loaded",
     "EVENT_KINDS",
     "AuditMismatch",
     "AuditResult",
@@ -174,3 +184,12 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "tracing_enabled",
     ),
 })
+
+
+def loaded(name: str) -> ModuleType | None:
+    """Submodule ``repro.obs.<name>`` if this process imported it.
+
+    ``None`` means nothing could have installed that module's recorder
+    or run log yet, so the caller has nothing to record or log.
+    """
+    return sys.modules.get(f"{__name__}.{name}")

@@ -539,7 +539,7 @@ def measure_grid_speedup(
     """
     from repro.engine.runner import StageRunner, make_workbench
     from repro.engine.store import ArtifactStore
-    from repro.memory.cache import CacheConfig
+    from repro.memory.config import CacheConfig
     from repro.memory.hierarchy import HierarchyConfig, simulate
     from repro.memory.kernel import SweepGrid, compile_stream, \
         simulate_grid

@@ -12,19 +12,7 @@ The pipeline needs three views of a program:
   (:mod:`repro.program.executor`, :mod:`repro.program.profile`).
 """
 
-from repro.program.basicblock import BasicBlock
-from repro.program.behavior import (
-    AlwaysTaken,
-    BranchBehavior,
-    FixedTrip,
-    NeverTaken,
-    TakenProbability,
-)
-from repro.program.cfg import ControlFlowGraph, NaturalLoop
-from repro.program.executor import ExecutionResult, execute_program
-from repro.program.function import Function
-from repro.program.profile import ProfileData
-from repro.program.program import Program
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BasicBlock",
@@ -41,3 +29,19 @@ __all__ = [
     "ProfileData",
     "Program",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.program.basicblock": ("BasicBlock",),
+    "repro.program.behavior": (
+        "AlwaysTaken",
+        "BranchBehavior",
+        "FixedTrip",
+        "NeverTaken",
+        "TakenProbability",
+    ),
+    "repro.program.cfg": ("ControlFlowGraph", "NaturalLoop"),
+    "repro.program.executor": ("ExecutionResult", "execute_program"),
+    "repro.program.function": ("Function",),
+    "repro.program.profile": ("ProfileData",),
+    "repro.program.program": ("Program",),
+})

@@ -41,7 +41,6 @@ per process; worker processes replay their own copy of the plan.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
@@ -345,6 +344,10 @@ def set_fault_attempt(attempt: int) -> int:
 
 def in_worker_process() -> bool:
     """Whether this process is a multiprocessing worker."""
+    # Imported here: only a crash fault asks, and a serial run never
+    # loads multiprocessing otherwise.
+    import multiprocessing
+
     return multiprocessing.parent_process() is not None
 
 

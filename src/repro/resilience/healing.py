@@ -36,8 +36,6 @@ attempt).
 
 from __future__ import annotations
 
-import concurrent.futures
-import concurrent.futures.process
 import os
 import pickle
 import threading
@@ -45,6 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro import obs
 from repro.engine.grid import GridChunk, check_algorithms, \
     evaluate_chunk
 from repro.engine.runner import RunRecord, StageRunner
@@ -53,10 +52,6 @@ from repro.engine.store import ArtifactStore, default_store, \
 from repro.errors import ConfigurationError, InjectedFault, \
     PointTimeoutError
 from repro.obs import metrics
-from repro.obs.events import EventRecorder, active_recorder, \
-    set_recorder
-from repro.obs.logging import active_log_spec, active_run_id, \
-    install_from_spec, log_event
 from repro.obs.metrics import MetricsRegistry, active_registry, \
     set_registry
 from repro.obs.trace import TraceCollector, get_collector, \
@@ -195,6 +190,20 @@ def _error_record(error: BaseException) -> dict[str, str]:
     }
 
 
+def _log_event(event: str, **fields: Any) -> None:
+    """:func:`~repro.obs.logging.log_event`, loading nothing when no
+    run log can be installed (see :func:`repro.obs.loaded`)."""
+    run_log = obs.loaded("logging")
+    if run_log is not None:
+        run_log.log_event(event, **fields)
+
+
+def _active_run_id() -> str | None:
+    """The active run log's id, or ``None`` (see :func:`_log_event`)."""
+    run_log = obs.loaded("logging")
+    return run_log.active_run_id() if run_log is not None else None
+
+
 def _attempt_ended(attempt: int, started: float) -> None:
     """Observe the wall time of attempt *attempt* if it was a retry."""
     if attempt:
@@ -227,7 +236,7 @@ def _finish_outcome(index: int, point: GridChunk, attempts: int,
     return PointOutcome(
         index=index, point=point, status=status, attempts=attempts,
         error=_error_record(error) if error is not None else None,
-        result=result, run_id=active_run_id(),
+        result=result, run_id=_active_run_id(),
     )
 
 
@@ -235,12 +244,12 @@ def _failed_outcome(index: int, point: GridChunk, attempts: int,
                     error: BaseException) -> PointOutcome:
     """Build (and count) the outcome of an exhausted point."""
     metrics.inc("resilience.failed_points")
-    log_event("point.failed", point=point.label,
-              attempts=attempts, error=type(error).__name__)
+    _log_event("point.failed", point=point.label,
+               attempts=attempts, error=type(error).__name__)
     return PointOutcome(
         index=index, point=point, status="failed", attempts=attempts,
-        error=_error_record(error), result=None, run_id=active_run_id(),
-        exception=error,
+        error=_error_record(error), result=None,
+        run_id=_active_run_id(), exception=error,
     )
 
 
@@ -279,7 +288,10 @@ def _init_worker(cache_dir: str | None,
     set_default_store(ArtifactStore(cache_dir=cache_dir))
     if fault_spec:
         set_fault_plan(FaultPlan.from_spec(fault_spec))
-    install_from_spec(log_spec)
+    if log_spec is not None:
+        from repro.obs.logging import install_from_spec
+
+        install_from_spec(log_spec)
 
 
 def _evaluate_in_worker(task: tuple[GridChunk, bool, bool, bool, int]):
@@ -294,6 +306,8 @@ def _evaluate_in_worker(task: tuple[GridChunk, bool, bool, bool, int]):
     exactly like the record counters.
     """
     chunk, trace_enabled, metrics_enabled, events_enabled, attempt = task
+    if events_enabled:
+        from repro.obs.events import EventRecorder, set_recorder
     set_fault_attempt(attempt)
     collector = TraceCollector() if trace_enabled else None
     registry = MetricsRegistry() if metrics_enabled else None
@@ -389,8 +403,8 @@ def _heal_unit(index: int, point: GridChunk, policy: RetryPolicy,
             attempt += 1
             if attempt < policy.max_attempts:
                 metrics.inc("resilience.retries")
-                log_event("point.retry", point=point.label,
-                          attempt=attempt, error=type(error).__name__)
+                _log_event("point.retry", point=point.label,
+                           attempt=attempt, error=type(error).__name__)
                 time.sleep(policy.backoff_for(attempt - 1))
             continue
         finally:
@@ -434,13 +448,21 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
     current one, and each unit is marked final once, when its outcome
     is.
     """
+    # The pool machinery (multiprocessing, subprocess, socket, logging)
+    # loads only when a pool starts.
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     n = len(points)
     if cache_dir is None:
         cache_dir = default_store().cache_dir
     init_arg = str(cache_dir) if cache_dir is not None else None
     collector = get_collector()
     registry = active_registry()
-    recorder = active_recorder()
+    events = obs.loaded("events")
+    recorder = events.active_recorder() if events is not None else None
+    run_log = obs.loaded("logging")
+    log_spec = run_log.active_log_spec() if run_log is not None else None
     flags = (collector is not None, registry is not None,
              recorder is not None)
 
@@ -449,7 +471,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, n),
             initializer=_init_worker,
-            initargs=(init_arg, _active_fault_spec(), active_log_spec()),
+            initargs=(init_arg, _active_fault_spec(), log_spec),
         )
 
     started = [0.0] * n
@@ -479,7 +501,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
             """Replace the pool; re-run *pending* with bumped attempts."""
             nonlocal pool
             metrics.inc("resilience.pool_restarts")
-            log_event("pool.restart", pending=len(pending))
+            _log_event("pool.restart", pending=len(pending))
             pool.shutdown(wait=False, cancel_futures=True)
             for index in bump:
                 _attempt_ended(attempts[index], started[index])
@@ -519,8 +541,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
                         else (last_errors[other] or error)
                 restart(set(pending))
                 continue
-            except concurrent.futures.process.BrokenProcessPool \
-                    as error:
+            except BrokenProcessPool as error:
                 # A worker died (crash fault or real).  Which point
                 # killed it is unknowable, so every unfinished point
                 # retries on a fresh pool.
@@ -534,16 +555,15 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
                 attempts[index] += 1
                 if attempts[index] < policy.max_attempts:
                     metrics.inc("resilience.retries")
-                    log_event("point.retry",
-                              point=points[index].label,
-                              attempt=attempts[index],
-                              error=type(error).__name__)
+                    _log_event("point.retry",
+                               point=points[index].label,
+                               attempt=attempts[index],
+                               error=type(error).__name__)
                     time.sleep(policy.backoff_for(attempts[index] - 1))
                     try:
                         futures[index] = submit(pool, index,
                                                 attempts[index])
-                    except concurrent.futures.process.BrokenProcessPool \
-                            as broken:
+                    except BrokenProcessPool as broken:
                         # Another point's crash broke the pool while
                         # this one was being retried.
                         for other in pending:
@@ -562,7 +582,7 @@ def _heal_pooled(points: list[GridChunk], jobs: int,
     except (OSError, pickle.PicklingError, InjectedFault):
         # No usable pool: heal what is left in-process.  A unit that
         # already used an attempt continues as a counted retry.
-        log_event("map.fallback", mode="serial", units=len(pending))
+        _log_event("map.fallback", mode="serial", units=len(pending))
         runner = StageRunner(record=record)
         for index in sorted(pending):
             if attempts[index]:
@@ -609,14 +629,14 @@ def _run(points: list[GridChunk] | tuple[GridChunk, ...], jobs: int,
     points = list(points)
     check_algorithms(points)
     on_unit = on_unit if on_unit is not None else _unwatched
-    log_event("map.start", units=len(points), jobs=jobs,
-              max_attempts=policy.max_attempts)
+    _log_event("map.start", units=len(points), jobs=jobs,
+               max_attempts=policy.max_attempts)
     if jobs > 1 and len(points) > 1:
         run = _heal_pooled(points, jobs, policy, record, cache_dir,
                            on_unit)
     else:
         run = _heal_serial(points, policy, record, on_unit)
-    log_event("map.done", units=len(points), jobs=jobs)
+    _log_event("map.done", units=len(points), jobs=jobs)
     return run
 
 

@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.engine.grid import CHUNK_ALGORITHMS
 from repro.errors import ConfigurationError, WorkloadError
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 from repro.traces.tracegen import TraceGenConfig
 from repro.workloads.registry import available_workloads, check_scale
 

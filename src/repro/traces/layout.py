@@ -106,10 +106,15 @@ class LinkedImage:
         placement: copy (CASA) or compact (Steinke) semantics.
         main_base: base address of the main-memory code image.
         spm_base: base address of the scratchpad region.
+        object_sizes: the unpadded size of each of *memory_objects*,
+            in order, when the caller already has them (e.g.
+            :attr:`object_sizes` of another image of the same objects);
+            ``None`` sums each object's fragments.
 
     Raises:
         AllocationError: if the resident set exceeds the scratchpad.
-        LayoutError: if the two regions would overlap.
+        LayoutError: if the two regions would overlap, or
+            *object_sizes* does not match *memory_objects* in length.
     """
 
     def __init__(
@@ -121,6 +126,7 @@ class LinkedImage:
         placement: Placement = Placement.COPY,
         main_base: int = MAIN_BASE,
         spm_base: int = SPM_BASE,
+        object_sizes: tuple[int, ...] | None = None,
     ) -> None:
         self._program = program
         self._memory_objects = list(memory_objects)
@@ -137,8 +143,15 @@ class LinkedImage:
 
         # An object's size is a sum over its fragments: summed once.
         self._mo_names = tuple(mo.name for mo in self._memory_objects)
-        self._mo_sizes = tuple(mo.unpadded_size
-                               for mo in self._memory_objects)
+        if object_sizes is None:
+            object_sizes = tuple(mo.unpadded_size
+                                 for mo in self._memory_objects)
+        elif len(object_sizes) != len(self._memory_objects):
+            raise LayoutError(
+                f"{len(object_sizes)} object sizes for "
+                f"{len(self._memory_objects)} memory objects"
+            )
+        self._mo_sizes = tuple(object_sizes)
         size_of = dict(zip(self._mo_names, self._mo_sizes))
         resident_bytes = sum(size_of[name] for name in spm_resident)
         if resident_bytes > spm_size:

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Callable
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.memory.cache import CacheConfig
+from repro.memory.config import CacheConfig
 from repro.program.program import Program
 from repro.workloads import mediabench
 from repro.workloads.builder import Loop, ProgramBuilder, Seq, Straight

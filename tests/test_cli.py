@@ -1,13 +1,16 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import re
 
 import pytest
 
 from repro.cli import _build_parser, _retry_policy, _serve_config, main
+from repro.memory.replacement import available_policies
 from repro.resilience.faults import FAULTS_ENV, FaultPlan, \
     set_fault_plan
+from repro.workloads.registry import available_workloads
 
 
 class TestCli:
@@ -242,6 +245,34 @@ class TestLiveTelemetryCli:
         assert config.max_inflight == 7
         assert (config.retry.max_attempts, config.retry.timeout_s) == \
             (5, 2.0)
+
+
+class TestParserNames:
+    """The parser spells out the workload and policy names instead of
+    importing the registries: each list must stay the registry's."""
+
+    @staticmethod
+    def choices(dests):
+        """``(command, option, choices)`` of every option with choices
+        whose destination is in *dests*."""
+        commands = next(action for action in _build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        return [(command, action.option_strings, tuple(action.choices))
+                for command, parser in commands.choices.items()
+                for action in parser._actions
+                if action.dest in dests and action.choices is not None]
+
+    def test_workload_choices_are_the_registry(self):
+        found = self.choices({"workload", "workloads"})
+        assert len(found) == 14, found
+        for command, option, choices in found:
+            assert choices == available_workloads(), (command, option)
+
+    def test_policy_choices_are_the_registry(self):
+        found = self.choices({"policy", "policies"})
+        assert {command for command, _, _ in found} == {"audit", "dse"}
+        for command, option, choices in found:
+            assert choices == available_policies(), (command, option)
 
 
 class TestCliErrors:

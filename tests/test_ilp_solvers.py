@@ -543,6 +543,22 @@ def market_split(seed, rows, columns, equal):
     return model
 
 
+def record_runs(monkeypatch):
+    """``(presolve option, model status)`` of each HiGHS run of a
+    solve, in call order."""
+    runs = []
+    real_run = ilp_model._run
+
+    def recording_run(core, lp, options):
+        highs = real_run(core, lp, options)
+        runs.append((options.get("presolve"),
+                     highs.getModelStatus().name))
+        return highs
+
+    monkeypatch.setattr(ilp_model, "_run", recording_run)
+    return runs
+
+
 class TestAgainstMilpOracle:
     """The direct HiGHS binding solves every model as milp did."""
 
@@ -605,16 +621,7 @@ class TestAgainstMilpOracle:
         y = model.add_variable("y")
         model.add_constraint(x - y <= 3)
         model.set_objective(x + y)
-        runs = []
-        real_run = ilp_model._run
-
-        def counting_run(core, lp, options):
-            highs = real_run(core, lp, options)
-            runs.append((options.get("presolve"),
-                         highs.getModelStatus().name))
-            return highs
-
-        monkeypatch.setattr(ilp_model, "_run", counting_run)
+        runs = record_runs(monkeypatch)
         result = assert_same_solve(model)
         assert result.status is SolveStatus.UNBOUNDED
         assert runs == [(None, "kUnboundedOrInfeasible"),
@@ -679,6 +686,98 @@ class TestAgainstMilpOracle:
         result = assert_same_solve(model, max_seconds=seconds)
         assert result.status is SolveStatus.TIME_LIMIT
         assert result.objective is None
+
+
+class TestDrawnGeneralModels:
+    """Random general-integer models on which HiGHS alone ends on a
+    point just outside ``is_feasible``'s 1e-6, or stops with "Solve
+    error".  Each is pinned with its optimum worked out by hand."""
+
+    def test_point_meets_its_row(self, monkeypatch):
+        # The row sets x4 = x0 + (x2 + x3) / 2 - 1, so the objective
+        # x2 + x3 + 2 x4 is 2 (x0 + x2 + x3) - 2, and x4 <= 10 caps x0
+        # at 11 - (x2 + x3) / 2.  With s = x2 + x3 <= 11 and x0 an
+        # integer, x0 + s peaks at 16 (s = 10 or 11): the optimum is
+        # 30, e.g. at x0 = 5, x2 = 1, x3 = 10, x4 = 9.5.  HiGHS's MIP
+        # point there has x4 = 9.5000005, which breaks the row by 1e-6.
+        model = Model("drawn", Sense.MAXIMIZE)
+        x0 = model.add_variable("x0", 0.0, math.inf, is_integer=True)
+        x1 = model.add_binary("x1")
+        x2 = model.add_binary("x2")
+        x3 = model.add_variable("x3", 0.0, 10.0)
+        x4 = model.add_variable("x4", 0.0, 10.0)
+        model.add_constraint(2 * x0 + x2 + x3 - 2 * x4 - 2 == 0)
+        model.set_objective(LinExpr({x0: 0.0, x1: 0.0, x2: 1.0, x3: 1.0,
+                                     x4: 2.0}))
+        runs = record_runs(monkeypatch)
+        result = model.solve()
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(30.0, rel=1e-12)
+        assert model.is_feasible(result.values, tolerance=1e-9)
+        # The MIP solve, then the LP over x3 and x4 with x0..x2 fixed.
+        assert runs == [(None, "kOptimal"), (None, "kOptimal")]
+
+    def test_point_meets_its_inequality(self):
+        # x4 = 2 x2 - 2 x1 + 4 x0 + 1 by the equality row, and the
+        # objective x0 - x3 + x4 wants x3 at the least the inequality
+        # allows, (5 x0 + 2 x4 - 3 x1 - 3 x2 + 6) / 3.  Enumerating
+        # x0 in {0, 1}, x1 in [-3, 5] and x2 >= 0 with x4 in [0, 10]
+        # gives the optimum 37/3 at x0 = 1, x1 = 5, x2 = 7, x3 = -7/3,
+        # x4 = 9.  HiGHS's MIP point has x3 = -2.333334333, which
+        # breaks the inequality by 3e-6.
+        model = Model("drawn", Sense.MAXIMIZE)
+        x0 = model.add_binary("x0")
+        x1 = model.add_variable("x1", -3.0, 5.0, is_integer=True)
+        x2 = model.add_variable("x2", 0.0, math.inf, is_integer=True)
+        x3 = model.add_variable("x3", -2.5, math.inf)
+        x4 = model.add_variable("x4", 0.0, 10.0)
+        model.add_constraint(-2 * x1 + 2 * x2 + 4 * x0 - x4 + 1 == 0)
+        model.add_constraint(5 * x0 + 2 * x4 - 3 * x1 - 3 * x2 - 3 * x3
+                             + 6 <= 0)
+        model.set_objective(x0 - x3 + x4)
+        result = model.solve()
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(37 / 3, rel=1e-12)
+        assert model.is_feasible(result.values, tolerance=1e-9)
+
+    @staticmethod
+    def solve_error_model():
+        # The equality row needs 5 x2 = 5 x1 + 4 (x0 + x4) + 2, so
+        # x0 + x4 = 2 and x2 = x1 + 2; the third row then needs
+        # 3 x4 >= 2 x1 + 5, which no binary x4 meets: infeasible.
+        model = Model("drawn", Sense.MAXIMIZE)
+        x0 = model.add_variable("x0", 0.0, 4.0, is_integer=True)
+        x1 = model.add_binary("x1")
+        x2 = model.add_variable("x2", 0.0, math.inf, is_integer=True)
+        x3 = model.add_variable("x3", -math.inf, 6.0)
+        x4 = model.add_binary("x4")
+        model.add_constraint(5 * x1 + 4 * x0 - 5 * x2 + 4 * x4 + 2 == 0)
+        model.add_constraint(-3 * x3 + 4 <= 0)
+        model.add_constraint(-2 * x2 + 4 * x1 - 3 * x4 + 9 <= 0)
+        model.add_constraint(LinExpr({x3: -1.0, x0: -4.0, x4: 0.0,
+                                      x2: 4.0, x1: 1.0}, -2.0) <= 0)
+        model.set_objective(-x0 - 3 * x1 - 3 * x2 + 3 * x3 - x4 + 2)
+        return model
+
+    def test_solve_error_retries_without_presolve(self, monkeypatch):
+        model = self.solve_error_model()
+        runs = record_runs(monkeypatch)
+        result = model.solve()
+        assert result.status is SolveStatus.INFEASIBLE
+        assert result.objective is None and result.values == {}
+        assert runs == [(None, "kSolveError"), ("off", "kInfeasible")]
+
+    def test_solve_error_on_the_retry_raises(self, monkeypatch):
+        real_run = ilp_model._run
+
+        def presolve_always(core, lp, options):
+            options = {name: value for name, value in options.items()
+                       if name != "presolve"}
+            return real_run(core, lp, options)
+
+        monkeypatch.setattr(ilp_model, "_run", presolve_always)
+        with pytest.raises(SolverError, match="HiGHS failed: Solve error"):
+            self.solve_error_model().solve()
 
 
 class TestDegenerateModels:

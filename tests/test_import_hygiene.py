@@ -3,7 +3,10 @@
 numpy and the allocators load only when a command computes, HiGHS's
 binding only when a model is solved (and never through
 ``scipy.optimize``), the run-file writer only under ``--trace``, and
-every package export still resolves lazily.  A CLI process runs numpy
+every package export still resolves lazily.  ``import repro.cli``
+builds the parser without the store, the registries or
+``multiprocessing``, and a cold serial exhibit loads the event
+recorder, the run log and the process pool only when a flag asks.  A CLI process runs numpy
 on one BLAS thread unless the user says otherwise; the library leaves
 the environment alone.  Each case runs in a fresh interpreter, since
 ``sys.modules`` and ``os.environ`` of the test process already hold
@@ -84,6 +87,57 @@ def test_idle_command_loads_no_compute_stack(tmp_path, command):
     assert loaded == set()
 
 
+#: What building the parser may not load: the artifact store, the
+#: workload registry and the program model behind it, the cache
+#: simulator, the process-pool machinery and numpy.
+PARSER_ONLY = ("repro.engine.store", "repro.workloads.registry",
+               "repro.program", "repro.memory.cache", "multiprocessing",
+               "numpy")
+
+
+@pytest.mark.parametrize("command", ["import", "help"])
+def test_parser_loads_no_store_registry_or_pool(tmp_path, command):
+    loaded, _ = loaded_after(tmp_path, IDLE_COMMANDS[command],
+                             watch=PARSER_ONLY)
+    assert loaded == set()
+
+
+#: What a serial, unobserved cold exhibit of CASA and Steinke never
+#: runs: the event recorder, the reference simulator's replacement
+#: policies, the Ross and greedy allocators, the run log and the
+#: process pool.
+COLD_FIG4_UNUSED = ("repro.obs.events", "repro.memory.replacement",
+                    "repro.core.ross", "repro.core.greedy_allocator",
+                    "repro.obs.logging", "concurrent.futures.process",
+                    "multiprocessing")
+
+COLD_FIG4 = ["fig4", "--workload", "tiny", "--scale", "0.2", "--jobs",
+             "1", "--cache-dir", "cache"]
+
+
+def test_cold_exhibit_loads_only_what_it_runs(tmp_path):
+    loaded, out = loaded_after(tmp_path, cli_main(COLD_FIG4),
+                               watch=COLD_FIG4_UNUSED)
+    assert loaded == set()
+    assert "average energy improvement" in out
+
+
+@pytest.mark.parametrize("flags, module", [
+    (["--events"], "repro.obs.events"),
+    (["--log", "run.log"], "repro.obs.logging"),
+    (["--jobs", "2"], "concurrent.futures.process"),
+])
+def test_cold_exhibit_loads_what_a_flag_asks_for(tmp_path, flags, module):
+    # Guards the test above: each watched module does load once a
+    # flag needs it, and the exhibit is the plain run's.
+    _, plain = loaded_after(tmp_path, cli_main(COLD_FIG4[:-1] + ["plain"]),
+                            watch=())
+    loaded, out = loaded_after(tmp_path, cli_main(COLD_FIG4 + flags),
+                               watch=(module,))
+    assert loaded == {module}
+    assert out.startswith(plain)
+
+
 def test_warm_exhibit_loads_no_scipy(tmp_path):
     # Nor numpy: a warm exhibit simulates and solves nothing.
     fig4 = ["fig4", "--workload", "tiny", "--scale", "0.2",
@@ -99,7 +153,8 @@ def test_warm_exhibit_loads_no_scipy(tmp_path):
 #: Every package whose exports resolve lazily.
 LAZY_PACKAGES = ("repro", "repro.core", "repro.engine", "repro.evaluation",
                  "repro.ilp", "repro.memory", "repro.memory.kernel",
-                 "repro.obs", "repro.resilience", "repro.workloads")
+                 "repro.obs", "repro.program", "repro.resilience",
+                 "repro.workloads")
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

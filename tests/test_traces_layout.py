@@ -10,6 +10,7 @@ from repro.traces.layout import (
     LinkedImage,
     Placement,
 )
+from repro.traces.memory_object import MemoryObject
 from repro.traces.tracegen import TraceGenConfig, generate_traces
 
 from tests.conftest import make_loop_program
@@ -96,6 +97,46 @@ class TestCapacity:
         mos, image = linked(program, spm_resident={"T0"}, spm_size=1024)
         mo = image.memory_object("T0")
         assert image.spm_used == mo.unpadded_size
+
+
+class TestObjectSizes:
+    """An image takes the object sizes a caller already summed."""
+
+    def test_given_sizes_link_the_same_layout(self):
+        program = make_loop_program()
+        mos, image = linked(program, spm_resident={"T0"}, spm_size=1024)
+        again = LinkedImage(program, mos, spm_resident={"T0"},
+                            spm_size=1024,
+                            object_sizes=image.object_sizes)
+        assert again.object_sizes == image.object_sizes
+        assert again.spm_used == image.spm_used
+        for mo in mos:
+            assert again.base_address(mo.name) == \
+                image.base_address(mo.name)
+
+    def test_wrong_count_of_sizes_rejected(self):
+        program = make_loop_program()
+        mos, image = linked(program)
+        with pytest.raises(LayoutError, match="object sizes"):
+            LinkedImage(program, mos,
+                        object_sizes=image.object_sizes[:-1])
+
+    def test_workbench_sums_each_object_once(self, adpcm_workbench,
+                                             monkeypatch):
+        # Every layout a workbench links reuses its baseline image's
+        # sizes instead of summing each object's fragments again.
+        allocation = adpcm_workbench.run_steinke(128).allocation
+        calls = []
+        real = MemoryObject.unpadded_size
+
+        def counted(mo):
+            calls.append(mo.name)
+            return real.fget(mo)
+
+        monkeypatch.setattr(MemoryObject, "unpadded_size",
+                            property(counted))
+        adpcm_workbench.evaluate_spm(allocation, 128)
+        assert calls == []
 
 
 class TestFetchPlans:
