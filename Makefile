@@ -38,8 +38,10 @@ bench-smoke:
 
 # Start-up gate: `repro --help` and `repro workloads` compute nothing,
 # so neither may import numpy or scipy; `--help` loads no store,
-# registry, program model, cache simulator or multiprocessing, and a
-# cold serial fig4 no event recorder, run log, pool, Ross or greedy.
+# registry, program model, cache simulator or multiprocessing;
+# `workloads` and `report RUNFILE` no program model or workload
+# builders; and a cold serial fig4 no event recorder, run log, pool,
+# Ross or greedy.
 # On failure the import chain that pulled one in is printed.
 startup-smoke:
 	$(PYTHON) scripts/startup_smoke.py

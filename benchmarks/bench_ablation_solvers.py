@@ -8,7 +8,6 @@ should stay in the same ballpark).
 
 import pytest
 
-from repro.core.annealing import AnnealingAllocator
 from repro.core.casa import CasaAllocator
 from repro.core.greedy_allocator import GreedyCasaAllocator
 from repro.utils.tables import format_table
@@ -26,27 +25,22 @@ def comparison(mpeg_bench):
         graph = mpeg_bench.conflict_graph
         exact = CasaAllocator().allocate(graph, size, model)
         greedy = GreedyCasaAllocator().allocate(graph, size, model)
-        annealed = AnnealingAllocator().allocate(graph, size, model)
         exact_sim = mpeg_bench.evaluate_spm(exact, size)
         greedy_sim = mpeg_bench.evaluate_spm(greedy, size)
-        rows.append((size, exact, greedy, annealed, exact_sim,
-                     greedy_sim))
+        rows.append((size, exact, greedy, exact_sim, greedy_sim))
     return rows
 
 
 def test_ablation_report(benchmark, comparison):
     benchmark.pedantic(lambda: comparison, rounds=1, iterations=1)
-    headers = ["SPM", "ILP pred uJ", "greedy pred uJ",
-               "annealing pred uJ", "ILP sim uJ", "greedy sim uJ",
-               "B&B nodes"]
+    headers = ["SPM", "ILP pred uJ", "greedy pred uJ", "ILP sim uJ",
+               "greedy sim uJ", "B&B nodes"]
     table_rows = []
-    for size, exact, greedy, annealed, exact_sim, greedy_sim \
-            in comparison:
+    for size, exact, greedy, exact_sim, greedy_sim in comparison:
         table_rows.append([
             f"{size}B",
             f"{exact.predicted_energy / 1e3:.2f}",
             f"{greedy.predicted_energy / 1e3:.2f}",
-            f"{annealed.predicted_energy / 1e3:.2f}",
             f"{exact_sim.energy.total / 1e3:.2f}",
             f"{greedy_sim.energy.total / 1e3:.2f}",
             exact.solver_nodes,
@@ -54,20 +48,13 @@ def test_ablation_report(benchmark, comparison):
     write_report(
         "ablation_solvers",
         format_table(headers, table_rows,
-                     title="Ablation A - exact ILP vs. greedy vs. "
-                           "annealing (mpeg)"),
+                     title="Ablation A - exact ILP vs. greedy (mpeg)"),
     )
 
 
 def test_ilp_never_worse_than_greedy_under_model(comparison):
-    for _, exact, greedy, _, _, _ in comparison:
+    for _, exact, greedy, _, _ in comparison:
         assert exact.predicted_energy <= greedy.predicted_energy + 1e-6
-
-
-def test_ilp_never_worse_than_annealing_under_model(comparison):
-    for _, exact, _, annealed, _, _ in comparison:
-        assert exact.predicted_energy <= \
-            annealed.predicted_energy + 1e-6
 
 
 def test_ilp_solver_speed(benchmark, mpeg_bench):

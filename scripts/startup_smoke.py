@@ -6,7 +6,9 @@ importtime`` and fails if either imports numpy or scipy: neither
 command computes anything, so neither may load the compute stack.
 ``--help`` builds the parser alone, so it may not load the artifact
 store, the workload registry, the program model, the cache simulator
-or ``multiprocessing`` either.  A warm ``repro fig4`` (its cache
+or ``multiprocessing`` either.  Listing workloads and rendering a run
+file (``repro report RUNFILE``) build no program, so neither may load
+the program model or the workload builders.  A warm ``repro fig4`` (its cache
 filled by one untimed cold run first) is held to the numpy rule:
 every result comes from the store, so it simulates and solves
 nothing.  A cold serial ``repro fig4`` may not load what it never
@@ -43,6 +45,10 @@ COMPUTE_STACK = ("numpy", "scipy")
 PARSER_ONLY = ("repro.engine.store", "repro.workloads.registry",
                "repro.program", "repro.memory.cache", "multiprocessing")
 
+#: What a command that builds no program may not import.
+PROGRAM_MODEL = ("repro.program", "repro.workloads.mediabench",
+                 "repro.workloads.builder")
+
 #: What a serial, unobserved cold CASA/Steinke exhibit never runs.
 COLD_UNUSED = ("repro.obs.events", "repro.memory.replacement",
                "repro.core.ross", "repro.core.greedy_allocator",
@@ -59,6 +65,9 @@ CACHE = "{cache}"
 WARM_FIG4 = ("fig4", "--workload", "tiny", "--scale", "0.2",
              "--cache-dir", CACHE)
 
+#: The run file the fill run of :data:`WARM_FIG4` writes.
+RUN_FILE = CACHE + "/run.json"
+
 #: The same exhibit cold: its own, empty cache directory.
 COLD_FIG4 = ("fig4", "--workload", "tiny", "--scale", "0.2", "--jobs",
              "1", "--cache-dir", CACHE + "/cold")
@@ -70,7 +79,8 @@ CASA_SWEEP = ("sweep", "--workload", "tiny", "--scale", "0.2",
 #: Each command with the libraries it may not import.
 COMMANDS = (
     (("--help",), COMPUTE_STACK + PARSER_ONLY),
-    (("workloads",), COMPUTE_STACK),
+    (("workloads",), COMPUTE_STACK + PROGRAM_MODEL),
+    (("report", RUN_FILE), PROGRAM_MODEL),
     (WARM_FIG4, COMPUTE_STACK),
     (COLD_FIG4, COLD_UNUSED),
     (CASA_SWEEP, SCIPY_OPTIMIZE),
@@ -121,7 +131,8 @@ def chain(tree: list[tuple[int, str]], index: int) -> list[str]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="startup-smoke-") as cache:
-        fill = [arg.replace(CACHE, cache) for arg in WARM_FIG4]
+        fill = [arg.replace(CACHE, cache)
+                for arg in WARM_FIG4 + ("--trace", RUN_FILE)]
         subprocess.run([sys.executable, "-m", "repro", *fill],
                        capture_output=True, check=True)
         failed = check(cache)

@@ -37,9 +37,7 @@ __all__ = [
     "ConflictGraph",
     "ExperimentResult",
     "GreedyCasaAllocator",
-    "MultiScratchpadAllocator",
     "RossLoopCacheAllocator",
-    "ScratchpadSpec",
     "SteinkeAllocator",
     "Workbench",
     "WorkbenchConfig",
@@ -70,9 +68,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ConflictGraph",
         "ExperimentResult",
         "GreedyCasaAllocator",
-        "MultiScratchpadAllocator",
         "RossLoopCacheAllocator",
-        "ScratchpadSpec",
         "SteinkeAllocator",
         "Workbench",
         "WorkbenchConfig",

@@ -10,11 +10,6 @@ from repro.analysis.setpressure import (
     cache_set_pressure,
     render_pressure_table,
 )
-from repro.analysis.performance import (
-    FetchCycles,
-    compute_cycles,
-    speedup,
-)
 from repro.analysis.wcet import (
     FetchLatency,
     WcetReport,
@@ -30,7 +25,4 @@ __all__ = [
     "WcetReport",
     "block_worst_case_cycles",
     "compute_wcet",
-    "FetchCycles",
-    "compute_cycles",
-    "speedup",
 ]

@@ -51,7 +51,7 @@ from repro.traces.tracegen import TraceGenConfig
 #: Methods :meth:`Session.evaluate` accepts (``baseline`` = no
 #: scratchpad, cache only).
 EVALUATE_METHODS = ("baseline", "casa", "steinke", "greedy", "ross",
-                    "anneal", "overlay")
+                    "overlay")
 
 
 class Session:
@@ -165,7 +165,7 @@ class Session:
         Args:
             method: an allocator name accepted by
                 :func:`repro.core.make_allocator` (``casa``,
-                ``steinke``, ``greedy``, ``ross``, ``anneal``, ...).
+                ``steinke``, ``greedy`` or ``ross``).
             spm_size: capacity override (defaults to the session's).
             **options: allocator configuration, e.g.
                 ``allocate("casa", conflict_term=False)`` or
@@ -196,8 +196,7 @@ class Session:
             spm_size: capacity override (defaults to the session's;
                 ignored for ``baseline``).
             **options: method options (``ross`` accepts
-                ``max_regions``; ``anneal`` accepts its annealing
-                schedule parameters).
+                ``max_regions``).
 
         Returns:
             The evaluated
@@ -218,9 +217,6 @@ class Session:
             return bench.run_ross(capacity, **options)
         if method == "overlay":
             return bench.run_overlay(capacity)
-        if method in ("anneal", "annealing"):
-            allocation = self.allocate(method, capacity, **options)
-            return bench.evaluate_spm(allocation, capacity)
         raise ConfigurationError(
             f"unknown evaluation method {method!r}; choose from "
             f"{', '.join(EVALUATE_METHODS)}"

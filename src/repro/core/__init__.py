@@ -8,8 +8,6 @@
 * :mod:`repro.core.ross` — the Ross/Gordon-Ross & Vahid preloaded
   loop-cache allocator;
 * :mod:`repro.core.greedy_allocator` — a greedy CASA variant (ablation);
-* :mod:`repro.core.multi_spm` — the multi-scratchpad extension the
-  paper sketches in section 4;
 * :mod:`repro.core.pipeline` — the end-to-end experimental workflow of
   figure 3.
 
@@ -37,8 +35,8 @@ class Allocator(Protocol):
     """The unified allocator interface.
 
     Every allocation method — CASA's ILP, Steinke's knapsack, the
-    greedy and annealing ablations, Ross's loop-cache heuristic, the
-    multi-scratchpad extension — exposes one entry point:
+    greedy ablation, Ross's loop-cache heuristic — exposes one entry
+    point:
 
     ``allocate(graph, capacity, energy, *, context)``
 
@@ -74,11 +72,7 @@ _ALLOCATOR_CLASSES = {
     "steinke": ("SteinkeAllocator", None),
     "greedy": ("GreedyCasaAllocator", None),
     "greedy-casa": ("GreedyCasaAllocator", None),
-    "anneal": ("AnnealingAllocator", "AnnealingConfig"),
-    "annealing": ("AnnealingAllocator", "AnnealingConfig"),
     "ross": ("RossLoopCacheAllocator", "LoopCacheConfig"),
-    "multi-spm": ("MultiScratchpadAllocator", None),
-    "casa-multi-spm": ("MultiScratchpadAllocator", None),
 }
 
 #: Canonical names :func:`make_allocator` accepts.
@@ -92,9 +86,8 @@ def make_allocator(name: str, **cfg: Any) -> Allocator:
         name: one of :data:`ALLOCATOR_NAMES` (case-insensitive;
             underscores and dashes are interchangeable).
         **cfg: options forwarded to the allocator's configuration —
-            e.g. ``make_allocator("casa", conflict_term=False)``,
-            ``make_allocator("ross", size=256, max_regions=4)`` or
-            ``make_allocator("anneal", iterations=2000)``.
+            e.g. ``make_allocator("casa", conflict_term=False)`` or
+            ``make_allocator("ross", size=256, max_regions=4)``.
 
     Raises:
         ConfigurationError: for an unknown name or options the named
@@ -123,8 +116,6 @@ __all__ = [
     "AllocationContext",
     "Allocator",
     "make_allocator",
-    "AnnealingAllocator",
-    "AnnealingConfig",
     "OverlayAllocation",
     "OverlayAllocator",
     "OverlayConfig",
@@ -139,25 +130,18 @@ __all__ = [
     "ConflictGraph",
     "ConflictNode",
     "GreedyCasaAllocator",
-    "MultiScratchpadAllocator",
-    "ScratchpadSpec",
     "ExperimentResult",
     "Workbench",
     "WorkbenchConfig",
     "RossLoopCacheAllocator",
     "SteinkeAllocator",
-    "UnifiedAllocation",
-    "UnifiedCasaAllocator",
-    "unified_steinke",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.allocation": ("Allocation", "AllocationContext"),
-    "repro.core.annealing": ("AnnealingAllocator", "AnnealingConfig"),
     "repro.core.casa": ("CasaAllocator", "CasaConfig"),
     "repro.core.conflict_graph": ("ConflictGraph", "ConflictNode"),
     "repro.core.greedy_allocator": ("GreedyCasaAllocator",),
-    "repro.core.multi_spm": ("MultiScratchpadAllocator", "ScratchpadSpec"),
     "repro.core.overlay": (
         "OverlayAllocation",
         "OverlayAllocator",
@@ -173,10 +157,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.core.ross": ("RossLoopCacheAllocator",),
     "repro.core.steinke": ("SteinkeAllocator",),
-    "repro.core.unified": (
-        "UnifiedAllocation",
-        "UnifiedCasaAllocator",
-        "unified_steinke",
-    ),
     "repro.memory.config": ("LoopCacheConfig",),
 })

@@ -31,6 +31,12 @@ from repro._lazy import lazy_exports
 #: it without loading the store).
 CACHE_DIR_ENV = "CASA_CACHE_DIR"
 
+#: Stage names in dependency order (the runner's resolution chain);
+#: here, not in :mod:`repro.engine.runner`, so rendering a run file
+#: orders its stages without loading the runner and the program model.
+STAGES = ("execution", "trace", "stream", "baseline", "graph",
+          "result")
+
 __all__ = [
     "SCHEMA_VERSION",
     "AllocationArtifact",
@@ -93,7 +99,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.engine.grid": ("CHUNK_ALGORITHMS", "GridChunk", "evaluate_chunk"),
     "repro.engine.parallel": ("map_points",),
     "repro.engine.runner": (
-        "STAGES",
         "RunRecord",
         "StageCount",
         "StageRunner",

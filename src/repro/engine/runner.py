@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro import obs
+from repro.engine import STAGES
 from repro.engine.artifacts import workbench_digest
 from repro.engine.store import ArtifactStore, default_store
 from repro.obs.metrics import MetricsRegistry
@@ -35,10 +36,6 @@ from repro.workloads.registry import Workload, get_workload
 if TYPE_CHECKING:
     from repro.core.pipeline import Workbench
     from repro.memory.config import CacheConfig
-
-#: Stage names in dependency order (the runner's resolution chain).
-STAGES = ("execution", "trace", "stream", "baseline", "graph",
-          "result")
 
 
 @dataclass

@@ -318,8 +318,10 @@ class Model:
         reaches HiGHS: it is ``OPTIMAL`` at its constant objective when
         its constant-only constraints hold, and ``INFEASIBLE``
         otherwise.
-        When HiGHS can only say "unbounded or infeasible", or stops
-        with "Solve error", the model is solved again without presolve.
+        When HiGHS can only say "unbounded or infeasible", the model is
+        solved again without presolve; when it stops with "Solve
+        error", again without presolve and without the feasibility
+        jump.
         When that still says "unbounded or infeasible", a solve under a
         zero objective decides: ``UNBOUNDED`` if it finds a point,
         ``INFEASIBLE`` if it proves there is none.  On a model that is
@@ -442,13 +444,16 @@ class Model:
         if max_seconds is not None:
             options["time_limit"] = max(0.0, float(max_seconds))
         highs = _run(core, lp, options)
-        if highs.getModelStatus() in (
-                core.HighsModelStatus.kUnboundedOrInfeasible,
-                core.HighsModelStatus.kSolveError):
-            # Presolve could not tell which, or failed outright (as
-            # HiGHS 1.12 does on a few small general-integer models);
-            # the full solve can.
+        if highs.getModelStatus() == \
+                core.HighsModelStatus.kUnboundedOrInfeasible:
+            # Presolve could not tell which; the full solve can.
             highs = _run(core, lp, {**options, "presolve": "off"})
+        elif highs.getModelStatus() == core.HighsModelStatus.kSolveError:
+            # HiGHS 1.12 fails outright on a few small general-integer
+            # models, in presolve or while it takes over a point the
+            # feasibility jump found; it solves them with neither.
+            highs = _run(core, lp, {**options, "presolve": "off",
+                                    _FEASIBILITY_JUMP: False})
         if highs.getModelStatus() == \
                 core.HighsModelStatus.kUnboundedOrInfeasible:
             return self._unbounded_or_infeasible(core, lp, options)

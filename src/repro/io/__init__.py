@@ -1,4 +1,4 @@
-"""Serialisation of analysis artefacts (JSON, DOT, traces).
+"""Serialisation of analysis artefacts (JSON).
 
 Conflict graphs, allocation decisions, reports and whole experiment
 results are the hand-off points of the pipeline; persisting them lets
@@ -27,7 +27,6 @@ from repro.io.serde import (
     save_allocation,
     save_conflict_graph,
 )
-from repro.io.tracefile import load_trace, save_trace
 
 __all__ = [
     "FORMAT_VERSION",
@@ -47,6 +46,4 @@ __all__ = [
     "report_to_dict",
     "save_allocation",
     "save_conflict_graph",
-    "load_trace",
-    "save_trace",
 ]

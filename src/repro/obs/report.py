@@ -169,7 +169,7 @@ def load_run(path: str | Path) -> RunData:
 
 
 def _stage_rows(record: dict[str, dict[str, float]]) -> list[list]:
-    from repro.engine.runner import STAGES
+    from repro.engine import STAGES
 
     ordered = [s for s in ("workbench",) + STAGES if s in record]
     ordered += [s for s in sorted(record) if s not in ordered]

@@ -7,7 +7,9 @@ section 6; scratchpad/loop-cache sizes from table 1).
 
 A :class:`Workload` is cheap metadata: its program is built on first
 access to :attr:`Workload.program`, so callers that only read the
-cache or the scratchpad sizes never pay for a program build.
+cache or the scratchpad sizes never pay for a program build.  The
+builders import the program model when they run, so listing names or
+checking a scale loads none of it.
 """
 
 from __future__ import annotations
@@ -15,17 +17,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.memory.config import CacheConfig
-from repro.program.program import Program
-from repro.workloads import mediabench
-from repro.workloads.builder import Loop, ProgramBuilder, Seq, Straight
+
+if TYPE_CHECKING:
+    from repro.program.program import Program
 
 
 def _build_tiny(scale: float) -> Program:
     """A minimal two-loop workload for fast tests and the quickstart."""
+    from repro.workloads.builder import Loop, ProgramBuilder, Seq, Straight
+
     trip = max(1, round(60 * scale))
     builder = ProgramBuilder("tiny")
     builder.add_function("main", Seq([
@@ -40,13 +44,23 @@ def _build_tiny(scale: float) -> Program:
     return builder.build(entry="main")
 
 
+def _mediabench(name: str) -> Callable[[float], Program]:
+    """The builder ``repro.workloads.mediabench.build_<name>``, imported
+    when a program is first built."""
+    def build(scale: float) -> Program:
+        from repro.workloads import mediabench
+
+        return getattr(mediabench, f"build_{name}")(scale)
+    return build
+
+
 #: Program builder of each registered workload, called with the scale.
 _BUILDERS: dict[str, Callable[[float], Program]] = {
-    "adpcm": mediabench.build_adpcm,
-    "g721": mediabench.build_g721,
-    "mpeg": mediabench.build_mpeg,
-    "jpeg": mediabench.build_jpeg,
-    "epic": mediabench.build_epic,
+    "adpcm": _mediabench("adpcm"),
+    "g721": _mediabench("g721"),
+    "mpeg": _mediabench("mpeg"),
+    "jpeg": _mediabench("jpeg"),
+    "epic": _mediabench("epic"),
     "tiny": _build_tiny,
 }
 

@@ -39,7 +39,7 @@ class TestVerbs:
 
     def test_evaluate_every_spm_method(self, session):
         baseline = session.evaluate("baseline").energy.total
-        for method in ("casa", "steinke", "greedy", "anneal"):
+        for method in ("casa", "steinke", "greedy"):
             result = session.evaluate(method)
             assert 0 < result.energy.total <= baseline
 

@@ -7,14 +7,12 @@ from repro.core import (
     Allocator,
     CasaAllocator,
     GreedyCasaAllocator,
-    MultiScratchpadAllocator,
     RossLoopCacheAllocator,
-    ScratchpadSpec,
     SteinkeAllocator,
     make_allocator,
 )
+from repro.api import EVALUATE_METHODS, Session
 from repro.core.allocation import AllocationContext
-from repro.core.annealing import AnnealingAllocator
 from repro.core.conflict_graph import ConflictGraph, ConflictNode
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError
@@ -34,8 +32,6 @@ def toy_graph():
 class TestRegistry:
     def test_every_name_builds(self):
         for name in ALLOCATOR_NAMES:
-            if name in ("multi-spm", "casa-multi-spm"):
-                continue  # requires scratchpad specs
             allocator = make_allocator(name)
             assert isinstance(allocator, Allocator)
 
@@ -44,7 +40,6 @@ class TestRegistry:
         assert isinstance(make_allocator("steinke"), SteinkeAllocator)
         assert isinstance(make_allocator("greedy"),
                           GreedyCasaAllocator)
-        assert isinstance(make_allocator("anneal"), AnnealingAllocator)
         assert isinstance(make_allocator("ross"),
                           RossLoopCacheAllocator)
 
@@ -64,11 +59,6 @@ class TestRegistry:
     def test_options_forwarded(self):
         allocator = make_allocator("casa", conflict_term=False)
         assert allocator.config.conflict_term is False
-        multi = make_allocator(
-            "multi-spm",
-            scratchpads=[ScratchpadSpec("fast", 64)],
-        )
-        assert isinstance(multi, MultiScratchpadAllocator)
 
 
 class TestProtocol:
@@ -78,7 +68,7 @@ class TestProtocol:
 
     def test_unified_signature_spm(self):
         graph = toy_graph()
-        for name in ("casa", "steinke", "greedy", "anneal"):
+        for name in ("casa", "steinke", "greedy"):
             allocation = make_allocator(name).allocate(
                 graph, 32, MODEL, context=None
             )
@@ -88,15 +78,6 @@ class TestProtocol:
         with pytest.raises(ConfigurationError,
                            match="AllocationContext"):
             make_allocator("ross").allocate(toy_graph(), 64)
-
-    def test_multi_spm_requires_energy(self):
-        from repro.errors import SolverError
-
-        allocator = make_allocator(
-            "multi-spm", scratchpads=[ScratchpadSpec("fast", 64)],
-        )
-        with pytest.raises(SolverError, match="energy"):
-            allocator.allocate(toy_graph())
 
     def test_capacity_overrides_ross_config(self, tiny_workbench):
         bench = tiny_workbench
@@ -119,3 +100,34 @@ class TestProtocol:
             bench.conflict_graph, 64, context=context
         )
         assert allocation.capacity == 64
+
+
+#: Allocator names of extensions that no command reached and that were
+#: deleted: simulated annealing and the multi-scratchpad ILP.
+RETIRED = ("anneal", "annealing", "multi-spm", "casa-multi-spm")
+
+
+class TestRetiredNames:
+    """A retired method name fails like any unknown name: one
+    ``ConfigurationError`` that lists only the names that remain."""
+
+    @staticmethod
+    def assert_lists_only(message, names):
+        listed = message.split("choose from ", 1)[1].split(", ")
+        assert listed == list(names)
+        assert not set(listed) & set(RETIRED)
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_make_allocator_rejects(self, name):
+        with pytest.raises(ConfigurationError,
+                           match="unknown allocator") as err:
+            make_allocator(name)
+        self.assert_lists_only(str(err.value), ALLOCATOR_NAMES)
+
+    def test_session_evaluate_rejects(self):
+        session = Session("tiny", scale=0.2)
+        for name in ("anneal", "annealing"):
+            with pytest.raises(ConfigurationError,
+                               match="unknown evaluation method") as err:
+                session.evaluate(name)
+            self.assert_lists_only(str(err.value), EVALUATE_METHODS)

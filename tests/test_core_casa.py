@@ -7,8 +7,6 @@ import pytest
 
 from repro.core.casa import CasaAllocator, CasaConfig
 from repro.core.conflict_graph import ConflictGraph, ConflictNode
-from repro.core.multi_spm import MultiScratchpadAllocator, ScratchpadSpec
-from repro.core.unified import UnifiedCasaAllocator
 from repro.energy.model import EnergyModel
 from repro.engine.runner import StageRunner, make_workbench
 from repro.engine.store import ArtifactStore
@@ -210,9 +208,8 @@ class TestReducedLinearisation:
 
 def all_cached(model):
     """The point that keeps every object cached: each location ``l``
-    and product ``L`` at 1, no scratchpad assignment ``a`` and no
-    copy-in ``c``."""
-    return {var: 0.0 if var.name.startswith(("a[", "c[")) else 1.0
+    and product ``L`` at 1 and no copy-in ``c``."""
+    return {var: 0.0 if var.name.startswith("c[") else 1.0
             for var in model.variables}
 
 
@@ -243,23 +240,10 @@ class TestAllCachedPoint:
         energy = bench.spm_energy_model(size)
         if kind == "casa":
             CasaAllocator().allocate(graph, size, energy)
-        elif kind == "multi-spm":
-            MultiScratchpadAllocator(
-                [ScratchpadSpec("s0", size // 2),
-                 ScratchpadSpec("s1", size // 2)]
-            ).allocate(graph, energy=energy)
-        elif kind == "unified":
-            data = make_graph(
-                [("table", 900, 64), ("buffer", 2000, 256)],
-                [("table", "buffer", 50), ("buffer", "table", 20)],
-            )
-            UnifiedCasaAllocator().allocate(graph, energy, data, energy,
-                                            size)
         else:
             bench.run_overlay(size)
 
-    @pytest.mark.parametrize("kind", ["casa", "multi-spm", "unified",
-                                      "overlay"])
+    @pytest.mark.parametrize("kind", ["casa", "overlay"])
     def test_all_cached_point_is_feasible(self, kind, bench, solved):
         self.allocate(kind, bench, 128)
         assert len(solved) == 1

@@ -19,9 +19,7 @@ EXAMPLE_ARGS = {
     "custom_workload.py": [],
     "mpeg_casa_vs_steinke.py": ["0.05"],
     "loop_cache_comparison.py": ["adpcm", "0.05"],
-    "multi_scratchpad.py": [],
     "overlay_demo.py": ["128", "0.1"],
-    "data_allocation.py": ["adpcm", "128"],
     "wcet_analysis.py": ["adpcm", "0.1"],
     "design_space.py": ["adpcm", "30000", "0.05"],
 }

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
@@ -469,6 +469,39 @@ def zero_objective_verdict(model):
             SolveStatus.INFEASIBLE: SolveStatus.INFEASIBLE}[status]
 
 
+def milp_verdict(model):
+    """What the milp oracle says of *model*, or ``None`` where it says
+    nothing.
+
+    * milp solves it and its point passes ``model.is_feasible``: milp's
+      :class:`SolveResult`, to compare in full.
+    * milp's optimal point fails ``is_feasible`` (HiGHS accepted it
+      within its own MIP tolerance): the status alone, since milp's
+      objective is that of a point outside the model.
+    * milp gives up at "unbounded or infeasible": the status
+      :func:`zero_objective_verdict` settles.
+    * milp stops with any other error ("Solve error"): ``INFEASIBLE``
+      if the zero-objective twin is proven infeasible; otherwise
+      ``None``, as a twin with points tells only that the model has
+      points, and a twin that fails as well tells nothing.
+    """
+    try:
+        expected = milp_oracle(model)
+    except SolverError as error:
+        try:
+            status = zero_objective_verdict(model)
+        except SolverError:
+            return None
+        if "infeasible or unbounded" in str(error) \
+                or status is SolveStatus.INFEASIBLE:
+            return SolveResult(status, None, {})
+        return None
+    if expected.objective is not None \
+            and not model.is_feasible(expected.values):
+        return SolveResult(expected.status, None, {})
+    return expected
+
+
 def assert_same_solve(model, **limits):
     """The direct binding and the milp oracle agree on *model*."""
     expected = milp_oracle(model, **limits)
@@ -559,22 +592,93 @@ def record_runs(monkeypatch):
     return runs
 
 
+def row_draw():
+    """A drawn model whose HiGHS MIP point breaks its one row by 1e-6.
+
+    The row sets x4 = x0 + (x2 + x3) / 2 - 1, so the objective
+    x2 + x3 + 2 x4 is 2 (x0 + x2 + x3) - 2, and x4 <= 10 caps x0 at
+    11 - (x2 + x3) / 2.  With s = x2 + x3 <= 11 and x0 an integer,
+    x0 + s peaks at 16 (s = 10 or 11): the optimum is 30, e.g. at
+    x0 = 5, x2 = 1, x3 = 10, x4 = 9.5.  HiGHS's MIP point there has
+    x4 = 9.5000005, and milp reports it as is.
+    """
+    model = Model("drawn", Sense.MAXIMIZE)
+    x0 = model.add_variable("x0", 0.0, math.inf, is_integer=True)
+    x1 = model.add_binary("x1")
+    x2 = model.add_binary("x2")
+    x3 = model.add_variable("x3", 0.0, 10.0)
+    x4 = model.add_variable("x4", 0.0, 10.0)
+    model.add_constraint(2 * x0 + x2 + x3 - 2 * x4 - 2 == 0)
+    model.set_objective(LinExpr({x0: 0.0, x1: 0.0, x2: 1.0, x3: 1.0,
+                                 x4: 2.0}))
+    return model
+
+
+def solve_error_draw():
+    """A drawn model on which HiGHS stops with "Solve error", and milp
+    with it, on the model and on its zero-objective twin.
+
+    The equality row needs 5 x2 = 5 x1 + 4 (x0 + x4) + 2, so
+    x0 + x4 = 2 and x2 = x1 + 2; the third row then needs
+    3 x4 >= 2 x1 + 5, which no binary x4 meets: infeasible.
+    """
+    model = Model("drawn", Sense.MAXIMIZE)
+    x0 = model.add_variable("x0", 0.0, 4.0, is_integer=True)
+    x1 = model.add_binary("x1")
+    x2 = model.add_variable("x2", 0.0, math.inf, is_integer=True)
+    x3 = model.add_variable("x3", -math.inf, 6.0)
+    x4 = model.add_binary("x4")
+    model.add_constraint(5 * x1 + 4 * x0 - 5 * x2 + 4 * x4 + 2 == 0)
+    model.add_constraint(-3 * x3 + 4 <= 0)
+    model.add_constraint(-2 * x2 + 4 * x1 - 3 * x4 + 9 <= 0)
+    model.add_constraint(LinExpr({x3: -1.0, x0: -4.0, x4: 0.0,
+                                  x2: 4.0, x1: 1.0}, -2.0) <= 0)
+    model.set_objective(-x0 - 3 * x1 - 3 * x2 + 3 * x3 - x4 + 2)
+    return model
+
+
+def jump_error_draw():
+    """A drawn model on which HiGHS stops with "Solve error" while it
+    takes over a point its feasibility jump found, with and without
+    presolve.
+
+    The second row caps x2 at (x0 + 1) / 2 and the first needs
+    2 x1 >= 2 x0 + x2 + 1, so x1 >= 1 + x0 with x2 at its cap, and
+    the objective 4 x2 - 2 x1 is at most 2 (x0 + 1) - 2 (1 + x0) = 0,
+    reached at x0 = 0, x1 = 1, x2 = 0.5.
+    """
+    model = Model("drawn", Sense.MAXIMIZE)
+    x0 = model.add_binary("x0")
+    x1 = model.add_variable("x1", 0.0, 4.0, is_integer=True)
+    x2 = model.add_variable("x2", 0.0, 10.0)
+    model.add_constraint(2 * x1 - 2 * x0 - x2 - 1 >= 0)
+    model.add_constraint(2 * x0 - 4 * x2 + 2 >= 0)
+    model.set_objective(LinExpr({x0: 0.0, x1: -2.0, x2: 4.0}))
+    return model
+
+
 class TestAgainstMilpOracle:
     """The direct HiGHS binding solves every model as milp did."""
 
     @given(random_models())
+    @example(row_draw())
+    @example(solve_error_draw())
+    @example(jump_error_draw())
     @settings(max_examples=150, deadline=None)
     def test_random_models_match_milp(self, model):
-        try:
-            expected = milp_oracle(model)
-        except SolverError:
-            # milp gives up at "unbounded or infeasible"; solve settles
-            # it by whether the model has any point at all.
-            result = model.solve()
-            assert result.status is zero_objective_verdict(model)
-            assert result.objective is None and result.values == {}
-            return
         result = model.solve()
+        # Solve's own point, whatever milp says: it meets the model,
+        # and the objective is the model's objective there.
+        if result.status is SolveStatus.OPTIMAL:
+            assert model.is_feasible(result.values)
+            assert result.objective == pytest.approx(
+                model.objective.evaluate(result.values),
+                rel=1e-9, abs=1e-9)
+        else:
+            assert result.objective is None and result.values == {}
+        expected = milp_verdict(model)
+        if expected is None:
+            return
         assert result.status is expected.status
         if expected.objective is not None:
             assert result.objective == pytest.approx(
@@ -582,7 +686,6 @@ class TestAgainstMilpOracle:
             assert result.best_bound == pytest.approx(
                 expected.best_bound, rel=1e-9, abs=1e-9)
             assert result.gap == pytest.approx(expected.gap, abs=1e-9)
-            assert model.is_feasible(result.values)
 
     @pytest.mark.parametrize("workload", ["tiny", "adpcm", "g721",
                                           "mpeg"])
@@ -694,21 +797,8 @@ class TestDrawnGeneralModels:
     error".  Each is pinned with its optimum worked out by hand."""
 
     def test_point_meets_its_row(self, monkeypatch):
-        # The row sets x4 = x0 + (x2 + x3) / 2 - 1, so the objective
-        # x2 + x3 + 2 x4 is 2 (x0 + x2 + x3) - 2, and x4 <= 10 caps x0
-        # at 11 - (x2 + x3) / 2.  With s = x2 + x3 <= 11 and x0 an
-        # integer, x0 + s peaks at 16 (s = 10 or 11): the optimum is
-        # 30, e.g. at x0 = 5, x2 = 1, x3 = 10, x4 = 9.5.  HiGHS's MIP
-        # point there has x4 = 9.5000005, which breaks the row by 1e-6.
-        model = Model("drawn", Sense.MAXIMIZE)
-        x0 = model.add_variable("x0", 0.0, math.inf, is_integer=True)
-        x1 = model.add_binary("x1")
-        x2 = model.add_binary("x2")
-        x3 = model.add_variable("x3", 0.0, 10.0)
-        x4 = model.add_variable("x4", 0.0, 10.0)
-        model.add_constraint(2 * x0 + x2 + x3 - 2 * x4 - 2 == 0)
-        model.set_objective(LinExpr({x0: 0.0, x1: 0.0, x2: 1.0, x3: 1.0,
-                                     x4: 2.0}))
+        # See :func:`row_draw`: optimum 30.
+        model = row_draw()
         runs = record_runs(monkeypatch)
         result = model.solve()
         assert result.status is SolveStatus.OPTIMAL
@@ -740,32 +830,35 @@ class TestDrawnGeneralModels:
         assert result.objective == pytest.approx(37 / 3, rel=1e-12)
         assert model.is_feasible(result.values, tolerance=1e-9)
 
-    @staticmethod
-    def solve_error_model():
-        # The equality row needs 5 x2 = 5 x1 + 4 (x0 + x4) + 2, so
-        # x0 + x4 = 2 and x2 = x1 + 2; the third row then needs
-        # 3 x4 >= 2 x1 + 5, which no binary x4 meets: infeasible.
-        model = Model("drawn", Sense.MAXIMIZE)
-        x0 = model.add_variable("x0", 0.0, 4.0, is_integer=True)
-        x1 = model.add_binary("x1")
-        x2 = model.add_variable("x2", 0.0, math.inf, is_integer=True)
-        x3 = model.add_variable("x3", -math.inf, 6.0)
-        x4 = model.add_binary("x4")
-        model.add_constraint(5 * x1 + 4 * x0 - 5 * x2 + 4 * x4 + 2 == 0)
-        model.add_constraint(-3 * x3 + 4 <= 0)
-        model.add_constraint(-2 * x2 + 4 * x1 - 3 * x4 + 9 <= 0)
-        model.add_constraint(LinExpr({x3: -1.0, x0: -4.0, x4: 0.0,
-                                      x2: 4.0, x1: 1.0}, -2.0) <= 0)
-        model.set_objective(-x0 - 3 * x1 - 3 * x2 + 3 * x3 - x4 + 2)
-        return model
-
     def test_solve_error_retries_without_presolve(self, monkeypatch):
-        model = self.solve_error_model()
+        model = solve_error_draw()
         runs = record_runs(monkeypatch)
         result = model.solve()
         assert result.status is SolveStatus.INFEASIBLE
         assert result.objective is None and result.values == {}
         assert runs == [(None, "kSolveError"), ("off", "kInfeasible")]
+
+    def test_solve_error_retries_without_the_feasibility_jump(
+            self, monkeypatch):
+        # See :func:`jump_error_draw`: optimum 0.
+        runs = []
+        real_run = ilp_model._run
+
+        def recording_run(core, lp, options):
+            highs = real_run(core, lp, options)
+            runs.append((options.get("presolve"),
+                         options.get(ilp_model._FEASIBILITY_JUMP),
+                         highs.getModelStatus().name))
+            return highs
+
+        monkeypatch.setattr(ilp_model, "_run", recording_run)
+        model = jump_error_draw()
+        result = model.solve()
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(0.0, abs=1e-12)
+        assert model.is_feasible(result.values, tolerance=1e-9)
+        assert runs == [(None, None, "kSolveError"),
+                        ("off", False, "kOptimal")]
 
     def test_solve_error_on_the_retry_raises(self, monkeypatch):
         real_run = ilp_model._run
@@ -777,7 +870,7 @@ class TestDrawnGeneralModels:
 
         monkeypatch.setattr(ilp_model, "_run", presolve_always)
         with pytest.raises(SolverError, match="HiGHS failed: Solve error"):
-            self.solve_error_model().solve()
+            solve_error_draw().solve()
 
 
 class TestDegenerateModels:

@@ -5,7 +5,8 @@ binding only when a model is solved (and never through
 ``scipy.optimize``), the run-file writer only under ``--trace``, and
 every package export still resolves lazily.  ``import repro.cli``
 builds the parser without the store, the registries or
-``multiprocessing``, and a cold serial exhibit loads the event
+``multiprocessing``; listing workloads and rendering a run file build
+no program model; and a cold serial exhibit loads the event
 recorder, the run log and the process pool only when a flag asks.  A CLI process runs numpy
 on one BLAS thread unless the user says otherwise; the library leaves
 the environment alone.  Each case runs in a fresh interpreter, since
@@ -100,6 +101,27 @@ def test_parser_loads_no_store_registry_or_pool(tmp_path, command):
     loaded, _ = loaded_after(tmp_path, IDLE_COMMANDS[command],
                              watch=PARSER_ONLY)
     assert loaded == set()
+
+
+#: The program model and the workload builders, which listing workloads
+#: or rendering a run file never runs.
+PROGRAM_MODEL = ("repro.program", "repro.workloads.mediabench",
+                 "repro.workloads.builder")
+
+
+def test_listing_workloads_loads_no_program_model(tmp_path):
+    loaded, out = loaded_after(tmp_path, cli_main(["workloads"]),
+                               watch=PROGRAM_MODEL)
+    assert loaded == set()
+    assert "mpeg" in out.split()
+
+
+def test_run_file_report_loads_no_program_model(tmp_path):
+    run_fresh(tmp_path, cli_main(SWEEP + ["steinke", "--trace", "run.json"]))
+    loaded, out = loaded_after(tmp_path, cli_main(["report", "run.json"]),
+                               watch=PROGRAM_MODEL)
+    assert loaded == set()
+    assert "execution" in out
 
 
 #: What a serial, unobserved cold exhibit of CASA and Steinke never
